@@ -10,10 +10,9 @@ use minex_core::construct::ShortcutBuilder;
 use minex_core::{Partition, RootedTree, Shortcut};
 use minex_graphs::{EdgeId, Graph, UnionFind, WeightedGraph};
 
-use crate::mst::MstOutcome;
 use crate::partwise::partwise_min_impl;
 use crate::pipeline::{pipelined_broadcast, pipelined_convergecast};
-use crate::solver::{into_sim, Solver};
+use crate::solver::{into_sim, Mst, Report, Solver};
 
 /// A builder that never assigns shortcut edges — parts communicate over
 /// `G[P_i]` alone.
@@ -39,14 +38,14 @@ impl ShortcutBuilder for NoShortcutBuilder {
 pub fn mst_without_shortcuts(
     wg: &WeightedGraph,
     config: CongestConfig,
-) -> Result<MstOutcome, SimError> {
+) -> Result<Report<Mst>, SimError> {
     let mut solver = into_sim(
         Solver::builder(wg)
             .shortcut_builder(NoShortcutBuilder)
             .config(config)
             .build(),
     )?;
-    into_sim(solver.mst_full()).map(|(outcome, _)| outcome)
+    into_sim(solver.mst())
 }
 
 /// Outcome of the two-phase `Õ(D + √n)` algorithm.
@@ -243,16 +242,22 @@ pub fn compare_mst<B: ShortcutBuilder + Send + 'static>(
             .config(config)
             .build(),
     )?;
-    let with = into_sim(solver.mst_full())?.0;
+    let with = into_sim(solver.mst())?;
     let gkp = gkp_mst(wg, config)?;
     let naive = mst_without_shortcuts(wg, config)?;
-    assert_eq!(with.total_weight, gkp.total_weight, "MST weight mismatch");
-    assert_eq!(with.total_weight, naive.total_weight, "MST weight mismatch");
+    assert_eq!(
+        with.value.total_weight, gkp.total_weight,
+        "MST weight mismatch"
+    );
+    assert_eq!(
+        with.value.total_weight, naive.value.total_weight,
+        "MST weight mismatch"
+    );
     Ok(MstComparison {
-        shortcut_rounds: with.simulated_rounds,
-        shortcut_charged: with.charged_construction_rounds,
+        shortcut_rounds: with.stats.simulated_rounds,
+        shortcut_charged: with.stats.charged_construction_rounds,
         gkp_rounds: gkp.total_rounds(),
-        naive_rounds: naive.simulated_rounds,
+        naive_rounds: naive.stats.simulated_rounds,
     })
 }
 
@@ -330,7 +335,7 @@ mod tests {
         let wg = WeightModel::DistinctShuffled.apply(&g, &mut rng);
         let out = mst_without_shortcuts(&wg, cfg(20)).unwrap();
         let (_, kweight) = kruskal(&wg);
-        assert_eq!(out.total_weight, kweight);
+        assert_eq!(out.value.total_weight, kweight);
     }
 
     #[test]

@@ -7,19 +7,6 @@ use minex_core::construct::ShortcutBuilder;
 use minex_core::{Partition, RootedTree, Shortcut};
 use minex_graphs::{EdgeId, Graph};
 
-/// Outcome of the distributed spanning-forest computation.
-#[derive(Debug, Clone)]
-pub struct ComponentsOutcome {
-    /// Component label per node (the minimum node id of its component).
-    pub label: Vec<usize>,
-    /// A spanning forest (one tree per component).
-    pub forest_edges: Vec<EdgeId>,
-    /// Borůvka phases executed.
-    pub phases: usize,
-    /// Total simulated CONGEST rounds.
-    pub simulated_rounds: usize,
-}
-
 /// Builds shortcuts per connected component and merges them (builders
 /// require a connected spanning tree, so run them component-wise).
 pub(crate) fn build_per_component(

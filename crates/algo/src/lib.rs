@@ -6,8 +6,9 @@
 //! * [`solver`] — **the front door**: the plan-once / query-many
 //!   [`Solver`](solver::Solver) session API. One builder-configured session
 //!   computes the shortcut plan (tree, partition, shortcut, quality) once
-//!   and serves repeated `mst` / `min_cut` / `sssp` / `components` /
-//!   `partwise_min` queries, each returning a unified
+//!   and answers repeated [`Query`](solver::Query) values — `mst` /
+//!   `min_cut` / `sssp` / `components` / `partwise_min` — through
+//!   [`Solver::run`](solver::Solver::run), each with a unified
 //!   [`Report`](solver::Report);
 //! * [`partwise`] — the part-wise MIN aggregation primitive (Theorem 1's
 //!   engine), simulated faithfully with per-edge queueing so that measured
@@ -24,7 +25,7 @@
 //!   shortcut-accelerated overlay SSSP via part-wise aggregation, all
 //!   validated against a sequential Dijkstra reference;
 //! * [`pipeline`] — pipelined `O(depth + k)` convergecast/broadcast;
-//! * [`wire`] — wire schema v1: a dependency-free JSON value model plus
+//! * [`wire`] — wire schema v2: a dependency-free JSON value model plus
 //!   [`ToWire`](wire::ToWire)/[`FromWire`](wire::FromWire) codecs for every
 //!   query-surface type, shared by `minex-serve` and its clients;
 //! * [`workloads`] — part-family and weighted-workload generators for the

@@ -254,23 +254,6 @@ pub fn min_two_respecting_cut(wg: &WeightedGraph, tree: &PackedTree) -> u64 {
     best
 }
 
-/// Outcome of the approximate min-cut computation.
-#[derive(Debug, Clone)]
-pub struct MinCutOutcome {
-    /// Best cut value found over the packing.
-    pub approx_value: u64,
-    /// Exact value (Stoer–Wagner).
-    pub exact_value: u64,
-    /// `approx / exact`.
-    pub ratio: f64,
-    /// Number of packed trees.
-    pub trees: usize,
-    /// Simulated CONGEST rounds: per-tree MST + subtree aggregations.
-    pub simulated_rounds: usize,
-    /// Analytic shortcut-construction charge carried over from the MSTs.
-    pub charged_construction_rounds: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

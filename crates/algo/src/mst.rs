@@ -14,37 +14,6 @@
 
 use minex_graphs::{EdgeId, UnionFind, WeightedGraph};
 
-/// Per-phase measurements of the Borůvka driver.
-#[derive(Debug, Clone)]
-pub struct PhaseStats {
-    /// Number of fragments at the start of the phase.
-    pub fragments: usize,
-    /// Simulated rounds of the min-outgoing-edge aggregation.
-    pub candidate_rounds: usize,
-    /// Simulated rounds of the relabel flood after merging.
-    pub relabel_rounds: usize,
-    /// Measured quality of the shortcut used by the candidate aggregation.
-    pub shortcut_quality: usize,
-}
-
-/// Outcome of a distributed MST computation.
-#[derive(Debug, Clone)]
-pub struct MstOutcome {
-    /// The chosen edges (a spanning tree for connected inputs).
-    pub edges: Vec<EdgeId>,
-    /// Total weight of the chosen edges.
-    pub total_weight: u64,
-    /// Number of Borůvka phases.
-    pub phases: usize,
-    /// Total simulated CONGEST rounds (all aggregations).
-    pub simulated_rounds: usize,
-    /// Analytic charge for the distributed shortcut constructions:
-    /// `Σ_phases quality · ⌈log₂ n⌉` per \[HIZ16a\].
-    pub charged_construction_rounds: usize,
-    /// Per-phase details.
-    pub per_phase: Vec<PhaseStats>,
-}
-
 /// Kruskal's algorithm — the centralized correctness reference.
 pub fn kruskal(wg: &WeightedGraph) -> (Vec<EdgeId>, u64) {
     let g = wg.graph();

@@ -3,37 +3,36 @@
 //! The paper's central point is that **one** structural object — a
 //! low-congestion shortcut over a partition of a minor-free network —
 //! simultaneously accelerates MST (Corollary 1), min-cut, shortest paths,
-//! and every other part-wise aggregation problem. The legacy free
-//! functions of earlier releases (`boruvka_mst`, `approx_min_cut`,
-//! `shortcut_sssp`, `connected_components`, `partwise_min` — removed in
-//! 0.3) hid that: each call independently rebuilt trees, partitions, and
-//! shortcuts. A [`Solver`] session instead computes its [`ShortcutPlan`] —
-//! BFS tree, partition, shortcut, quality measurement — **once**, caches
-//! it (including
-//! per-fragmentation Borůvka re-plans keyed by partition and per-source
-//! SSSP plans with their center potentials), and serves repeated queries.
+//! and every other part-wise aggregation problem. A [`Solver`] session
+//! computes its [`ShortcutPlan`] — BFS tree, partition, shortcut, quality
+//! measurement — **once**, caches it (together with per-source SSSP plans
+//! and their center potentials), and serves repeated queries.
 //!
-//! Every query returns a unified [`Report`]: the typed result plus
-//! [`ReportStats`] aggregating per-phase [`RunStats`] and the analytically
-//! charged construction rounds under one roof.
+//! Every question a session answers is a [`Query`], and [`Solver::run`]
+//! is the one path that answers it: it returns a [`Report`] of an
+//! [`Answer`] — the typed result plus [`ReportStats`] aggregating
+//! per-phase [`RunStats`] and the analytically charged construction rounds
+//! under one roof. The per-kind methods ([`Solver::mst`],
+//! [`Solver::sssp`], …) wrap `run` and return the typed report.
 //!
-//! **Determinism contract:** a `Solver` query is byte-identical — same
-//! outputs, same `RunStats`, same round counts — to the corresponding
-//! legacy free function, and repeated queries on one session return
-//! identical reports (plan reuse skips rebuilding, never re-deciding).
+//! **Determinism contract:** a report is a pure function of the session
+//! graph, its configuration, and the query — the same outputs, `RunStats`
+//! and round counts on a warm session as on a fresh one, on every engine —
+//! and repeated queries on one session return identical reports (plan
+//! reuse skips rebuilding, never re-deciding).
 //!
-//! **Result memoization:** every query is a deterministic pure function of
-//! the plan and its arguments (the simulator has no randomness or hidden
-//! state), so the session also memoizes full query results keyed by their
-//! arguments. An identical repeated query — the common case when serving
-//! many users over one network — returns the cached report instantly; the
-//! reported rounds and statistics are exactly those of the original run
-//! (the CONGEST *model* cost is unchanged; only wall-clock time is saved).
-//! Memos live for the session's lifetime; scope a session to one network
-//! and drop it to release them.
+//! **Result memoization:** the simulator has no randomness or hidden
+//! state, so the session also memoizes full reports in one memo keyed by
+//! the [`Query`]. An identical repeated query — the common case when
+//! serving many users over one network — returns the cached report
+//! instantly; the reported rounds and statistics are exactly those of the
+//! original run (the CONGEST *model* cost is unchanged; only wall-clock
+//! time is saved). The memo holds at most 256 reports — past that, new
+//! queries are answered without being stored — and [`Solver::apply`]
+//! drops it whenever the graph changes.
 //!
 //! ```
-//! use minex_algo::solver::{PartsStrategy, Solver, Tier};
+//! use minex_algo::solver::{Answer, PartsStrategy, Query, Solver, Tier};
 //! use minex_core::construct::SteinerBuilder;
 //! use minex_graphs::{generators, WeightModel};
 //! use rand::SeedableRng;
@@ -52,12 +51,16 @@
 //! assert_eq!(sssp.value.dist[0], 0);
 //! let minima = solver.partwise_min(&vec![7; g.n()], 16)?;
 //! assert!(minima.value.minima.iter().all(|&m| m == 7));
+//! // The same questions as `Query` values, answered by the one path.
+//! let answered = solver.run(&Query::Mst)?; // a memo hit
+//! assert_eq!(answered.value, Answer::Mst(mst.value));
 //! # Ok::<(), minex_algo::solver::AlgoError>(())
 //! ```
 
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -76,16 +79,16 @@ use minex_graphs::{
     traversal, DeltaGraph, EdgeId, EdgeMutation, Graph, NodeId, UnionFind, WeightedGraph,
 };
 
-use crate::components::{build_per_component, ComponentsOutcome};
+use crate::components::build_per_component;
 use crate::mincut::{
-    greedy_tree_packing, min_two_respecting_cut, one_respecting_cuts, stoer_wagner, MinCutOutcome,
+    greedy_tree_packing, min_two_respecting_cut, one_respecting_cuts, stoer_wagner,
 };
-use crate::mst::{MstOutcome, PhaseStats};
 use crate::partwise::partwise_min_impl;
 use crate::sssp::{
     bellman_ford_sssp, channel_distance_flood, dist_value_bits, part_centers, rescale, scale_for,
-    scale_weights, scaled_sssp, ScaledSsspOutcome, ShortcutSsspOutcome, SsspOutcome,
+    scale_weights, scaled_sssp, ScaledSsspOutcome,
 };
+use crate::wire::{obj, JsonValue, ToWire};
 
 /// Structured errors of the session API. A serving process must never panic
 /// on a bad query: empty or disconnected inputs and malformed parameters
@@ -157,8 +160,12 @@ pub enum Tier {
     Shortcut {
         /// The approximation parameter of the weight scaling.
         epsilon: f64,
-        /// Overlay phase budget (`parts + 2` always converges on covered
-        /// connected inputs).
+        /// Overlay phase budget. The loop stops early at its fixpoint,
+        /// where the `(1+ε)` bound holds. A run that exhausts the budget
+        /// first reports `converged == false`, and its estimates are then
+        /// sound upper bounds only — `parts + 2` phases do not always
+        /// suffice. A budget of `n` always converges: every phase ends in
+        /// a Bellman–Ford relax round.
         max_phases: usize,
     },
 }
@@ -185,11 +192,8 @@ pub enum PartsStrategy {
 /// One simulator run inside a query, with its full [`RunStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseRun {
-    /// What this run computed (e.g. `"mst phase 3: candidate"`).
-    pub label: String,
-    /// The same identity in structured form (`phase`, `subphase`,
-    /// `attempt`), so consumers — E17, the trace schema — never parse the
-    /// display string.
+    /// What this run computed, in structured form (`phase`, `subphase`,
+    /// `attempt`); its `Display` renders e.g. `mst/candidate#3`.
     pub tags: PhaseLabel,
     /// The run's statistics.
     pub stats: RunStats,
@@ -199,8 +203,7 @@ pub struct PhaseRun {
 }
 
 /// Round and message accounting of one query, aggregating every simulator
-/// run and the analytic construction charge under one type — the unified
-/// replacement for the per-algorithm `*Outcome` bookkeeping fields.
+/// run and the analytic construction charge under one type.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReportStats {
     /// Total simulated CONGEST rounds (`Σ runs stats.rounds · repeats`).
@@ -266,10 +269,10 @@ pub struct Report<T> {
 pub struct SessionCounters {
     /// Successful queries answered.
     pub queries: usize,
-    /// Queries served from a result memo (no simulation ran).
+    /// Queries served from the result memo (no simulation ran).
     pub memo_hits: usize,
-    /// Queries that computed fresh (and populated a memo where bounded
-    /// caps allow).
+    /// Queries that computed fresh (and joined the memo while it was under
+    /// its cap).
     pub memo_misses: usize,
     /// Shortcut plans constructed (the session plan plus per-source SSSP
     /// structures).
@@ -324,25 +327,6 @@ pub struct SessionTrace {
     pub profile: CongestionProfile,
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl SessionTrace {
     /// Exports the trace as JSON Lines, one object per line, each tagged
     /// with a `"type"` field. The schema (documented in the repository
@@ -368,125 +352,93 @@ impl SessionTrace {
     /// counts — the CI telemetry step compares it byte-for-byte between
     /// `MINEX_THREADS=1` and `MINEX_THREADS=4`.
     pub fn to_jsonl(&self) -> String {
-        use std::fmt::Write as _;
+        use JsonValue::{Bool, Null, Str, UInt};
+        let uint = |x: usize| UInt(x as u64);
         let mut out = String::new();
-        let c = &self.counters;
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"counters\",\"queries\":{},\"memo_hits\":{},\"memo_misses\":{},\
-             \"plans_built\":{},\"plan_repairs\":{},\"parts_rebuilt\":{},\"parts_reused\":{},\
-             \"memos_dropped\":{}}}",
-            c.queries,
-            c.memo_hits,
-            c.memo_misses,
-            c.plans_built,
-            c.plan_repairs,
-            c.parts_rebuilt,
-            c.parts_reused,
-            c.memos_dropped
-        );
+        // One line: the `"type"` tag, then the fields of `body`.
+        let mut line = |kind: &str, body: JsonValue| {
+            let JsonValue::Object(fields) = body else {
+                unreachable!("trace lines are objects");
+            };
+            let tag = ("type".to_string(), Str(kind.to_string()));
+            JsonValue::Object(std::iter::once(tag).chain(fields).collect()).write(&mut out);
+            out.push('\n');
+        };
+        line("counters", self.counters.to_wire());
         for q in &self.queries {
-            let tier = match &q.tier {
-                Some(t) => format!("\"{}\"", json_escape(t)),
-                None => "null".into(),
-            };
-            let repair = match &q.repair {
-                Some(r) => format!(
-                    "{{\"inserted\":{},\"deleted\":{},\"noop\":{},\"connected\":{},\
-                     \"partition_changed\":{},\"plan_repaired\":{},\"parts_rebuilt\":{},\
-                     \"parts_reused\":{},\"memos_dropped\":{}}}",
-                    r.inserted,
-                    r.deleted,
-                    r.noop,
-                    r.connected,
-                    r.partition_changed,
-                    r.plan_repaired,
-                    r.plan.parts_rebuilt,
-                    r.plan.parts_reused,
-                    r.memos_dropped
-                ),
-                None => "null".into(),
-            };
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"query\",\"label\":\"{}\",\"tier\":{},\"cache_hit\":{},\
-                 \"simulated_rounds\":{},\"charged_rounds\":{},\"messages\":{},\"bits\":{},\
-                 \"repair\":{}}}",
-                json_escape(&q.label),
-                tier,
-                q.cache_hit,
-                q.simulated_rounds,
-                q.charged_rounds,
-                q.messages,
-                q.bits,
-                repair
-            );
+            let repair = q.repair.map_or(Null, |r| {
+                obj([
+                    ("inserted", uint(r.inserted)),
+                    ("deleted", uint(r.deleted)),
+                    ("noop", Bool(r.noop)),
+                    ("connected", Bool(r.connected)),
+                    ("partition_changed", Bool(r.partition_changed)),
+                    ("plan_repaired", Bool(r.plan_repaired)),
+                    ("parts_rebuilt", uint(r.plan.parts_rebuilt)),
+                    ("parts_reused", uint(r.plan.parts_reused)),
+                    ("memos_dropped", uint(r.memos_dropped)),
+                ])
+            });
+            let query = obj([
+                ("label", Str(q.label.clone())),
+                ("tier", q.tier.clone().map_or(Null, Str)),
+                ("cache_hit", Bool(q.cache_hit)),
+                ("simulated_rounds", uint(q.simulated_rounds)),
+                ("charged_rounds", uint(q.charged_rounds)),
+                ("messages", UInt(q.messages)),
+                ("bits", UInt(q.bits)),
+                ("repair", repair),
+            ]);
+            line("query", query);
         }
         for span in self.profile.phases() {
-            let attempt = match span.label.attempt {
-                Some(a) => a.to_string(),
-                None => "null".into(),
-            };
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"phase\",\"phase\":\"{}\",\"subphase\":\"{}\",\"attempt\":{},\
-                 \"label\":\"{}\",\"rounds\":{},\"messages\":{},\"bits\":{},\
-                 \"wire_messages\":{},\"wire_bits\":{},\"repeats\":{}}}",
-                json_escape(&span.label.phase),
-                json_escape(&span.label.subphase),
-                attempt,
-                json_escape(&span.label.to_string()),
-                span.stats.rounds,
-                span.stats.messages,
-                span.stats.total_bits,
-                span.wire_messages,
-                span.wire_bits,
-                span.repeats
-            );
+            let phase = obj([
+                ("phase", Str(span.label.phase.clone())),
+                ("subphase", Str(span.label.subphase.clone())),
+                ("attempt", span.label.attempt.map_or(Null, uint)),
+                ("label", Str(span.label.to_string())),
+                ("rounds", uint(span.stats.rounds)),
+                ("messages", UInt(span.stats.messages)),
+                ("bits", UInt(span.stats.total_bits)),
+                ("wire_messages", UInt(span.wire_messages)),
+                ("wire_bits", UInt(span.wire_bits)),
+                ("repeats", uint(span.repeats)),
+            ]);
+            line("phase", phase);
         }
         for (e, load) in self.profile.edge_loads().iter().enumerate() {
             if load.messages > 0 {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"edge\",\"edge\":{e},\"messages\":{},\"bits\":{}}}",
-                    load.messages, load.bits
-                );
+                let edge = [("messages", UInt(load.messages)), ("bits", UInt(load.bits))];
+                line("edge", obj([("edge", uint(e))].into_iter().chain(edge)));
             }
         }
         for (r, load) in self.profile.round_loads().iter().enumerate() {
             if load.messages > 0 {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"round\",\"round\":{r},\"messages\":{},\"bits\":{}}}",
-                    load.messages, load.bits
-                );
+                let round = [("messages", UInt(load.messages)), ("bits", UInt(load.bits))];
+                line("round", obj([("round", uint(r))].into_iter().chain(round)));
             }
         }
         for (rank, (edge, load)) in self.profile.hot_links(10).into_iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"hot\",\"rank\":{rank},\"edge\":{edge},\"messages\":{},\"bits\":{}}}",
-                load.messages, load.bits
-            );
+            let hot = obj([
+                ("rank", uint(rank)),
+                ("edge", uint(edge)),
+                ("messages", UInt(load.messages)),
+                ("bits", UInt(load.bits)),
+            ]);
+            line("hot", hot);
         }
         for r in self.profile.rejections() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"reject\",\"message\":\"{}\"}}",
-                json_escape(r)
-            );
+            line("reject", obj([("message", Str(r.clone()))]));
         }
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"summary\",\"messages\":{},\"bits\":{},\"max_message_bits\":{},\
-             \"max_edge_messages\":{},\"delivered\":{},\"rounds_started\":{}}}",
-            self.profile.total_messages(),
-            self.profile.total_bits(),
-            self.profile.max_message_bits(),
-            self.profile.max_edge_messages(),
-            self.profile.delivered(),
-            self.profile.rounds_started()
-        );
+        let summary = obj([
+            ("messages", UInt(self.profile.total_messages())),
+            ("bits", UInt(self.profile.total_bits())),
+            ("max_message_bits", uint(self.profile.max_message_bits())),
+            ("max_edge_messages", UInt(self.profile.max_edge_messages())),
+            ("delivered", UInt(self.profile.delivered())),
+            ("rounds_started", UInt(self.profile.rounds_started())),
+        ]);
+        line("summary", summary);
         out
     }
 }
@@ -596,6 +548,172 @@ pub struct Components {
 pub struct PartwiseMin {
     /// The aggregated minimum per part of the session partition.
     pub minima: Vec<u64>,
+}
+
+/// One question to a session — the input of [`Solver::run`] and of a wire
+/// `query` body.
+///
+/// Queries compare and hash with `ε` by bit pattern: two queries are equal
+/// exactly when they ask the same question, which makes a `Query` the key
+/// of the session's result memo.
+#[derive(Debug, Clone)]
+pub enum Query {
+    /// Minimum spanning tree ([`Solver::mst`]).
+    Mst,
+    /// Approximate minimum cut ([`Solver::min_cut_with`]).
+    MinCut {
+        /// Number of packed trees.
+        trees: usize,
+        /// Whether 2-respecting cuts are evaluated too.
+        two_respecting: bool,
+    },
+    /// Single-source shortest paths ([`Solver::sssp`]).
+    Sssp {
+        /// The source node.
+        source: NodeId,
+        /// The tier to answer in.
+        tier: Tier,
+    },
+    /// Connected components ([`Solver::components`]).
+    Components,
+    /// Part-wise MIN over the session partition ([`Solver::partwise_min`]).
+    PartwiseMin {
+        /// One value per node.
+        values: Vec<u64>,
+        /// The honest encoding width of the values.
+        value_bits: usize,
+    },
+}
+
+impl Query {
+    /// The query kind: `"mst"`, `"min_cut"`, `"sssp"`, `"components"` or
+    /// `"partwise_min"` — the wire `query` field and the trace span label.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            Query::Mst => "mst",
+            Query::MinCut { .. } => "min_cut",
+            Query::Sssp { .. } => "sssp",
+            Query::Components => "components",
+            Query::PartwiseMin { .. } => "partwise_min",
+        }
+    }
+
+    /// The argument rendering a trace span records as its `tier`.
+    fn trace_tier(&self) -> Option<String> {
+        match self {
+            Query::Mst | Query::Components => None,
+            Query::MinCut {
+                trees,
+                two_respecting,
+            } => Some(format!("trees={trees} two_respecting={two_respecting}")),
+            Query::Sssp { source, tier } => Some(match tier {
+                Tier::Exact => format!("exact source={source}"),
+                Tier::Scaled { epsilon } => format!("scaled source={source} epsilon={epsilon}"),
+                Tier::Shortcut {
+                    epsilon,
+                    max_phases,
+                } => format!("shortcut source={source} epsilon={epsilon} max_phases={max_phases}"),
+            }),
+            Query::PartwiseMin { value_bits, .. } => Some(format!("value_bits={value_bits}")),
+        }
+    }
+
+    /// What queries are compared and hashed by: the kind, the scalar
+    /// arguments with `ε` as its bit pattern, and the part-wise values.
+    fn identity(&self) -> (&'static str, [u64; 4], &[u64]) {
+        let scalars = match *self {
+            Query::Mst | Query::Components => [0; 4],
+            Query::MinCut {
+                trees,
+                two_respecting,
+            } => [trees as u64, u64::from(two_respecting), 0, 0],
+            Query::Sssp { source, tier } => match tier {
+                Tier::Exact => [source as u64, 0, 0, 0],
+                Tier::Scaled { epsilon } => [source as u64, 1, epsilon.to_bits(), 0],
+                Tier::Shortcut {
+                    epsilon,
+                    max_phases,
+                } => [source as u64, 2, epsilon.to_bits(), max_phases as u64],
+            },
+            Query::PartwiseMin { value_bits, .. } => [value_bits as u64, 0, 0, 0],
+        };
+        let values = match self {
+            Query::PartwiseMin { values, .. } => values.as_slice(),
+            _ => &[],
+        };
+        (self.kind(), scalars, values)
+    }
+}
+
+impl PartialEq for Query {
+    fn eq(&self, other: &Self) -> bool {
+        self.identity() == other.identity()
+    }
+}
+
+impl Eq for Query {}
+
+impl Hash for Query {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.identity().hash(state);
+    }
+}
+
+/// The value of an answered [`Query`]: one variant per query kind, holding
+/// that kind's typed result.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Answer {
+    /// Answer to [`Query::Mst`].
+    Mst(Mst),
+    /// Answer to [`Query::MinCut`].
+    MinCut(MinCut),
+    /// Answer to [`Query::Sssp`].
+    Sssp(Sssp),
+    /// Answer to [`Query::Components`].
+    Components(Components),
+    /// Answer to [`Query::PartwiseMin`].
+    PartwiseMin(PartwiseMin),
+}
+
+/// `TryFrom<Answer>` for each typed result: unwraps the matching variant
+/// and hands any other back unchanged.
+macro_rules! answer_kinds {
+    ($($kind:ident),*) => {$(
+        impl TryFrom<Answer> for $kind {
+            type Error = Answer;
+
+            fn try_from(answer: Answer) -> Result<Self, Answer> {
+                match answer {
+                    Answer::$kind(value) => Ok(value),
+                    other => Err(other),
+                }
+            }
+        }
+    )*};
+}
+
+answer_kinds!(Mst, MinCut, Sssp, Components, PartwiseMin);
+
+impl<T> Report<T> {
+    /// The same report with `f` applied to its value.
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> Report<U> {
+        Report {
+            value: f(self.value),
+            stats: self.stats,
+        }
+    }
+}
+
+impl Report<Answer> {
+    /// The typed report of an answer [`Solver::run`] gave to a query of
+    /// kind `T`.
+    fn typed<T: TryFrom<Answer>>(self) -> Report<T> {
+        self.map(|answer| {
+            T::try_from(answer).unwrap_or_else(|_| {
+                unreachable!("Solver::run answers each query with its own kind")
+            })
+        })
+    }
 }
 
 enum WeightSource<'a> {
@@ -850,17 +968,12 @@ struct SsspPlanEntry {
     value_bits: usize,
 }
 
-/// Cap on the number of memoized part-wise aggregations: each entry owns
-/// two `O(n)` vectors (the values key and the minima), so a long-lived
-/// session serving many *distinct* value vectors must not grow without
-/// bound. Past the cap new results are recomputed instead of stored —
-/// correctness is unaffected, repeats of the cached queries stay fast.
-const PARTWISE_MEMO_CAP: usize = 256;
-
-/// Cap on the per-query result memos (min-cut and the three SSSP tiers):
-/// each entry owns `O(n)` vectors. Past the cap a fresh argument tuple is
-/// recomputed instead of stored.
-const RESULT_MEMO_CAP: usize = 256;
+/// Cap on the result memo: an entry can own `O(n)` vectors (a part-wise
+/// values key, distances, minima), so a long-lived session serving many
+/// *distinct* queries must not grow without bound. Past the cap new
+/// reports are computed without being stored — correctness is unaffected,
+/// and repeats of the stored queries stay fast.
+const MEMO_CAP: usize = 256;
 
 /// Cap on the per-source SSSP plan caches (`sssp_structure`,
 /// `sssp_plans`), whose entries own a `Shortcut` resp. a scaled
@@ -880,58 +993,25 @@ fn evict_generation<K, V>(map: &mut HashMap<K, V>, cap: usize) {
 
 #[derive(Debug, Default)]
 struct Caches {
-    /// Borůvka re-plans: fragmentation labels → shortcut built for them.
-    /// With the result memos below, today's query flow runs each Borůvka
-    /// drive at most once per session, so these maps are populated but not
-    /// re-hit; they are the re-plan seam for flows that invalidate or
-    /// bypass the result memos (plan sharding, incremental weights), and
-    /// their size is bounded by the O(log n) phases of one drive.
-    frag_shortcuts: HashMap<Vec<usize>, Shortcut>,
-    /// Fragmentation labels → measured quality of its (parts, shortcut).
-    frag_quality: HashMap<Vec<usize>, usize>,
-    /// Component-wise fragmentation shortcuts of [`Solver::components`].
-    comp_shortcuts: HashMap<Vec<usize>, Shortcut>,
-    /// Component labelling `(comp_of, comp_count)` of the graph.
-    comp_meta: Option<(Vec<usize>, usize)>,
     /// Scale-independent shortcut-SSSP structure, keyed by source.
     sssp_structure: HashMap<NodeId, SsspStructure>,
     /// Scale-dependent shortcut-SSSP plans keyed by `(source, scale)`.
     sssp_plans: HashMap<(NodeId, u64), SsspPlanEntry>,
-    // ---- Query-result memos. Every query is a deterministic pure function
-    // of (plan, arguments): the simulator has no hidden state and no
-    // randomness, so serving a repeated query from the memo is
-    // byte-identical to re-running it — only the wall clock changes.
-    mst_memo: Option<(MstOutcome, Vec<PhaseRun>)>,
-    components_memo: Option<(ComponentsOutcome, Vec<PhaseRun>)>,
-    min_cut_memo: HashMap<(usize, bool), (MinCutOutcome, Vec<PhaseRun>)>,
-    sssp_exact_memo: HashMap<NodeId, (SsspOutcome, Vec<PhaseRun>)>,
-    /// Keyed by `(source, epsilon.to_bits())`.
-    sssp_scaled_memo: HashMap<(NodeId, u64), (ScaledSsspOutcome, Vec<PhaseRun>)>,
-    /// Keyed by `(source, epsilon.to_bits(), max_phases)`.
-    sssp_shortcut_memo: HashMap<(NodeId, u64, usize), (ShortcutSsspOutcome, Vec<PhaseRun>)>,
-    /// Bounded by [`PARTWISE_MEMO_CAP`].
-    partwise_memo: HashMap<(Vec<u64>, usize), (crate::partwise::AggregationResult, Vec<PhaseRun>)>,
+    /// Query results, bounded by [`MEMO_CAP`]. Every query is a
+    /// deterministic pure function of (plan, query): the simulator has no
+    /// hidden state and no randomness, so serving a repeated query from
+    /// the memo is byte-identical to re-running it — only the wall clock
+    /// changes.
+    memo: HashMap<Query, Report<Answer>>,
 }
 
 impl Caches {
-    /// Drops every cached plan fragment and query memo — all of them are
+    /// Drops every cached plan piece and memoized report — all of them are
     /// keyed (explicitly or implicitly) by the session graph, so any edge
     /// mutation invalidates the lot. Returns how many entries were
     /// discarded, for [`RepairStats::memos_dropped`].
     fn invalidate(&mut self) -> usize {
-        let dropped = self.frag_shortcuts.len()
-            + self.frag_quality.len()
-            + self.comp_shortcuts.len()
-            + usize::from(self.comp_meta.is_some())
-            + self.sssp_structure.len()
-            + self.sssp_plans.len()
-            + usize::from(self.mst_memo.is_some())
-            + usize::from(self.components_memo.is_some())
-            + self.min_cut_memo.len()
-            + self.sssp_exact_memo.len()
-            + self.sssp_scaled_memo.len()
-            + self.sssp_shortcut_memo.len()
-            + self.partwise_memo.len();
+        let dropped = self.sssp_structure.len() + self.sssp_plans.len() + self.memo.len();
         *self = Caches::default();
         dropped
     }
@@ -949,7 +1029,7 @@ impl Caches {
 /// buffer dropped on an early `?` return simply leaves the pool — the next
 /// lease falls back to a fresh allocation, so errors cost a little reuse,
 /// never correctness. The arena holds no query state between leases
-/// (`lease` re-fills every slot), so it is invisible to results, memos,
+/// (`lease` re-fills every slot), so it is invisible to results, the memo,
 /// and traces.
 #[derive(Debug, Default)]
 struct ScratchArena {
@@ -1034,9 +1114,10 @@ fn induces_connected(g: &Graph, part: &[NodeId]) -> bool {
 /// `Solver` is `'static` and `Send`: it can outlive the request handler
 /// that configured it and move between threads — the property the
 /// `minex-serve` daemon's session fleet is built on. A `Solver` is *not*
-/// `Sync` by design: queries take `&mut self` (they fill caches and memos),
-/// so concurrent callers must serialize through a lock, which is exactly
-/// the per-session request serialization the wire API documents.
+/// `Sync` by design: queries take `&mut self` (they fill the caches and
+/// the memo), so concurrent callers must serialize through a lock, which
+/// is exactly the per-session request serialization the wire API
+/// documents.
 #[derive(Debug)]
 pub struct Solver {
     wg: Arc<WeightedGraph>,
@@ -1053,18 +1134,6 @@ pub struct Solver {
     caches: Caches,
     scratch: ScratchArena,
     trace: Option<SessionTrace>,
-}
-
-/// The canonical cache key of a partition: each node's part index
-/// (`usize::MAX` for uncovered nodes). Equal partitions produce equal keys.
-fn partition_key(parts: &Partition, n: usize) -> Vec<usize> {
-    let mut key = vec![usize::MAX; n];
-    for (i, part) in parts.parts().iter().enumerate() {
-        for &v in part {
-            key[v] = i;
-        }
-    }
-    key
 }
 
 /// One part per node — the Borůvka starting fragmentation.
@@ -1281,8 +1350,8 @@ impl Solver {
     /// success the session commits atomically: graph and weights swap,
     /// connectivity and partition are refreshed (the configured
     /// [`PartsStrategy`] is re-resolved against the mutated graph), a
-    /// cached plan is repaired through [`ShortcutPlan::repair`], and every
-    /// query memo is dropped. A repaired session answers every query
+    /// cached plan is repaired through [`ShortcutPlan::repair`], and the
+    /// memo is dropped. A repaired session answers every query
     /// byte-identically to a fresh session built on the mutated graph.
     ///
     /// Surviving edges keep their weights (edge ids are renumbered
@@ -1483,207 +1552,87 @@ impl Solver {
     }
 
     // ------------------------------------------------------------------
-    // MST
+    // Queries
     // ------------------------------------------------------------------
+
+    /// Answers one [`Query`] — the one path every query kind takes.
+    ///
+    /// A query already in the session memo is answered with its stored
+    /// report; any other runs on the cached plan, and its report is
+    /// memoized while the memo holds fewer than 256 reports. A traced
+    /// session records one [`QuerySpan`] per successful call.
+    ///
+    /// # Errors
+    ///
+    /// Those of the per-kind wrapper of the query: [`Solver::mst`],
+    /// [`Solver::min_cut_with`], [`Solver::sssp`], [`Solver::components`]
+    /// or [`Solver::partwise_min`].
+    pub fn run(&mut self, query: &Query) -> Result<Report<Answer>, AlgoError> {
+        let (report, hit) = self.memoized(query)?;
+        self.note_query(
+            query.kind(),
+            query.trace_tier(),
+            Some(hit),
+            &report.stats,
+            None,
+        );
+        Ok(report)
+    }
+
+    /// The body of [`Solver::run`] without its trace span: the memoized
+    /// report of `query`, and whether it was a memo hit. Min-cut calls it
+    /// for its inner MST.
+    fn memoized(&mut self, query: &Query) -> Result<(Report<Answer>, bool), AlgoError> {
+        if let Some(report) = self.caches.memo.get(query) {
+            return Ok((report.clone(), true));
+        }
+        let report = match *query {
+            Query::Mst => self.boruvka_mst()?.map(Answer::Mst),
+            Query::MinCut {
+                trees,
+                two_respecting,
+            } => self
+                .packed_min_cut(trees, two_respecting)?
+                .map(Answer::MinCut),
+            Query::Sssp { source, tier } => {
+                self.check_source(source)?;
+                match tier {
+                    Tier::Exact => self.exact_sssp(source),
+                    Tier::Scaled { epsilon } => self.scaled_sssp(source, epsilon),
+                    Tier::Shortcut {
+                        epsilon,
+                        max_phases,
+                    } => self.overlay_sssp(source, epsilon, max_phases),
+                }?
+                .map(Answer::Sssp)
+            }
+            Query::Components => self.boruvka_components()?.map(Answer::Components),
+            Query::PartwiseMin {
+                ref values,
+                value_bits,
+            } => self
+                .plan_partwise_min(values, value_bits)?
+                .map(Answer::PartwiseMin),
+        };
+        if self.caches.memo.len() < MEMO_CAP {
+            self.caches.memo.insert(query.clone(), report.clone());
+        }
+        Ok((report, false))
+    }
 
     /// Minimum spanning tree via shortcut-driven Borůvka (Corollary 1).
     ///
-    /// Per-phase shortcuts are cached keyed by the fragmentation, so
-    /// repeated `mst()` queries (and the tree packing of
-    /// [`Solver::min_cut`]) replay the plan instead of rebuilding it.
+    /// The report is memoized, so repeated `mst()` queries — and the tree
+    /// packing of [`Solver::min_cut`] — reuse it instead of re-running the
+    /// drive.
     ///
     /// # Errors
     ///
     /// [`AlgoError::EmptyGraph`] / [`AlgoError::Disconnected`] on
     /// structurally unfit inputs, [`AlgoError::Sim`] on simulator failures.
     pub fn mst(&mut self) -> Result<Report<Mst>, AlgoError> {
-        let hit = self.caches.mst_memo.is_some();
-        let (out, runs) = self.mst_full()?;
-        let report = Report {
-            value: Mst {
-                edges: out.edges,
-                total_weight: out.total_weight,
-                boruvka_phases: out.phases,
-            },
-            stats: ReportStats::from_runs(
-                out.simulated_rounds,
-                out.charged_construction_rounds,
-                runs,
-            ),
-        };
-        self.note_query("mst", None, Some(hit), &report.stats, None);
-        Ok(report)
+        Ok(self.run(&Query::Mst)?.typed())
     }
-
-    /// The full legacy-shaped MST run: outcome plus per-run stats. Used by
-    /// [`Solver::mst`] and [`Solver::min_cut`].
-    /// Memoized: the run is deterministic, so repeats serve the cached
-    /// result.
-    pub(crate) fn mst_full(&mut self) -> Result<(MstOutcome, Vec<PhaseRun>), AlgoError> {
-        if let Some(memo) = self.caches.mst_memo.clone() {
-            return Ok(memo);
-        }
-        let result = self.mst_compute()?;
-        self.caches.mst_memo = Some(result.clone());
-        Ok(result)
-    }
-
-    fn mst_compute(&mut self) -> Result<(MstOutcome, Vec<PhaseRun>), AlgoError> {
-        self.ensure_tree()?;
-        let Solver {
-            ref wg,
-            ref tree,
-            ref builder,
-            config,
-            ref mut caches,
-            ref mut scratch,
-            ref mut trace,
-            ..
-        } = *self;
-        let wg: &WeightedGraph = wg.as_ref();
-        let g = wg.graph();
-        let tree = tree.as_ref().expect("ensure_tree filled the tree");
-        let n = g.n();
-        let m = g.m().max(1) as u64;
-        let max_w = wg.weights().iter().copied().max().unwrap_or(0);
-        let value_bits = bits_for((max_w + 1) as usize) + bits_for(g.m().max(2));
-        let mut uf = UnionFind::new(n);
-        let mut chosen: Vec<EdgeId> = Vec::new();
-        let mut per_phase = Vec::new();
-        let mut runs = Vec::new();
-        let mut simulated_rounds = 0usize;
-        let mut charged = 0usize;
-        // Shortcut for the current partition; singleton fragments need none.
-        let mut parts = singleton_partition(g);
-        let mut shortcut = Shortcut::empty(parts.len());
-        let log_n = bits_for(n.max(2));
-        // Relabel ids are the identity column every phase; lease it once.
-        let mut ids = scratch.lease(n, 0);
-        for (v, slot) in ids.iter_mut().enumerate() {
-            *slot = v as u64;
-        }
-        while uf.count() > 1 {
-            let phase = per_phase.len();
-            let fragments = uf.count();
-            let key = partition_key(&parts, n);
-            let quality = match caches.frag_quality.get(&key) {
-                Some(&q) => q,
-                None => {
-                    let q = measure_quality(g, tree, &parts, &shortcut).quality;
-                    caches.frag_quality.insert(key, q);
-                    q
-                }
-            };
-            charged += quality * log_n;
-            // Per-node candidate: lightest incident edge leaving the fragment.
-            let mut values = scratch.lease(n, u64::MAX);
-            for (v, value) in values.iter_mut().enumerate() {
-                for (w, e) in g.neighbors(v) {
-                    if uf.find(v) != uf.find(w) {
-                        let enc = encode(wg.weight(e), e, m);
-                        if enc < *value {
-                            *value = enc;
-                        }
-                    }
-                }
-            }
-            let tags = PhaseLabel::new("mst", "candidate").with_attempt(phase);
-            let agg = traced(
-                trace,
-                &tags,
-                1,
-                || partwise_min_impl(g, &parts, &shortcut, &values, value_bits, config),
-                |a| a.stats,
-            )?;
-            scratch.give_back(values);
-            simulated_rounds += agg.stats.rounds;
-            runs.push(PhaseRun {
-                label: format!("mst phase {phase}: candidate"),
-                tags,
-                stats: agg.stats,
-                repeats: 1,
-            });
-            // Merge along the chosen edges.
-            let mut merged_any = false;
-            for &best in &agg.minima {
-                if best == u64::MAX {
-                    continue;
-                }
-                let e = (best % m) as EdgeId;
-                let (u, v) = g.endpoints(e);
-                if uf.union(u, v) {
-                    chosen.push(e);
-                    merged_any = true;
-                }
-            }
-            assert!(merged_any, "connected graph must always merge");
-            // New partition + its shortcut; flood new labels (relabel step).
-            let (labels, _) = uf.labels();
-            let label_options: Vec<Option<usize>> = labels.iter().map(|&l| Some(l)).collect();
-            let new_parts = Partition::from_labels(g, &label_options)
-                .expect("fragments are connected by construction");
-            let new_key = partition_key(&new_parts, n);
-            let new_shortcut = match caches.frag_shortcuts.get(&new_key) {
-                Some(s) => s.clone(),
-                None => {
-                    let s = builder.build(g, tree, &new_parts);
-                    caches.frag_shortcuts.insert(new_key, s.clone());
-                    s
-                }
-            };
-            let tags = PhaseLabel::new("mst", "relabel").with_attempt(phase);
-            let relabel = traced(
-                trace,
-                &tags,
-                1,
-                || {
-                    partwise_min_impl(
-                        g,
-                        &new_parts,
-                        &new_shortcut,
-                        &ids,
-                        bits_for(n.max(2)),
-                        config,
-                    )
-                },
-                |a| a.stats,
-            )?;
-            simulated_rounds += relabel.stats.rounds;
-            runs.push(PhaseRun {
-                label: format!("mst phase {phase}: relabel"),
-                tags,
-                stats: relabel.stats,
-                repeats: 1,
-            });
-            per_phase.push(PhaseStats {
-                fragments,
-                candidate_rounds: agg.stats.rounds,
-                relabel_rounds: relabel.stats.rounds,
-                shortcut_quality: quality,
-            });
-            parts = new_parts;
-            shortcut = new_shortcut;
-        }
-        scratch.give_back(ids);
-        chosen.sort_unstable();
-        chosen.dedup();
-        let total_weight = chosen.iter().map(|&e| wg.weight(e)).sum();
-        Ok((
-            MstOutcome {
-                phases: per_phase.len(),
-                edges: chosen,
-                total_weight,
-                simulated_rounds,
-                charged_construction_rounds: charged,
-                per_phase,
-            },
-            runs,
-        ))
-    }
-
-    // ------------------------------------------------------------------
-    // Min-cut
-    // ------------------------------------------------------------------
 
     /// `(1+ε)`-approximate minimum cut via greedy tree packing
     /// (Corollary 1), with 2-respecting cuts enabled.
@@ -1707,56 +1656,200 @@ impl Solver {
         trees: usize,
         use_two_respecting: bool,
     ) -> Result<Report<MinCut>, AlgoError> {
-        let hit = self
-            .caches
-            .min_cut_memo
-            .contains_key(&(trees, use_two_respecting));
-        let (out, runs) = self.min_cut_full(trees, use_two_respecting)?;
-        let report = Report {
-            value: MinCut {
-                approx_value: out.approx_value,
-                exact_value: out.exact_value,
-                ratio: out.ratio,
-                trees: out.trees,
-            },
-            stats: ReportStats::from_runs(
-                out.simulated_rounds,
-                out.charged_construction_rounds,
-                runs,
-            ),
+        let query = Query::MinCut {
+            trees,
+            two_respecting: use_two_respecting,
         };
-        self.note_query(
-            "min_cut",
-            Some(format!("trees={trees} two_respecting={use_two_respecting}")),
-            Some(hit),
-            &report.stats,
-            None,
-        );
-        Ok(report)
+        Ok(self.run(&query)?.typed())
     }
 
-    pub(crate) fn min_cut_full(
+    /// Single-source shortest paths in the selected [`Tier`].
+    ///
+    /// The shortcut tier runs over the session partition; its per-source
+    /// plan (source-rooted tree, shortcut, center potentials ρ) is cached
+    /// keyed by `(source, weight scale)`, so a query that misses the memo
+    /// still skips the construction and the one-time ρ flood while
+    /// reporting identical statistics.
+    ///
+    /// # Errors
+    ///
+    /// [`AlgoError::EmptyGraph`] on empty inputs; [`AlgoError::BadQuery`]
+    /// on an out-of-range source, non-positive `epsilon`-scaled weights, or
+    /// a zero phase budget; [`AlgoError::Disconnected`] for the scaled and
+    /// shortcut tiers (the exact tier marks unreached nodes instead);
+    /// [`AlgoError::Sim`] on simulator failures.
+    pub fn sssp(&mut self, source: NodeId, tier: Tier) -> Result<Report<Sssp>, AlgoError> {
+        Ok(self.run(&Query::Sssp { source, tier })?.typed())
+    }
+
+    /// Connected components / spanning forest by shortcut-driven Borůvka
+    /// merging. Works on empty and disconnected graphs — this is the one
+    /// query that must not assume connectivity.
+    ///
+    /// # Errors
+    ///
+    /// [`AlgoError::Sim`] on simulator failures.
+    pub fn components(&mut self) -> Result<Report<Components>, AlgoError> {
+        Ok(self.run(&Query::Components)?.typed())
+    }
+
+    /// Part-wise MIN aggregation of `values` over the session plan
+    /// (`G[P_i] + H_i` per part), the Theorem 1 primitive. `value_bits` is
+    /// the honest encoding width of the values.
+    ///
+    /// # Errors
+    ///
+    /// [`AlgoError::BadQuery`] when `values.len() != n`; otherwise as
+    /// [`Solver::plan`] and [`AlgoError::Sim`].
+    pub fn partwise_min(
+        &mut self,
+        values: &[u64],
+        value_bits: usize,
+    ) -> Result<Report<PartwiseMin>, AlgoError> {
+        let query = Query::PartwiseMin {
+            values: values.to_vec(),
+            value_bits,
+        };
+        Ok(self.run(&query)?.typed())
+    }
+
+    // ------------------------------------------------------------------
+    // MST
+    // ------------------------------------------------------------------
+
+    fn boruvka_mst(&mut self) -> Result<Report<Mst>, AlgoError> {
+        self.ensure_tree()?;
+        let Solver {
+            ref wg,
+            ref tree,
+            ref builder,
+            config,
+            ref mut scratch,
+            ref mut trace,
+            ..
+        } = *self;
+        let wg: &WeightedGraph = wg.as_ref();
+        let g = wg.graph();
+        let tree = tree.as_ref().expect("ensure_tree filled the tree");
+        let n = g.n();
+        let m = g.m().max(1) as u64;
+        let max_w = wg.weights().iter().copied().max().unwrap_or(0);
+        let value_bits = bits_for((max_w + 1) as usize) + bits_for(g.m().max(2));
+        let mut uf = UnionFind::new(n);
+        let mut chosen: Vec<EdgeId> = Vec::new();
+        let mut phases = 0;
+        let mut runs = Vec::new();
+        let mut simulated_rounds = 0usize;
+        let mut charged = 0usize;
+        // Shortcut for the current partition; singleton fragments need none.
+        let mut parts = singleton_partition(g);
+        let mut shortcut = Shortcut::empty(parts.len());
+        let log_n = bits_for(n.max(2));
+        // Relabel ids are the identity column every phase; lease it once.
+        let mut ids = scratch.lease(n, 0);
+        for (v, slot) in ids.iter_mut().enumerate() {
+            *slot = v as u64;
+        }
+        while uf.count() > 1 {
+            let phase = phases;
+            charged += measure_quality(g, tree, &parts, &shortcut).quality * log_n;
+            // Per-node candidate: lightest incident edge leaving the fragment.
+            let mut values = scratch.lease(n, u64::MAX);
+            for (v, value) in values.iter_mut().enumerate() {
+                for (w, e) in g.neighbors(v) {
+                    if uf.find(v) != uf.find(w) {
+                        let enc = encode(wg.weight(e), e, m);
+                        if enc < *value {
+                            *value = enc;
+                        }
+                    }
+                }
+            }
+            let tags = PhaseLabel::new("mst", "candidate").with_attempt(phase);
+            let agg = traced(
+                trace,
+                &tags,
+                1,
+                || partwise_min_impl(g, &parts, &shortcut, &values, value_bits, config),
+                |a| a.stats,
+            )?;
+            scratch.give_back(values);
+            simulated_rounds += agg.stats.rounds;
+            runs.push(PhaseRun {
+                tags,
+                stats: agg.stats,
+                repeats: 1,
+            });
+            // Merge along the chosen edges.
+            let mut merged_any = false;
+            for &best in &agg.minima {
+                if best == u64::MAX {
+                    continue;
+                }
+                let e = (best % m) as EdgeId;
+                let (u, v) = g.endpoints(e);
+                if uf.union(u, v) {
+                    chosen.push(e);
+                    merged_any = true;
+                }
+            }
+            assert!(merged_any, "connected graph must always merge");
+            // New partition + its shortcut; flood new labels (relabel step).
+            let (labels, _) = uf.labels();
+            let label_options: Vec<Option<usize>> = labels.iter().map(|&l| Some(l)).collect();
+            let new_parts = Partition::from_labels(g, &label_options)
+                .expect("fragments are connected by construction");
+            let new_shortcut = builder.build(g, tree, &new_parts);
+            let tags = PhaseLabel::new("mst", "relabel").with_attempt(phase);
+            let relabel = traced(
+                trace,
+                &tags,
+                1,
+                || {
+                    partwise_min_impl(
+                        g,
+                        &new_parts,
+                        &new_shortcut,
+                        &ids,
+                        bits_for(n.max(2)),
+                        config,
+                    )
+                },
+                |a| a.stats,
+            )?;
+            simulated_rounds += relabel.stats.rounds;
+            runs.push(PhaseRun {
+                tags,
+                stats: relabel.stats,
+                repeats: 1,
+            });
+            phases += 1;
+            parts = new_parts;
+            shortcut = new_shortcut;
+        }
+        scratch.give_back(ids);
+        chosen.sort_unstable();
+        chosen.dedup();
+        let total_weight = chosen.iter().map(|&e| wg.weight(e)).sum();
+        Ok(Report {
+            value: Mst {
+                edges: chosen,
+                total_weight,
+                boruvka_phases: phases,
+            },
+            stats: ReportStats::from_runs(simulated_rounds, charged, runs),
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Min-cut
+    // ------------------------------------------------------------------
+
+    fn packed_min_cut(
         &mut self,
         trees: usize,
         use_two_respecting: bool,
-    ) -> Result<(MinCutOutcome, Vec<PhaseRun>), AlgoError> {
-        if let Some(memo) = self.caches.min_cut_memo.get(&(trees, use_two_respecting)) {
-            return Ok(memo.clone());
-        }
-        let result = self.min_cut_compute(trees, use_two_respecting)?;
-        if self.caches.min_cut_memo.len() < RESULT_MEMO_CAP {
-            self.caches
-                .min_cut_memo
-                .insert((trees, use_two_respecting), result.clone());
-        }
-        Ok(result)
-    }
-
-    fn min_cut_compute(
-        &mut self,
-        trees: usize,
-        use_two_respecting: bool,
-    ) -> Result<(MinCutOutcome, Vec<PhaseRun>), AlgoError> {
+    ) -> Result<Report<MinCut>, AlgoError> {
         if trees < 1 {
             return Err(AlgoError::BadQuery("need at least one packed tree".into()));
         }
@@ -1776,14 +1869,15 @@ impl Solver {
         let packing = greedy_tree_packing(self.wg.as_ref(), trees);
         // Distributed cost of the packing: one Borůvka MST per tree. The
         // load re-weighting does not change the round profile, so simulate
-        // the MST once (cached plan!) and charge it per tree.
-        let (mst, mst_runs) = self.mst_full()?;
-        let mut simulated = mst.simulated_rounds * trees;
-        let charged = mst.charged_construction_rounds * trees;
-        let mut runs: Vec<PhaseRun> = mst_runs
+        // the MST once (memoized!) and charge it per tree.
+        let mst: Report<Mst> = self.memoized(&Query::Mst)?.0.typed();
+        let mut simulated = mst.stats.simulated_rounds * trees;
+        let charged = mst.stats.charged_construction_rounds * trees;
+        let mut runs: Vec<PhaseRun> = mst
+            .stats
+            .runs
             .into_iter()
             .map(|mut r| {
-                r.label = format!("packing {}", r.label);
                 r.tags.phase = format!("packing-{}", r.tags.phase);
                 r.repeats *= trees;
                 r
@@ -1811,118 +1905,25 @@ impl Solver {
             )?;
             simulated += 2 * stats.rounds;
             runs.push(PhaseRun {
-                label: format!("tree {t}: subtree convergecast"),
                 tags,
                 stats,
                 repeats: 2,
             });
         }
-        Ok((
-            MinCutOutcome {
+        Ok(Report {
+            value: MinCut {
                 approx_value: best,
                 exact_value: exact,
                 ratio: best as f64 / exact as f64,
                 trees,
-                simulated_rounds: simulated,
-                charged_construction_rounds: charged,
             },
-            runs,
-        ))
+            stats: ReportStats::from_runs(simulated, charged, runs),
+        })
     }
 
     // ------------------------------------------------------------------
     // SSSP
     // ------------------------------------------------------------------
-
-    /// Single-source shortest paths in the selected [`Tier`].
-    ///
-    /// The shortcut tier runs over the session partition; its per-source
-    /// plan (source-rooted tree, shortcut, center potentials ρ) is cached
-    /// keyed by `(source, weight scale)`, so repeated queries skip the
-    /// construction and the one-time ρ flood while reporting identical
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// [`AlgoError::EmptyGraph`] on empty inputs; [`AlgoError::BadQuery`]
-    /// on an out-of-range source, non-positive `epsilon`-scaled weights, or
-    /// a zero phase budget; [`AlgoError::Disconnected`] for the scaled and
-    /// shortcut tiers (the exact tier marks unreached nodes instead);
-    /// [`AlgoError::Sim`] on simulator failures.
-    pub fn sssp(&mut self, source: NodeId, tier: Tier) -> Result<Report<Sssp>, AlgoError> {
-        let (report, tier_desc, hit) = match tier {
-            Tier::Exact => {
-                let hit = self.caches.sssp_exact_memo.contains_key(&source);
-                let (out, runs) = self.sssp_exact_full(source)?;
-                (
-                    Report {
-                        value: Sssp {
-                            dist: out.dist,
-                            detail: SsspDetail::Exact { parent: out.parent },
-                        },
-                        stats: ReportStats::from_runs(out.stats.rounds, 0, runs),
-                    },
-                    format!("exact source={source}"),
-                    hit,
-                )
-            }
-            Tier::Scaled { epsilon } => {
-                let hit = self
-                    .caches
-                    .sssp_scaled_memo
-                    .contains_key(&(source, epsilon.to_bits()));
-                let (out, runs) = self.sssp_scaled_full(source, epsilon)?;
-                let simulated = out.simulated_rounds();
-                (
-                    Report {
-                        value: Sssp {
-                            dist: out.dist,
-                            detail: SsspDetail::Scaled {
-                                scale: out.scale,
-                                hop_budget: out.hop_budget,
-                            },
-                        },
-                        stats: ReportStats::from_runs(simulated, 0, runs),
-                    },
-                    format!("scaled source={source} epsilon={epsilon}"),
-                    hit,
-                )
-            }
-            Tier::Shortcut {
-                epsilon,
-                max_phases,
-            } => {
-                let hit = self.caches.sssp_shortcut_memo.contains_key(&(
-                    source,
-                    epsilon.to_bits(),
-                    max_phases,
-                ));
-                let (out, runs) = self.sssp_shortcut_full(source, epsilon, max_phases)?;
-                (
-                    Report {
-                        value: Sssp {
-                            dist: out.dist,
-                            detail: SsspDetail::Shortcut {
-                                scale: out.scale,
-                                phases: out.phases,
-                                converged: out.converged,
-                                shortcut_quality: out.shortcut_quality,
-                            },
-                        },
-                        stats: ReportStats::from_runs(
-                            out.simulated_rounds,
-                            out.charged_construction_rounds,
-                            runs,
-                        ),
-                    },
-                    format!("shortcut source={source} epsilon={epsilon} max_phases={max_phases}"),
-                    hit,
-                )
-            }
-        };
-        self.note_query("sssp", Some(tier_desc), Some(hit), &report.stats, None);
-        Ok(report)
-    }
 
     fn check_source(&self, source: NodeId) -> Result<(), AlgoError> {
         if self.wg.graph().n() == 0 {
@@ -1942,14 +1943,7 @@ impl Solver {
         Ok(w_min)
     }
 
-    fn sssp_exact_full(
-        &mut self,
-        source: NodeId,
-    ) -> Result<(SsspOutcome, Vec<PhaseRun>), AlgoError> {
-        self.check_source(source)?;
-        if let Some(memo) = self.caches.sssp_exact_memo.get(&source) {
-            return Ok(memo.clone());
-        }
+    fn exact_sssp(&mut self, source: NodeId) -> Result<Report<Sssp>, AlgoError> {
         let tags = PhaseLabel::new("sssp-exact", "flood");
         let config = self.config;
         let out = traced(
@@ -1959,26 +1953,21 @@ impl Solver {
             || bellman_ford_sssp(self.wg.as_ref(), source, config),
             |o| o.stats,
         )?;
-        let runs = vec![PhaseRun {
-            label: "bellman-ford flood".into(),
+        let run = PhaseRun {
             tags,
             stats: out.stats,
             repeats: 1,
-        }];
-        if self.caches.sssp_exact_memo.len() < RESULT_MEMO_CAP {
-            self.caches
-                .sssp_exact_memo
-                .insert(source, (out.clone(), runs.clone()));
-        }
-        Ok((out, runs))
+        };
+        Ok(Report {
+            value: Sssp {
+                dist: out.dist,
+                detail: SsspDetail::Exact { parent: out.parent },
+            },
+            stats: ReportStats::from_runs(out.stats.rounds, 0, vec![run]),
+        })
     }
 
-    fn sssp_scaled_full(
-        &mut self,
-        source: NodeId,
-        epsilon: f64,
-    ) -> Result<(ScaledSsspOutcome, Vec<PhaseRun>), AlgoError> {
-        self.check_source(source)?;
+    fn scaled_sssp(&mut self, source: NodeId, epsilon: f64) -> Result<Report<Sssp>, AlgoError> {
         if !self.connected {
             return Err(AlgoError::Disconnected);
         }
@@ -1986,13 +1975,6 @@ impl Solver {
             return Err(AlgoError::BadQuery("epsilon must be non-negative".into()));
         }
         self.check_positive_weights()?;
-        if let Some(memo) = self
-            .caches
-            .sssp_scaled_memo
-            .get(&(source, epsilon.to_bits()))
-        {
-            return Ok(memo.clone());
-        }
         // One span covers both internal runs (certificate + flood): their
         // sends interleave under a single simulator driver call.
         let tags = PhaseLabel::new("sssp-scaled", "certificate+flood");
@@ -2008,57 +1990,40 @@ impl Solver {
                 s
             },
         )?;
+        let simulated = out.simulated_rounds();
         let runs = vec![
             PhaseRun {
-                label: "bfs hop-budget certificate".into(),
                 tags: PhaseLabel::new("sssp-scaled", "certificate"),
                 stats: out.bfs_stats,
                 repeats: 1,
             },
             PhaseRun {
-                label: "scaled flood".into(),
                 tags: PhaseLabel::new("sssp-scaled", "flood"),
                 stats: out.flood_stats,
                 repeats: 1,
             },
         ];
-        if self.caches.sssp_scaled_memo.len() < RESULT_MEMO_CAP {
-            self.caches
-                .sssp_scaled_memo
-                .insert((source, epsilon.to_bits()), (out.clone(), runs.clone()));
-        }
-        Ok((out, runs))
+        Ok(Report {
+            value: Sssp {
+                dist: out.dist,
+                detail: SsspDetail::Scaled {
+                    scale: out.scale,
+                    hop_budget: out.hop_budget,
+                },
+            },
+            stats: ReportStats::from_runs(simulated, 0, runs),
+        })
     }
 
-    pub(crate) fn sssp_shortcut_full(
+    /// The shortcut tier: phases of part-wise aggregation of `D + ρ` over
+    /// the per-source shortcut, each followed by one relax round, until the
+    /// fixpoint or the phase budget.
+    fn overlay_sssp(
         &mut self,
         source: NodeId,
         epsilon: f64,
         max_phases: usize,
-    ) -> Result<(ShortcutSsspOutcome, Vec<PhaseRun>), AlgoError> {
-        if let Some(memo) =
-            self.caches
-                .sssp_shortcut_memo
-                .get(&(source, epsilon.to_bits(), max_phases))
-        {
-            return Ok(memo.clone());
-        }
-        let result = self.sssp_shortcut_compute(source, epsilon, max_phases)?;
-        if self.caches.sssp_shortcut_memo.len() < RESULT_MEMO_CAP {
-            self.caches
-                .sssp_shortcut_memo
-                .insert((source, epsilon.to_bits(), max_phases), result.clone());
-        }
-        Ok(result)
-    }
-
-    fn sssp_shortcut_compute(
-        &mut self,
-        source: NodeId,
-        epsilon: f64,
-        max_phases: usize,
-    ) -> Result<(ShortcutSsspOutcome, Vec<PhaseRun>), AlgoError> {
-        self.check_source(source)?;
+    ) -> Result<Report<Sssp>, AlgoError> {
         if !self.connected {
             return Err(AlgoError::Disconnected);
         }
@@ -2088,10 +2053,9 @@ impl Solver {
 
         let mut dist = scratch.lease(n, u64::MAX);
         dist[source] = 0;
-        let mut phase_rounds = Vec::new();
+        let mut phases = 0;
         let mut simulated_rounds = entry.rho_stats.rounds;
         let mut runs = vec![PhaseRun {
-            label: "center potentials (rho) flood".into(),
             tags: PhaseLabel::new("sssp-shortcut", "rho"),
             stats: entry.rho_stats,
             repeats: 1,
@@ -2163,16 +2127,14 @@ impl Solver {
             // The relax round returns a fresh column; the displaced one goes
             // back to the pool for the next phase's snapshot.
             scratch.give_back(std::mem::replace(&mut dist, relaxed));
-            phase_rounds.push((agg.stats.rounds, relax_stats.rounds));
+            phases += 1;
             simulated_rounds += agg.stats.rounds + relax_stats.rounds;
             runs.push(PhaseRun {
-                label: format!("overlay phase {phase}: aggregate"),
                 tags: agg_tags,
                 stats: agg.stats,
                 repeats: 1,
             });
             runs.push(PhaseRun {
-                label: format!("overlay phase {phase}: relax"),
                 tags: relax_tags,
                 stats: relax_stats,
                 repeats: 1,
@@ -2186,21 +2148,18 @@ impl Solver {
         }
         let out_dist = rescale(&dist, scale);
         scratch.give_back(dist);
-
-        Ok((
-            ShortcutSsspOutcome {
+        Ok(Report {
+            value: Sssp {
                 dist: out_dist,
-                scale,
-                phases: phase_rounds.len(),
-                converged,
-                rho_rounds: entry.rho_stats.rounds,
-                phase_rounds,
-                simulated_rounds,
-                charged_construction_rounds: charged,
-                shortcut_quality: structure.quality,
+                detail: SsspDetail::Shortcut {
+                    scale,
+                    phases,
+                    converged,
+                    shortcut_quality: structure.quality,
+                },
             },
-            runs,
-        ))
+            stats: ReportStats::from_runs(simulated_rounds, charged, runs),
+        })
     }
 
     /// Builds (or reuses) the per-source shortcut-SSSP plan. The
@@ -2273,45 +2232,11 @@ impl Solver {
     // Connected components
     // ------------------------------------------------------------------
 
-    /// Connected components / spanning forest by shortcut-driven Borůvka
-    /// merging. Works on empty and disconnected graphs — this is the one
-    /// query that must not assume connectivity.
-    ///
-    /// # Errors
-    ///
-    /// [`AlgoError::Sim`] on simulator failures.
-    pub fn components(&mut self) -> Result<Report<Components>, AlgoError> {
-        let hit = self.caches.components_memo.is_some();
-        let (out, runs) = self.components_full()?;
-        let report = Report {
-            value: Components {
-                label: out.label,
-                forest_edges: out.forest_edges,
-                boruvka_phases: out.phases,
-            },
-            stats: ReportStats::from_runs(out.simulated_rounds, 0, runs),
-        };
-        self.note_query("components", None, Some(hit), &report.stats, None);
-        Ok(report)
-    }
-
-    pub(crate) fn components_full(
-        &mut self,
-    ) -> Result<(ComponentsOutcome, Vec<PhaseRun>), AlgoError> {
-        if let Some(memo) = self.caches.components_memo.clone() {
-            return Ok(memo);
-        }
-        let result = self.components_compute()?;
-        self.caches.components_memo = Some(result.clone());
-        Ok(result)
-    }
-
-    fn components_compute(&mut self) -> Result<(ComponentsOutcome, Vec<PhaseRun>), AlgoError> {
+    fn boruvka_components(&mut self) -> Result<Report<Components>, AlgoError> {
         let Solver {
             ref wg,
             ref builder,
             config,
-            ref mut caches,
             ref mut scratch,
             ref mut trace,
             ..
@@ -2319,21 +2244,17 @@ impl Solver {
         let g = wg.graph();
         let n = g.n();
         if n == 0 {
-            return Ok((
-                ComponentsOutcome {
+            return Ok(Report {
+                value: Components {
                     label: Vec::new(),
                     forest_edges: Vec::new(),
-                    phases: 0,
-                    simulated_rounds: 0,
+                    boruvka_phases: 0,
                 },
-                Vec::new(),
-            ));
+                stats: ReportStats::default(),
+            });
         }
         let m = g.m().max(1) as u64;
-        let (comp_of, comp_count) = caches
-            .comp_meta
-            .get_or_insert_with(|| traversal::components(g))
-            .clone();
+        let (comp_of, comp_count) = traversal::components(g);
         let mut uf = UnionFind::new(n);
         let mut forest: Vec<EdgeId> = Vec::new();
         let mut phases = 0;
@@ -2344,18 +2265,10 @@ impl Solver {
             let (labels, _) = uf.labels();
             let options: Vec<Option<usize>> = labels.iter().map(|&l| Some(l)).collect();
             let parts = Partition::from_labels(g, &options).expect("fragments connected");
-            let key = partition_key(&parts, n);
+            let shortcut = build_per_component(g, &comp_of, comp_count, builder, &parts);
             if parts.len() == comp_count {
                 // One fragment per component: done. Final labels = min node
                 // id, flooded once more for the output.
-                let shortcut = match caches.comp_shortcuts.get(&key) {
-                    Some(s) => s.clone(),
-                    None => {
-                        let s = build_per_component(g, &comp_of, comp_count, builder, &parts);
-                        caches.comp_shortcuts.insert(key, s.clone());
-                        s
-                    }
-                };
                 let mut ids = scratch.lease(n, 0);
                 for (v, slot) in ids.iter_mut().enumerate() {
                     *slot = v as u64;
@@ -2371,7 +2284,6 @@ impl Solver {
                 scratch.give_back(ids);
                 rounds += agg.stats.rounds;
                 runs.push(PhaseRun {
-                    label: "final label flood".into(),
                     tags,
                     stats: agg.stats,
                     repeats: 1,
@@ -2383,25 +2295,16 @@ impl Solver {
                 }
                 forest.sort_unstable();
                 forest.dedup();
-                return Ok((
-                    ComponentsOutcome {
+                return Ok(Report {
+                    value: Components {
                         label,
                         forest_edges: forest,
-                        phases,
-                        simulated_rounds: rounds,
+                        boruvka_phases: phases,
                     },
-                    runs,
-                ));
+                    stats: ReportStats::from_runs(rounds, 0, runs),
+                });
             }
             phases += 1;
-            let shortcut = match caches.comp_shortcuts.get(&key) {
-                Some(s) => s.clone(),
-                None => {
-                    let s = build_per_component(g, &comp_of, comp_count, builder, &parts);
-                    caches.comp_shortcuts.insert(key, s.clone());
-                    s
-                }
-            };
             // Candidate: minimum-id incident edge leaving the fragment.
             let mut values = scratch.lease(n, u64::MAX);
             for (v, value) in values.iter_mut().enumerate() {
@@ -2431,7 +2334,6 @@ impl Solver {
             scratch.give_back(values);
             rounds += agg.stats.rounds;
             runs.push(PhaseRun {
-                label: format!("components phase {}: candidate", phases - 1),
                 tags,
                 stats: agg.stats,
                 repeats: 1,
@@ -2453,15 +2355,7 @@ impl Solver {
     // Part-wise aggregation
     // ------------------------------------------------------------------
 
-    /// Part-wise MIN aggregation of `values` over the session plan
-    /// (`G[P_i] + H_i` per part), the Theorem 1 primitive. `value_bits` is
-    /// the honest encoding width of the values.
-    ///
-    /// # Errors
-    ///
-    /// [`AlgoError::BadQuery`] when `values.len() != n`; otherwise as
-    /// [`Solver::plan`] and [`AlgoError::Sim`].
-    pub fn partwise_min(
+    fn plan_partwise_min(
         &mut self,
         values: &[u64],
         value_bits: usize,
@@ -2470,58 +2364,34 @@ impl Solver {
             return Err(AlgoError::BadQuery("one value per node required".into()));
         }
         self.ensure_plan()?;
-        let memo_key = (values.to_vec(), value_bits);
-        let hit = self.caches.partwise_memo.contains_key(&memo_key);
-        let (agg, runs) = match self.caches.partwise_memo.get(&memo_key) {
-            Some(memo) => memo.clone(),
-            None => {
-                let plan = self.plan.as_ref().expect("ensure_plan filled the plan");
-                let tags = PhaseLabel::new("partwise", "min");
-                let config = self.config;
-                let agg = traced(
-                    &mut self.trace,
-                    &tags,
-                    1,
-                    || {
-                        partwise_min_impl(
-                            self.wg.graph(),
-                            plan.parts(),
-                            plan.shortcut(),
-                            values,
-                            value_bits,
-                            config,
-                        )
-                    },
-                    |a| a.stats,
-                )?;
-                let runs = vec![PhaseRun {
-                    label: "partwise min".into(),
-                    tags,
-                    stats: agg.stats,
-                    repeats: 1,
-                }];
-                // Bounded memo: each entry owns O(n) vectors, so past the
-                // cap fresh value vectors are recomputed instead of stored.
-                if self.caches.partwise_memo.len() < PARTWISE_MEMO_CAP {
-                    self.caches
-                        .partwise_memo
-                        .insert(memo_key, (agg.clone(), runs.clone()));
-                }
-                (agg, runs)
-            }
+        let plan = self.plan.as_ref().expect("ensure_plan filled the plan");
+        let tags = PhaseLabel::new("partwise", "min");
+        let config = self.config;
+        let agg = traced(
+            &mut self.trace,
+            &tags,
+            1,
+            || {
+                partwise_min_impl(
+                    self.wg.graph(),
+                    plan.parts(),
+                    plan.shortcut(),
+                    values,
+                    value_bits,
+                    config,
+                )
+            },
+            |a| a.stats,
+        )?;
+        let run = PhaseRun {
+            tags,
+            stats: agg.stats,
+            repeats: 1,
         };
-        let report = Report {
+        Ok(Report {
             value: PartwiseMin { minima: agg.minima },
-            stats: ReportStats::from_runs(agg.stats.rounds, 0, runs),
-        };
-        self.note_query(
-            "partwise_min",
-            Some(format!("value_bits={value_bits}")),
-            Some(hit),
-            &report.stats,
-            None,
-        );
-        Ok(report)
+            stats: ReportStats::from_runs(agg.stats.rounds, 0, vec![run]),
+        })
     }
 }
 
@@ -2852,7 +2722,7 @@ mod tests {
         assert!(stats.noop);
         assert_eq!((stats.inserted, stats.deleted), (1, 1));
         assert_eq!(stats.memos_dropped, 0);
-        assert!(solver.caches.mst_memo.is_some());
+        assert!(solver.caches.memo.contains_key(&Query::Mst));
     }
 
     #[test]
@@ -2867,7 +2737,7 @@ mod tests {
             .build()
             .unwrap();
         solver.plan().unwrap(); // materialize the session plan
-        solver.mst().unwrap(); // populate query memos
+        solver.mst().unwrap(); // populate the memo
         let (u, v) = (0, (g.n() - 1) as NodeId);
         assert!(!g.has_edge(u, v));
         let stats = solver
@@ -3147,11 +3017,12 @@ mod tests {
                 run.tags.subphase.as_str(),
                 "candidate" | "relabel"
             ));
-            assert!(run.tags.attempt.is_some());
-            // Display label and structured tags agree on the attempt.
-            assert!(run
-                .label
-                .contains(&format!("phase {}", run.tags.attempt.unwrap())));
+            // The display label renders from the structured tags.
+            let attempt = run.tags.attempt.expect("mst runs carry their phase");
+            assert_eq!(
+                run.tags.to_string(),
+                format!("mst/{}#{attempt}", run.tags.subphase)
+            );
         }
         let cut = solver.min_cut(2).unwrap();
         assert!(cut.stats.runs.iter().any(|r| r.tags.phase == "packing-mst"));
@@ -3181,9 +3052,102 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_handles_special_characters() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\n\t\u{1}"), "x\\n\\t\\u0001");
+    fn queries_compare_epsilon_by_bit_pattern() {
+        let scaled = |epsilon: f64| Query::Sssp {
+            source: 0,
+            tier: Tier::Scaled { epsilon },
+        };
+        assert_eq!(scaled(f64::NAN), scaled(f64::NAN));
+        assert_ne!(scaled(0.0), scaled(-0.0));
+        let shortcut = Query::Sssp {
+            source: 0,
+            tier: Tier::Shortcut {
+                epsilon: 0.0,
+                max_phases: 0,
+            },
+        };
+        assert_ne!(scaled(0.0), shortcut);
+        let mut memo = HashSet::new();
+        assert!(memo.insert(scaled(0.25)));
+        assert!(!memo.insert(scaled(0.25)));
+    }
+
+    #[test]
+    fn the_memo_stays_bounded() {
+        let g = generators::triangulated_grid(4, 4);
+        let build = || {
+            Solver::for_graph(&g)
+                .parts(PartsStrategy::Voronoi { parts: 3, seed: 5 })
+                .shortcut_builder(SteinerBuilder)
+                .trace(true)
+                .build()
+                .unwrap()
+        };
+        let values = |i: usize| -> Vec<u64> { (0..g.n()).map(|v| (v * 7 + i) as u64).collect() };
+        let mut solver = build();
+        for i in 0..MEMO_CAP {
+            solver.partwise_min(&values(i), 16).unwrap();
+            assert!(solver.caches.memo.len() <= MEMO_CAP);
+        }
+        // The overflow query is answered, not stored, and matches a fresh
+        // session's report.
+        let overflow = solver.partwise_min(&values(MEMO_CAP), 16).unwrap();
+        assert_eq!(solver.caches.memo.len(), MEMO_CAP);
+        assert_eq!(
+            overflow,
+            build().partwise_min(&values(MEMO_CAP), 16).unwrap()
+        );
+        // An early query is still memoized: a hit, not a recomputation.
+        solver.partwise_min(&values(0), 16).unwrap();
+        let counters = solver.trace().unwrap().counters;
+        assert_eq!(counters.queries, MEMO_CAP + 2);
+        assert_eq!(counters.memo_hits, 1);
+        assert_eq!(counters.memo_misses, MEMO_CAP + 1);
+    }
+
+    #[test]
+    fn run_answers_match_the_typed_reports_on_the_wire() {
+        let wg = weighted(25);
+        let build = || {
+            Solver::builder(&wg)
+                .parts(PartsStrategy::Voronoi { parts: 4, seed: 3 })
+                .shortcut_builder(SteinerBuilder)
+                .config(cfg(wg.graph().n()))
+                .build()
+                .unwrap()
+        };
+        let values: Vec<u64> = (0..wg.graph().n() as u64).map(|v| v % 5).collect();
+        let shortcut = Tier::Shortcut {
+            epsilon: 0.5,
+            max_phases: 36,
+        };
+        let mut typed = build();
+        let wires = [
+            typed.mst().unwrap().to_wire_string(),
+            typed.min_cut(2).unwrap().to_wire_string(),
+            typed.sssp(1, shortcut).unwrap().to_wire_string(),
+            typed.components().unwrap().to_wire_string(),
+            typed.partwise_min(&values, 8).unwrap().to_wire_string(),
+        ];
+        let queries = [
+            Query::Mst,
+            Query::MinCut {
+                trees: 2,
+                two_respecting: true,
+            },
+            Query::Sssp {
+                source: 1,
+                tier: shortcut,
+            },
+            Query::Components,
+            Query::PartwiseMin {
+                values: values.clone(),
+                value_bits: 8,
+            },
+        ];
+        let mut untyped = build();
+        for (query, wire) in queries.iter().zip(&wires) {
+            assert_eq!(&untyped.run(query).unwrap().to_wire_string(), wire);
+        }
     }
 }

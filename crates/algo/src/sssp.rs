@@ -453,31 +453,6 @@ pub(crate) fn part_centers(g: &Graph, parts: &Partition, source: NodeId) -> Vec<
         .collect()
 }
 
-/// Outcome of the shortcut-accelerated tier.
-#[derive(Debug, Clone)]
-pub struct ShortcutSsspOutcome {
-    /// Distance upper bounds, in original weight units.
-    pub dist: Vec<u64>,
-    /// The weight scale used.
-    pub scale: u64,
-    /// Overlay phases executed.
-    pub phases: usize,
-    /// Whether the overlay reached its fixpoint (scaled distances exact,
-    /// hence the full `(1+ε)` scaling guarantee) before the phase budget.
-    pub converged: bool,
-    /// Rounds of the one-time center-potential flood.
-    pub rho_rounds: usize,
-    /// Per-phase `(aggregation, relax)` round pairs.
-    pub phase_rounds: Vec<(usize, usize)>,
-    /// Total simulated rounds (ρ flood + all phases).
-    pub simulated_rounds: usize,
-    /// Analytic charge for the distributed shortcut construction:
-    /// `quality · ⌈log₂ n⌉` per \[HIZ16a\], as in [`crate::mst`].
-    pub charged_construction_rounds: usize,
-    /// Measured quality of the shortcut used.
-    pub shortcut_quality: usize,
-}
-
 /// Round counts and measured approximation quality of all three tiers on
 /// one input, cross-checked against Dijkstra — the E11 row generator.
 #[derive(Debug, Clone)]
@@ -514,10 +489,14 @@ pub struct SsspComparison {
 /// undercuts it (via [`max_stretch`]). The same check also fires when
 /// `max_phases` is too small for the shortcut tier's estimates to reach
 /// every node Dijkstra reaches: an unreached node shows up as a
-/// reachability disagreement. Give the tier enough phases for information
-/// to cross every part on some path from the source (one aggregation plus
-/// one relax hop per phase) — `parts.len() + 2` always suffices on
-/// connected, fully covered inputs.
+/// reachability disagreement.
+///
+/// The shortcut tier stops at its fixpoint, where the `(1+ε)` bound holds.
+/// A run that exhausts `max_phases` first reports
+/// `shortcut_converged == false`, and its estimates are then sound upper
+/// bounds only: `parts.len() + 2` phases do not always suffice. A budget of
+/// `n` always converges, because every phase ends in a Bellman–Ford relax
+/// round.
 pub fn compare_sssp<B: ShortcutBuilder + Send + 'static>(
     wg: &WeightedGraph,
     source: NodeId,
@@ -786,6 +765,49 @@ mod tests {
                 assert!(out.dist[v] >= d.dist[v], "node {v}");
             }
         }
+    }
+
+    #[test]
+    fn parts_plus_two_phases_can_stop_short_of_the_fixpoint() {
+        // A seeded maze session where `parts + 2` overlay phases end before
+        // the fixpoint: the estimates stay sound upper bounds (max_stretch
+        // checks them against Dijkstra) but leave the (1+ε) band. A budget
+        // of `n` phases reaches the fixpoint, and with it the bound.
+        let mut rng = StdRng::seed_from_u64(13);
+        let wg = WeightModel::Bimodal {
+            light: 64,
+            heavy: 8192,
+            heavy_permille: 450,
+        }
+        .apply(&generators::grid(8, 8), &mut rng);
+        let mut solver = Solver::builder(&wg)
+            .parts(PartsStrategy::Voronoi {
+                parts: 4,
+                seed: 113,
+            })
+            .shortcut_builder(minex_core::construct::SteinerBuilder)
+            .build()
+            .unwrap();
+        let d = traversal::dijkstra(&wg, 0);
+        let epsilon = 0.25;
+        let budget = solver.parts().len() + 2;
+        let mut run = |max_phases| {
+            let tier = Tier::Shortcut {
+                epsilon,
+                max_phases,
+            };
+            let out = solver.sssp(0, tier).unwrap().value;
+            let SsspDetail::Shortcut { converged, .. } = out.detail else {
+                panic!("shortcut tier detail");
+            };
+            (converged, max_stretch(&out.dist, &d.dist))
+        };
+        let (converged, stretch) = run(budget);
+        assert!(!converged, "{budget} phases must stop short here");
+        assert!(stretch > 1.0 + epsilon, "stretch {stretch}");
+        let (converged, stretch) = run(wg.graph().n());
+        assert!(converged);
+        assert!(stretch <= 1.0 + epsilon + 1e-9, "stretch {stretch}");
     }
 
     #[test]

@@ -1,18 +1,28 @@
-//! Wire schema **v1** for the query surface — the serialization layer the
+//! Wire schema **v2** for the query surface — the serialization layer the
 //! `minex-serve` daemon and its clients speak.
 //!
 //! Everything here is hand-rolled on a dependency-free [`JsonValue`] model
-//! (the repository vendors no serde), matching the existing
-//! [`SessionTrace::to_jsonl`](crate::solver::SessionTrace::to_jsonl) JSONL
-//! machinery: deterministic field order, compact output, byte-identical
-//! across engines and thread counts.
+//! (the repository vendors no serde), which also writes every line of
+//! [`SessionTrace::to_jsonl`](crate::solver::SessionTrace::to_jsonl):
+//! deterministic field order, compact output, byte-identical across
+//! engines and thread counts.
 //!
-//! # Schema v1
+//! # Schema v2
 //!
 //! All objects are emitted with the exact field order documented below;
 //! parsers accept any field order and ignore unknown fields (forward
-//! compatibility within v1).
+//! compatibility within v2). v2 differs from v1 in one place: a report
+//! run no longer carries the display `label` — its structured `tags` are
+//! the run's identity.
 //!
+//! * **`Query`** — the `POST /v1/sessions/{id}/query` body, tagged by
+//!   `query`: `{"query":"mst"}`,
+//!   `{"query":"min_cut","trees":k,"two_respecting":b}` (a missing
+//!   `two_respecting` means `true`),
+//!   `{"query":"sssp","source":s,"tier":T}`, `{"query":"components"}`,
+//!   `{"query":"partwise_min","values":[…],"value_bits":b}`. The daemon
+//!   also accepts `{"query":"apply","mutations":[…]}`, which mutates the
+//!   session instead of asking it a [`Query`].
 //! * **`Tier`** — `{"tier":"exact"}`,
 //!   `{"tier":"scaled","epsilon":ε}`,
 //!   `{"tier":"shortcut","epsilon":ε,"max_phases":k}`.
@@ -32,10 +42,11 @@
 //!   the type in `minex-graphs`): `insert(u,v,w)` / `delete(u,v)`.
 //! * **`Report<T>`** — `{"value":V,"stats":S}` where `S` is `ReportStats`
 //!   (`{"simulated_rounds":…,"charged_construction_rounds":…,"runs":[…]}`,
-//!   each run `{"label":…,"tags":{"phase":…,"subphase":…,"attempt":…},
+//!   each run `{"tags":{"phase":…,"subphase":…,"attempt":…},
 //!   "stats":{"rounds":…,"messages":…,"max_message_bits":…,"total_bits":…},
 //!   "repeats":…}`). `Display` prints the compact JSON; `FromStr` parses
-//!   it back.
+//!   it back. A `Report<Answer>` writes exactly the bytes of the typed
+//!   report it holds.
 //! * **Query values** —
 //!   `Mst {"edges":[…],"total_weight":…,"boruvka_phases":…}`;
 //!   `MinCut {"approx_value":…,"exact_value":…,"ratio":…,"trees":…}`;
@@ -47,8 +58,9 @@
 //!   `Components {"label":[…],"forest_edges":[…],"boruvka_phases":…}`;
 //!   `PartwiseMin {"minima":[…]}`.
 //! * **Sentinels** — the unreached-distance sentinel `u64::MAX` (in
-//!   `Sssp.dist` and `PartwiseMin.minima`) serializes as JSON `null` and
-//!   parses back to `u64::MAX`; `parent` entries are node ids or `null`.
+//!   `Sssp.dist`, `PartwiseMin.minima` and part-wise query `values`)
+//!   serializes as JSON `null` and parses back to `u64::MAX`; `parent`
+//!   entries are node ids or `null`.
 //! * **Errors** — [`AlgoError`] maps to
 //!   `{"code":CODE,"message":…}` via [`error_to_wire`], with the stable
 //!   codes [`CODE_EMPTY_GRAPH`], [`CODE_DISCONNECTED`], [`CODE_BAD_QUERY`],
@@ -61,7 +73,7 @@
 //! daemon serves them verbatim.
 //!
 //! ```
-//! use minex_algo::solver::Tier;
+//! use minex_algo::solver::{Query, Tier};
 //! use minex_algo::wire::{FromWire, JsonValue, ToWire};
 //!
 //! let tier = Tier::Shortcut { epsilon: 0.5, max_phases: 40 };
@@ -69,6 +81,9 @@
 //! assert_eq!(json, r#"{"tier":"shortcut","epsilon":0.5,"max_phases":40}"#);
 //! assert_eq!(Tier::from_wire(&JsonValue::parse(&json)?)?, tier);
 //! assert_eq!("shortcut(0.5,40)".parse::<Tier>()?, tier);
+//! // Today's min-cut body: `two_respecting` defaults to true.
+//! let query = Query::from_wire_str(r#"{"query":"min_cut","trees":1}"#)?;
+//! assert_eq!(query, Query::MinCut { trees: 1, two_respecting: true });
 //! # Ok::<(), minex_algo::wire::WireError>(())
 //! ```
 
@@ -80,13 +95,13 @@ use minex_core::{Partition, PlanRepairStats};
 use minex_graphs::{EdgeMutation, Graph, NodeId};
 
 use crate::solver::{
-    json_escape, AlgoError, Components, MinCut, Mst, PartsStrategy, PartwiseMin, PhaseRun,
+    AlgoError, Answer, Components, MinCut, Mst, PartsStrategy, PartwiseMin, PhaseRun, Query,
     RepairStats, Report, ReportStats, SessionCounters, Sssp, SsspDetail, Tier,
 };
 
 /// The schema version this module implements; servers advertise it and
 /// clients pin it.
-pub const WIRE_VERSION: u32 = 1;
+pub const WIRE_VERSION: u32 = 2;
 
 /// Maximum nesting depth [`JsonValue::parse`] accepts — a daemon-facing
 /// guard against stack exhaustion from adversarial payloads.
@@ -292,6 +307,25 @@ impl fmt::Display for JsonValue {
         self.write(&mut out);
         f.write_str(&out)
     }
+}
+
+/// Minimal JSON string escaping (quotes, backslashes, control characters).
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Builds a [`JsonValue::Object`] from `(key, value)` pairs, preserving
@@ -528,7 +562,7 @@ impl Parser<'_> {
 // Codec traits
 // ---------------------------------------------------------------------------
 
-/// Serializes a query-surface type into the v1 wire schema.
+/// Serializes a query-surface type into the v2 wire schema.
 pub trait ToWire {
     /// The [`JsonValue`] wire form.
     fn to_wire(&self) -> JsonValue;
@@ -539,7 +573,7 @@ pub trait ToWire {
     }
 }
 
-/// Deserializes a query-surface type from the v1 wire schema.
+/// Deserializes a query-surface type from the v2 wire schema.
 pub trait FromWire: Sized {
     /// Parses the wire form; errors carry a field-level message.
     fn from_wire(v: &JsonValue) -> Result<Self, WireError>;
@@ -936,7 +970,6 @@ impl FromWire for PhaseLabel {
 impl ToWire for PhaseRun {
     fn to_wire(&self) -> JsonValue {
         obj([
-            ("label", JsonValue::Str(self.label.clone())),
             ("tags", self.tags.to_wire()),
             ("stats", self.stats.to_wire()),
             ("repeats", JsonValue::UInt(self.repeats as u64)),
@@ -947,7 +980,6 @@ impl ToWire for PhaseRun {
 impl FromWire for PhaseRun {
     fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
         Ok(PhaseRun {
-            label: want_str(v, "label")?.to_string(),
             tags: PhaseLabel::from_wire(want(v, "tags")?)?,
             stats: RunStats::from_wire(want(v, "stats")?)?,
             repeats: want_usize(v, "repeats")?,
@@ -1252,6 +1284,99 @@ impl FromWire for PartwiseMin {
     }
 }
 
+impl ToWire for Answer {
+    /// The wire form of the typed value the answer holds.
+    fn to_wire(&self) -> JsonValue {
+        match self {
+            Answer::Mst(value) => value.to_wire(),
+            Answer::MinCut(value) => value.to_wire(),
+            Answer::Sssp(value) => value.to_wire(),
+            Answer::Components(value) => value.to_wire(),
+            Answer::PartwiseMin(value) => value.to_wire(),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Queries
+// ---------------------------------------------------------------------------
+
+impl ToWire for Query {
+    fn to_wire(&self) -> JsonValue {
+        let kind = ("query", JsonValue::Str(self.kind().into()));
+        match self {
+            Query::Mst | Query::Components => obj([kind]),
+            Query::MinCut {
+                trees,
+                two_respecting,
+            } => obj([
+                kind,
+                ("trees", JsonValue::UInt(*trees as u64)),
+                ("two_respecting", JsonValue::Bool(*two_respecting)),
+            ]),
+            Query::Sssp { source, tier } => obj([
+                kind,
+                ("source", JsonValue::UInt(*source as u64)),
+                ("tier", tier.to_wire()),
+            ]),
+            Query::PartwiseMin { values, value_bits } => obj([
+                kind,
+                ("values", sentinel_array(values)),
+                ("value_bits", JsonValue::UInt(*value_bits as u64)),
+            ]),
+        }
+    }
+}
+
+impl FromWire for Query {
+    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
+        let kind = v
+            .get("query")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| WireError::new("missing field \"query\""))?;
+        // A missing or mistyped argument names the query that needs it.
+        let needs = |key: &str| WireError::new(format!("{kind} needs {key:?}"));
+        let usize_arg = |key: &str| {
+            v.get(key)
+                .and_then(JsonValue::as_usize)
+                .ok_or_else(|| needs(key))
+        };
+        match kind {
+            "mst" => Ok(Query::Mst),
+            "min_cut" => Ok(Query::MinCut {
+                trees: usize_arg("trees")?,
+                two_respecting: match v.get("two_respecting") {
+                    None => true,
+                    Some(_) => want_bool(v, "two_respecting")?,
+                },
+            }),
+            "sssp" => Ok(Query::Sssp {
+                source: usize_arg("source")?,
+                tier: Tier::from_wire(v.get("tier").ok_or_else(|| needs("tier"))?)?,
+            }),
+            "components" => Ok(Query::Components),
+            "partwise_min" => Ok(Query::PartwiseMin {
+                values: v
+                    .get("values")
+                    .and_then(JsonValue::as_array)
+                    .ok_or_else(|| needs("values"))?
+                    .iter()
+                    .map(|x| {
+                        if x.is_null() {
+                            Some(u64::MAX)
+                        } else {
+                            x.as_u64()
+                        }
+                    })
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| WireError::new("values must be u64 or null"))?,
+                value_bits: usize_arg("value_bits")?,
+            }),
+            other => Err(WireError::new(format!("unknown query {other:?}"))),
+        }
+    }
+}
+
 impl ToWire for PlanRepairStats {
     fn to_wire(&self) -> JsonValue {
         obj([
@@ -1342,7 +1467,7 @@ pub fn error_code(e: &AlgoError) -> &'static str {
     }
 }
 
-/// The HTTP status the v1 wire schema fixes for each error code
+/// The HTTP status the wire schema fixes for each error code
 /// (unknown codes map to 500).
 pub fn http_status(code: &str) -> u16 {
     match code {
@@ -1354,7 +1479,7 @@ pub fn http_status(code: &str) -> u16 {
     }
 }
 
-/// The `{"code":…,"message":…}` error body of the v1 wire schema.
+/// The `{"code":…,"message":…}` error body of the wire schema.
 pub fn error_to_wire(e: &AlgoError) -> JsonValue {
     obj([
         ("code", JsonValue::Str(error_code(e).into())),
@@ -1383,6 +1508,13 @@ mod tests {
         assert_eq!(items[2].as_f64(), Some(1.5));
         assert_eq!(items[3], JsonValue::Int(-3));
         assert_eq!(items[4].as_f64(), Some(200.0));
+    }
+
+    #[test]
+    fn json_escape_handles_special_characters() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("x\n\t\u{1}"), "x\\n\\t\\u0001");
     }
 
     #[test]
@@ -1498,7 +1630,6 @@ mod tests {
                 simulated_rounds: 12,
                 charged_construction_rounds: 30,
                 runs: vec![PhaseRun {
-                    label: "sssp phase 1: flood".into(),
                     tags: PhaseLabel {
                         phase: "sssp-shortcut".into(),
                         subphase: "flood".into(),
@@ -1575,6 +1706,51 @@ mod tests {
             parts_reused: 0,
             memos_dropped: 0,
         });
+    }
+
+    #[test]
+    fn queries_roundtrip_and_keep_todays_bodies() {
+        for query in [
+            Query::Mst,
+            Query::MinCut {
+                trees: 3,
+                two_respecting: false,
+            },
+            Query::Sssp {
+                source: 4,
+                tier: Tier::Shortcut {
+                    epsilon: 0.25,
+                    max_phases: 9,
+                },
+            },
+            Query::Components,
+            Query::PartwiseMin {
+                values: vec![5, u64::MAX, 0],
+                value_bits: 16,
+            },
+        ] {
+            roundtrip(&query);
+        }
+        // The bodies clients sent before `Query` existed still decode.
+        assert_eq!(
+            Query::from_wire_str(r#"{"query":"min_cut","trees":1}"#).unwrap(),
+            Query::MinCut {
+                trees: 1,
+                two_respecting: true
+            }
+        );
+        let bad = |body: &str| Query::from_wire_str(body).unwrap_err().to_string();
+        assert_eq!(
+            bad(r#"{"query":"frobnicate"}"#),
+            "unknown query \"frobnicate\""
+        );
+        assert_eq!(bad(r#"{"trees":1}"#), "missing field \"query\"");
+        assert_eq!(bad(r#"{"query":"min_cut"}"#), "min_cut needs \"trees\"");
+        assert_eq!(bad(r#"{"query":"sssp","source":0}"#), "sssp needs \"tier\"");
+        assert_eq!(
+            bad(r#"{"query":"partwise_min","values":[-1],"value_bits":8}"#),
+            "values must be u64 or null"
+        );
     }
 
     #[test]

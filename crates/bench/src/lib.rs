@@ -1835,7 +1835,8 @@ pub fn e17_congestion(full: bool) -> Table {
 /// column (asserted here, unconditionally) is the serving determinism
 /// contract.
 pub fn e18_serve(full: bool) -> Table {
-    use minex_algo::wire::{obj, JsonValue, ToWire};
+    use minex_algo::solver::Query;
+    use minex_algo::wire::ToWire;
     use minex_serve::{start, Client, CreateSession, ServerConfig};
     use std::sync::Arc;
 
@@ -1848,18 +1849,14 @@ pub fn e18_serve(full: bool) -> Table {
             .collect();
         Arc::new(WeightedGraph::new(g, weights))
     };
-    let mix_query = |kind: usize, n: usize| -> minex_algo::wire::JsonValue {
+    let mix_query = |kind: usize, n: usize| -> Query {
         match kind {
-            0 => obj([("query", JsonValue::Str("mst".into()))]),
-            1 => obj([("query", JsonValue::Str("components".into()))]),
-            _ => obj([
-                ("query", JsonValue::Str("partwise_min".into())),
-                (
-                    "values",
-                    JsonValue::Array((0..n as u64).map(JsonValue::UInt).collect()),
-                ),
-                ("value_bits", JsonValue::UInt(32)),
-            ]),
+            0 => Query::Mst,
+            1 => Query::Components,
+            _ => Query::PartwiseMin {
+                values: (0..n as u64).collect(),
+                value_bits: 32,
+            },
         }
     };
     // The reference: the same mix on a single-threaded owned solver,
@@ -1872,20 +1869,10 @@ pub fn e18_serve(full: bool) -> Table {
             .config(CongestConfig::for_nodes(n).with_threads(1))
             .build()
             .expect("reference solver");
-        let values: Vec<u64> = (0..n as u64).collect();
         (0..queries)
-            .map(|i| match i % 3 {
-                0 => solver.mst().expect("mst").to_wire().to_string(),
-                1 => solver
-                    .components()
-                    .expect("components")
-                    .to_wire()
-                    .to_string(),
-                _ => solver
-                    .partwise_min(&values, 32)
-                    .expect("partwise")
-                    .to_wire()
-                    .to_string(),
+            .map(|i| {
+                let report = solver.run(&mix_query(i % 3, n)).expect("query");
+                report.to_wire().to_string()
             })
             .collect()
     };
@@ -1911,7 +1898,7 @@ pub fn e18_serve(full: bool) -> Table {
                     (0..queries)
                         .map(|i| {
                             client
-                                .query(&session, &mix_query(i % 3, n))
+                                .query(&session, &mix_query(i % 3, n).to_wire())
                                 .expect("query")
                                 .to_string()
                         })

@@ -224,7 +224,7 @@ pub fn diameter_double_sweep<G: GraphView + ?Sized>(g: &G) -> Option<usize> {
 #[derive(Debug, Clone)]
 pub struct DijkstraResult {
     /// `dist[v]` is the weighted distance from the source, or
-    /// [`UNREACHED`](crate::dist::UNREACHED) (`u64::MAX`) if `v` is
+    /// [`UNREACHED`] (`u64::MAX`) if `v` is
     /// unreachable. Finite distances saturate at
     /// [`DIST_MAX`](crate::dist::DIST_MAX), one below the sentinel.
     pub dist: Vec<u64>,

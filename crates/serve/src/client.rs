@@ -1,12 +1,12 @@
-//! A small blocking client for the v1 wire API — what `minex-loadgen`,
-//! the tests, and the doctests drive the daemon with.
+//! A small blocking client for the wire API — what `minex-loadgen`, the
+//! tests, and the doctests drive the daemon with.
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use minex_algo::solver::{
-    Components, MinCut, Mst, PartsStrategy, PartwiseMin, RepairStats, Report, Sssp, Tier,
+    Components, MinCut, Mst, PartsStrategy, PartwiseMin, Query, RepairStats, Report, Sssp, Tier,
 };
 use minex_algo::wire::{obj, FromWire, JsonValue, ToWire, WireError};
 use minex_graphs::{EdgeMutation, NodeId, WeightedGraph};
@@ -308,12 +308,14 @@ impl Client {
         )
     }
 
+    /// `POST /v1/sessions/{id}/query` with the body of `query`, decoded as
+    /// the typed report of its kind.
     fn typed_query<T: FromWire>(
         &mut self,
         session: &str,
-        query: &JsonValue,
+        query: &Query,
     ) -> Result<Report<T>, ServeError> {
-        Ok(Report::from_wire(&self.query(session, query)?)?)
+        Ok(Report::from_wire(&self.query(session, &query.to_wire())?)?)
     }
 
     /// Queries the session MST.
@@ -322,7 +324,7 @@ impl Client {
     ///
     /// [`ServeError`]; e.g. code `DISCONNECTED` on disconnected graphs.
     pub fn mst(&mut self, session: &str) -> Result<Report<Mst>, ServeError> {
-        self.typed_query(session, &obj([("query", JsonValue::Str("mst".into()))]))
+        self.typed_query(session, &Query::Mst)
     }
 
     /// Queries the `(1+ε)` min-cut over a `trees`-tree packing.
@@ -331,13 +333,11 @@ impl Client {
     ///
     /// [`ServeError`] as for [`mst`](Client::mst).
     pub fn min_cut(&mut self, session: &str, trees: usize) -> Result<Report<MinCut>, ServeError> {
-        self.typed_query(
-            session,
-            &obj([
-                ("query", JsonValue::Str("min_cut".into())),
-                ("trees", JsonValue::UInt(trees as u64)),
-            ]),
-        )
+        let query = Query::MinCut {
+            trees,
+            two_respecting: true,
+        };
+        self.typed_query(session, &query)
     }
 
     /// Queries SSSP from `source` at `tier`.
@@ -351,14 +351,7 @@ impl Client {
         source: NodeId,
         tier: Tier,
     ) -> Result<Report<Sssp>, ServeError> {
-        self.typed_query(
-            session,
-            &obj([
-                ("query", JsonValue::Str("sssp".into())),
-                ("source", JsonValue::UInt(source as u64)),
-                ("tier", tier.to_wire()),
-            ]),
-        )
+        self.typed_query(session, &Query::Sssp { source, tier })
     }
 
     /// Queries connected components.
@@ -367,10 +360,7 @@ impl Client {
     ///
     /// [`ServeError`] as for [`mst`](Client::mst).
     pub fn components(&mut self, session: &str) -> Result<Report<Components>, ServeError> {
-        self.typed_query(
-            session,
-            &obj([("query", JsonValue::Str("components".into()))]),
-        )
+        self.typed_query(session, &Query::Components)
     }
 
     /// Queries the part-wise MIN aggregation.
@@ -384,28 +374,11 @@ impl Client {
         values: &[u64],
         value_bits: usize,
     ) -> Result<Report<PartwiseMin>, ServeError> {
-        self.typed_query(
-            session,
-            &obj([
-                ("query", JsonValue::Str("partwise_min".into())),
-                (
-                    "values",
-                    JsonValue::Array(
-                        values
-                            .iter()
-                            .map(|&v| {
-                                if v == u64::MAX {
-                                    JsonValue::Null
-                                } else {
-                                    JsonValue::UInt(v)
-                                }
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("value_bits", JsonValue::UInt(value_bits as u64)),
-            ]),
-        )
+        let query = Query::PartwiseMin {
+            values: values.to_vec(),
+            value_bits,
+        };
+        self.typed_query(session, &query)
     }
 
     /// Applies an edge-mutation batch to the session graph.

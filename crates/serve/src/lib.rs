@@ -2,7 +2,7 @@
 //!
 //! Solver-as-a-service for minex: a daemon that owns a fleet of
 //! [`Solver`](minex_algo::solver::Solver) sessions and serves the
-//! plan-once / query-many API over **wire schema v1**
+//! plan-once / query-many API over **wire schema v2**
 //! ([`minex_algo::wire`]) — HTTP/1.1 + JSON over blocking sockets and a
 //! thread-per-connection pool (the container vendors no async runtime,
 //! and the solver's queries are CPU-bound anyway).

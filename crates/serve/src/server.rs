@@ -25,7 +25,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use minex_algo::solver::{AlgoError, Solver};
+use minex_algo::solver::{AlgoError, Query, Solver};
 use minex_algo::wire::{
     self, error_to_wire, http_status, obj, parts_strategy_from_wire, FromWire, JsonValue, ToWire,
     WireError, CODE_BAD_REQUEST, CODE_NOT_FOUND, CODE_OVERLOADED, CODE_SHUTTING_DOWN, WIRE_VERSION,
@@ -589,63 +589,18 @@ impl From<AlgoError> for QueryError {
     }
 }
 
-/// Executes one wire query against a locked session.
+/// Executes one wire query against a locked session: an `apply` body
+/// mutates the session, every other body decodes to a [`Query`].
 fn run_query(solver: &mut Solver, q: &JsonValue) -> Result<JsonValue, QueryError> {
-    let kind = q
-        .get("query")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| QueryError::Bad("missing field \"query\"".to_string()))?;
-    match kind {
-        "mst" => Ok(solver.mst()?.to_wire()),
-        "min_cut" => {
-            let trees = q
-                .get("trees")
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| QueryError::Bad("min_cut needs \"trees\"".to_string()))?;
-            Ok(solver.min_cut(trees)?.to_wire())
-        }
-        "sssp" => {
-            let source = q
-                .get("source")
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| QueryError::Bad("sssp needs \"source\"".to_string()))?;
-            let tier = q
-                .get("tier")
-                .ok_or_else(|| QueryError::Bad("sssp needs \"tier\"".to_string()))?;
-            Ok(solver.sssp(source, FromWire::from_wire(tier)?)?.to_wire())
-        }
-        "components" => Ok(solver.components()?.to_wire()),
-        "partwise_min" => {
-            let values = q
-                .get("values")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| QueryError::Bad("partwise_min needs \"values\"".to_string()))?
-                .iter()
-                .map(|x| {
-                    if x.is_null() {
-                        Some(u64::MAX)
-                    } else {
-                        x.as_u64()
-                    }
-                })
-                .collect::<Option<Vec<u64>>>()
-                .ok_or_else(|| QueryError::Bad("values must be u64 or null".to_string()))?;
-            let bits = q
-                .get("value_bits")
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| QueryError::Bad("partwise_min needs \"value_bits\"".to_string()))?;
-            Ok(solver.partwise_min(&values, bits)?.to_wire())
-        }
-        "apply" => {
-            let mutations = q
-                .get("mutations")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| QueryError::Bad("apply needs \"mutations\"".to_string()))?
-                .iter()
-                .map(EdgeMutation::from_wire)
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(solver.apply(&mutations)?.to_wire())
-        }
-        other => Err(QueryError::Bad(format!("unknown query {other:?}"))),
+    if q.get("query").and_then(JsonValue::as_str) != Some("apply") {
+        return Ok(solver.run(&Query::from_wire(q)?)?.to_wire());
     }
+    let mutations = q
+        .get("mutations")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| QueryError::Bad("apply needs \"mutations\"".to_string()))?
+        .iter()
+        .map(EdgeMutation::from_wire)
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(solver.apply(&mutations)?.to_wire())
 }

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Serving gate: drives a RUNNING `minex-serve` daemon through wire schema
-# v1 and validates the response shapes and the stable error-code mapping
+# v2 and validates the response shapes and the stable error-code mapping
 # with jq (the serving counterpart of scripts/check-trace.sh).
 #
 # Checks, in order:
-#   1. health shape: status "ok", wire_version 1;
+#   1. health shape: status "ok", wire_version 2;
 #   2. session lifecycle: create (hex-16 id, created=true), idempotent
 #      re-create (created=false — plan reuse), delete (then 404);
 #   3. report shape: mst on a weighted triangle returns the exact MST
-#      weight with simulation statistics, and a batch keeps per-query
-#      ok/error envelopes;
+#      weight with simulation statistics whose runs carry structured
+#      `tags` and no display `label`; a min_cut body without
+#      `two_respecting` still answers; a batch keeps per-query ok/error
+#      envelopes;
 #   4. error-code mapping: DISCONNECTED/422, BAD_QUERY/400,
 #      BAD_REQUEST/400, NOT_FOUND/404 — codes and HTTP statuses both.
 #
@@ -43,7 +45,7 @@ req() {
 
 # 1. Health shape.
 req 200 GET /v1/health
-jq -e '.status == "ok" and .wire_version == 1 and (.sessions | type == "number")' \
+jq -e '.status == "ok" and .wire_version == 2 and (.sessions | type == "number")' \
     "$tmp/body" >/dev/null || fail "health shape"
 
 # 2. Session lifecycle on a weighted triangle (MST = 5 + 7 = 12).
@@ -61,8 +63,15 @@ jq -e --arg s "$session" '.session == $s and .created == false' \
 # 3. Report shape: the exact MST with simulation statistics.
 req 200 POST "/v1/sessions/$session/query" '{"query":"mst"}'
 jq -e '.value.total_weight == 12 and (.value.edges | length == 2)
-       and .stats.simulated_rounds >= 1 and (.stats.runs | type == "array")' \
+       and .stats.simulated_rounds >= 1 and (.stats.runs | type == "array")
+       and (.stats.runs[0] | has("tags") and (has("label") | not))' \
     "$tmp/body" >/dev/null || fail "mst report shape"
+
+# The body clients sent before wire v2: no `two_respecting`, which
+# still means true.
+req 200 POST "/v1/sessions/$session/query" '{"query":"min_cut","trees":1}'
+jq -e '.value.trees == 1 and .value.approx_value >= .value.exact_value' \
+    "$tmp/body" >/dev/null || fail "min_cut report shape"
 
 # ... and batch envelopes: a bad query mid-batch stays an error entry.
 req 200 POST "/v1/sessions/$session/batch" \

@@ -12,16 +12,17 @@
 //! * [`decomp`] — tree decompositions, clique-sum trees, folding;
 //! * [`core`] — the shortcut framework and constructions;
 //! * [`algo`] — part-wise aggregation, MST, min-cut, SSSP, baselines,
-//!   and the [`wire`] schema-v1 codecs;
+//!   and the [`wire`] schema-v2 codecs;
 //! * [`serve`] — solver-as-a-service: the `minex-serve` daemon, its
 //!   session [`Fleet`](serve::Fleet), and the blocking
 //!   [`Client`](serve::Client).
 //!
 //! The **front door** is the plan-once / query-many session API,
 //! re-exported at the crate root: [`Solver`] computes one [`ShortcutPlan`]
-//! (BFS tree, partition, shortcut, quality) per session and serves
-//! repeated `mst` / `min_cut` / `sssp` / `components` / `partwise_min`
-//! queries, each returning a unified [`Report`].
+//! (BFS tree, partition, shortcut, quality) per session and answers
+//! repeated [`Query`] values — `mst` / `min_cut` / `sssp` / `components` /
+//! `partwise_min` — through one path, [`Solver::run`], each with a unified
+//! [`Report`].
 //!
 //! ```
 //! use minex::{PartsStrategy, Solver, Tier};
@@ -51,9 +52,9 @@ pub use minex_graphs as graphs;
 pub use minex_serve as serve;
 
 pub use minex_algo::solver::{
-    AlgoError, Components, MinCut, Mst, PartsStrategy, PartwiseMin, PhaseRun, QuerySpan,
-    RepairStats, Report, ReportStats, SessionCounters, SessionTrace, Solver, SolverBuilder, Sssp,
-    SsspDetail, Tier,
+    AlgoError, Answer, Components, MinCut, Mst, PartsStrategy, PartwiseMin, PhaseRun, Query,
+    QuerySpan, RepairStats, Report, ReportStats, SessionCounters, SessionTrace, Solver,
+    SolverBuilder, Sssp, SsspDetail, Tier,
 };
 pub use minex_congest::{CongestionProfile, PhaseLabel, Sink};
 pub use minex_core::{PlanRepairStats, ShortcutPlan};

@@ -185,9 +185,9 @@ fn mst_cross_algorithm_agreement() {
     let (kedges, kweight) = kruskal(&wg);
     assert_eq!(a.value.total_weight, kweight);
     assert_eq!(b.total_weight, kweight);
-    assert_eq!(c.total_weight, kweight);
+    assert_eq!(c.value.total_weight, kweight);
     // Distinct weights: the MST is unique, so the edge sets agree exactly.
     assert_eq!(a.value.edges, kedges);
     assert_eq!(b.edges, kedges);
-    assert_eq!(c.edges, kedges);
+    assert_eq!(c.value.edges, kedges);
 }

@@ -52,7 +52,7 @@ fn mst_is_byte_identical_to_a_fresh_session_across_engines_and_repeats() {
             .stats
             .runs
             .iter()
-            .filter(|r| r.label.contains("candidate"))
+            .filter(|r| r.tags.subphase == "candidate")
             .map(|r| r.stats.rounds)
             .collect();
         assert_eq!(candidate_rounds.len(), first.value.boruvka_phases);
@@ -62,7 +62,7 @@ fn mst_is_byte_identical_to_a_fresh_session_across_engines_and_repeats() {
                     .stats
                     .runs
                     .iter()
-                    .filter(|r| !r.label.contains("candidate"))
+                    .filter(|r| r.tags.subphase != "candidate")
                     .map(|r| r.stats.rounds)
                     .sum::<usize>(),
             first.stats.simulated_rounds
