@@ -192,66 +192,102 @@ pub fn one_respecting_cuts(wg: &WeightedGraph, tree: &PackedTree) -> Vec<(NodeId
         .collect()
 }
 
-/// Minimum 2-respecting cut of a tree (brute force over tree-edge pairs;
-/// `O(n² · α)` with interval tests — keep `n ≤ ~400`).
+/// `tree`'s nodes in DFS pre-order from its root, so that every subtree is
+/// the contiguous range that starts at its root.
+///
+/// # Panics
+///
+/// Panics unless `tree` is one tree over all its nodes.
+fn preorder(tree: &PackedTree) -> Vec<NodeId> {
+    let n = tree.parent.len();
+    let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    let mut stack = Vec::new();
+    for (v, p) in tree.parent.iter().enumerate() {
+        match *p {
+            Some(p) => children[p].push(v),
+            None => stack.push(v),
+        }
+    }
+    assert_eq!(stack.len(), 1, "a spanning tree has exactly one root");
+    let mut order = Vec::with_capacity(n);
+    while let Some(v) = stack.pop() {
+        order.push(v);
+        stack.extend(children[v].iter().rev());
+    }
+    assert_eq!(order.len(), n, "every node hangs below the root");
+    order
+}
+
+/// Minimum 2-respecting cut of a spanning tree: over every pair of
+/// non-root nodes `a ≠ b`, the cut that crosses exactly the tree edges
+/// above `a` and `b`, whose side is `sub(a) ∪ sub(b)` (disjoint subtrees)
+/// or `sub(a) ∖ sub(b)` (`b` below `a`). Cuts of weight 0 are skipped, and
+/// a tree with fewer than two non-root nodes yields `u64::MAX`.
+///
+/// With `C(v)` the 1-respecting cut of `v`'s subtree, a disjoint pair cuts
+/// `C(a) + C(b) − 2·w(sub a, sub b)` and a nested pair cuts
+/// `C(a) − C(b) + 2·w(sub b, sub a ∖ sub b)`. One length-`n` row holds the
+/// weights from `sub(a)` to every subtree: each edge at a node of `sub(a)`
+/// adds its weight at its other endpoint, and a reverse pre-order pass sums
+/// the row up the tree. That is `O(n² + m · depth)` time and `O(n)` extra
+/// memory. Sums are exact in `u128`, so every value equals the plain
+/// per-pair edge scan whenever the total weight fits in `u64`.
+///
+/// # Panics
+///
+/// Panics unless `tree` spans `wg`'s graph: one root, and every node below
+/// it.
 pub fn min_two_respecting_cut(wg: &WeightedGraph, tree: &PackedTree) -> u64 {
     let g = wg.graph();
     let n = g.n();
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut root = 0;
-    for v in 0..n {
-        match tree.parent[v] {
-            Some(p) => children[p].push(v),
-            None => root = v,
+    assert_eq!(tree.parent.len(), n, "the tree must span the graph");
+    let order = preorder(tree);
+    let mut size = vec![1usize; n];
+    for &v in order.iter().rev() {
+        if let Some(p) = tree.parent[v] {
+            size[p] += size[v];
         }
     }
-    // Euler intervals.
-    let mut tin = vec![0usize; n];
-    let mut tout = vec![0usize; n];
-    let mut timer = 0;
-    let mut stack = vec![(root, false)];
-    while let Some((v, processed)) = stack.pop() {
-        if processed {
-            tout[v] = timer;
-            continue;
-        }
-        tin[v] = timer;
-        timer += 1;
-        stack.push((v, true));
-        for &c in &children[v] {
-            stack.push((c, false));
-        }
-    }
-    let in_sub = |v: usize, x: usize| tin[x] >= tin[v] && tout[x] <= tout[v];
-    let cut_nodes: Vec<usize> = (0..n).filter(|&v| tree.parent[v].is_some()).collect();
-    let mut best = u64::MAX;
-    for (i, &a) in cut_nodes.iter().enumerate() {
-        for &b in cut_nodes.iter().skip(i + 1) {
-            // Side = sub(a) Δ sub(b) for nested, sub(a) ∪ sub(b) otherwise.
-            let nested_ab = in_sub(a, b);
-            let nested_ba = in_sub(b, a);
-            let mut value = 0u64;
-            for (e, u, v) in g.edges() {
-                let side = |x: usize| -> bool {
-                    if nested_ab {
-                        in_sub(a, x) && !in_sub(b, x)
-                    } else if nested_ba {
-                        in_sub(b, x) && !in_sub(a, x)
-                    } else {
-                        in_sub(a, x) || in_sub(b, x)
-                    }
-                };
-                if side(u) != side(v) {
-                    value += wg.weight(e);
-                }
+    // Filled in reverse pre-order, so a row only reads nodes already done:
+    // `cut[v]` = C(v), `inner[v]` = twice the weight inside sub(v).
+    let mut cut = vec![0u128; n];
+    let mut inner = vec![0u128; n];
+    let mut row = vec![0u128; n];
+    let mut best = u128::MAX;
+    // order[0] is the root, which cuts nothing.
+    for i in (1..n).rev() {
+        let a = order[i];
+        let end = i + size[a];
+        row.fill(0);
+        let mut degrees = 0u128;
+        for &y in &order[i..end] {
+            for (x, e) in g.neighbors(y) {
+                let w = u128::from(wg.weight(e));
+                row[x] += w;
+                degrees += w;
             }
-            // Skip degenerate sides (empty or everything).
+        }
+        // row[v] becomes the weight from sub(a) into sub(v) for every v
+        // from a on in pre-order.
+        for &v in order[i + 1..].iter().rev() {
+            let p = tree.parent[v].expect("only the root lacks a parent");
+            row[p] += row[v];
+        }
+        inner[a] = row[a];
+        cut[a] = degrees - row[a];
+        for (j, &b) in order.iter().enumerate().skip(i + 1) {
+            let value = if j < end {
+                // row[b] counts the edges inside sub(b) from both ends.
+                cut[a] + 2 * (row[b] - inner[b]) - cut[b]
+            } else {
+                cut[a] + cut[b] - 2 * row[b]
+            };
             if value > 0 {
                 best = best.min(value);
             }
         }
     }
-    best
+    u64::try_from(best).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -259,7 +295,8 @@ mod tests {
     use super::*;
     use minex_congest::CongestConfig;
     use minex_core::construct::SteinerBuilder;
-    use minex_graphs::{generators, Graph, WeightModel};
+    use minex_graphs::{generators, Graph, GraphBuilder, WeightModel};
+    use rand::seq::SliceRandom;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn cfg(n: usize) -> CongestConfig {
@@ -382,5 +419,171 @@ mod tests {
         let packing = greedy_tree_packing(&wg, 1);
         let two = min_two_respecting_cut(&wg, &packing[0]);
         assert_eq!(two, 2);
+    }
+
+    /// The reference: every pair of tree edges, every graph edge tested
+    /// against the pair's side (`O(n² · m)`).
+    fn brute_two_respecting_cut(wg: &WeightedGraph, tree: &PackedTree) -> u64 {
+        let g = wg.graph();
+        let n = g.n();
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut root = 0;
+        for v in 0..n {
+            match tree.parent[v] {
+                Some(p) => children[p].push(v),
+                None => root = v,
+            }
+        }
+        // Euler intervals.
+        let mut tin = vec![0usize; n];
+        let mut tout = vec![0usize; n];
+        let mut timer = 0;
+        let mut stack = vec![(root, false)];
+        while let Some((v, processed)) = stack.pop() {
+            if processed {
+                tout[v] = timer;
+                continue;
+            }
+            tin[v] = timer;
+            timer += 1;
+            stack.push((v, true));
+            for &c in &children[v] {
+                stack.push((c, false));
+            }
+        }
+        let in_sub = |v: usize, x: usize| tin[x] >= tin[v] && tout[x] <= tout[v];
+        let cut_nodes: Vec<usize> = (0..n).filter(|&v| tree.parent[v].is_some()).collect();
+        let mut best = u64::MAX;
+        for (i, &a) in cut_nodes.iter().enumerate() {
+            for &b in cut_nodes.iter().skip(i + 1) {
+                // Side = sub(a) Δ sub(b) for nested, sub(a) ∪ sub(b) otherwise.
+                let nested_ab = in_sub(a, b);
+                let nested_ba = in_sub(b, a);
+                let mut value = 0u64;
+                for (e, u, v) in g.edges() {
+                    let side = |x: usize| -> bool {
+                        if nested_ab {
+                            in_sub(a, x) && !in_sub(b, x)
+                        } else if nested_ba {
+                            in_sub(b, x) && !in_sub(a, x)
+                        } else {
+                            in_sub(a, x) || in_sub(b, x)
+                        }
+                    };
+                    if side(u) != side(v) {
+                        value += wg.weight(e);
+                    }
+                }
+                // Skip degenerate sides (empty or everything).
+                if value > 0 {
+                    best = best.min(value);
+                }
+            }
+        }
+        best
+    }
+
+    /// A seeded connected graph: a random tree plus `extra` random edges
+    /// plus every edge of `spine`, under weights `1..=max_weight`.
+    fn seeded_graph(
+        n: usize,
+        extra: usize,
+        spine: &[(usize, usize)],
+        max_weight: u64,
+        rng: &mut StdRng,
+    ) -> WeightedGraph {
+        let base = generators::random_connected(n, extra, rng);
+        let mut b = GraphBuilder::new(n);
+        for (u, v) in base
+            .edges()
+            .map(|(_, u, v)| (u, v))
+            .chain(spine.iter().copied())
+        {
+            b.add_edge(u, v).expect("edges join distinct nodes");
+        }
+        WeightModel::Uniform {
+            lo: 1,
+            hi: max_weight,
+        }
+        .apply(&b.build(), rng)
+    }
+
+    /// The spanning tree with the given parent pointers.
+    fn tree_of(wg: &WeightedGraph, parent: Vec<Option<NodeId>>) -> PackedTree {
+        let g = wg.graph();
+        let edges = (0..g.n())
+            .filter_map(|v| parent[v].map(|p| g.edge_between(p, v).expect("tree edge")))
+            .collect();
+        PackedTree { parent, edges }
+    }
+
+    /// Checks the kernel against the reference on three kinds of tree:
+    /// every tree of a 3-tree packing, a path rooted at one end (every
+    /// pair nested), and a star (every pair disjoint).
+    fn check_against_brute_force(n: usize, extra: usize, seed: u64, max_weight: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut perm: Vec<NodeId> = (0..n).collect();
+        perm.shuffle(&mut rng);
+
+        let wg = seeded_graph(n, extra, &[], max_weight, &mut rng);
+        for tree in greedy_tree_packing(&wg, 3) {
+            assert_eq!(
+                min_two_respecting_cut(&wg, &tree),
+                brute_two_respecting_cut(&wg, &tree)
+            );
+        }
+
+        let path: Vec<(usize, usize)> = perm.windows(2).map(|w| (w[0], w[1])).collect();
+        let wg = seeded_graph(n, extra, &path, max_weight, &mut rng);
+        let mut parent = vec![None; n];
+        for &(p, v) in &path {
+            parent[v] = Some(p);
+        }
+        let tree = tree_of(&wg, parent);
+        assert_eq!(
+            min_two_respecting_cut(&wg, &tree),
+            brute_two_respecting_cut(&wg, &tree)
+        );
+
+        let hub = perm[0];
+        let star: Vec<(usize, usize)> = perm[1..].iter().map(|&v| (hub, v)).collect();
+        let wg = seeded_graph(n, extra, &star, max_weight, &mut rng);
+        let parent = (0..n).map(|v| (v != hub).then_some(hub)).collect();
+        let tree = tree_of(&wg, parent);
+        assert_eq!(
+            min_two_respecting_cut(&wg, &tree),
+            brute_two_respecting_cut(&wg, &tree)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn two_respecting_matches_brute_force(
+            n in 3usize..64, extra in 0usize..96, seed in 0u64..1_000_000,
+        ) {
+            check_against_brute_force(n, extra, seed, 1 << 16);
+        }
+
+        /// Weights up to 2⁴⁰: large sums through the `u128` rows that
+        /// still fit the reference's `u64` arithmetic.
+        #[test]
+        fn two_respecting_matches_brute_force_on_wide_weights(
+            n in 3usize..64, extra in 0usize..96, seed in 0u64..1_000_000,
+        ) {
+            check_against_brute_force(n, extra, seed, 1 << 40);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one root")]
+    fn two_respecting_rejects_a_forest() {
+        let wg = WeightedGraph::unit(generators::path(4));
+        let tree = PackedTree {
+            parent: vec![None, Some(0), None, Some(2)],
+            edges: vec![0, 2],
+        };
+        min_two_respecting_cut(&wg, &tree);
     }
 }

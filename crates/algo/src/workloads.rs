@@ -1,6 +1,8 @@
 //! Part-family workload generators for the experiments, including the
 //! weighted path-heavy workloads of the SSSP experiments (E11/E12).
 
+use std::collections::HashMap;
+
 use rand::seq::SliceRandom;
 use rand::{Rng, RngExt};
 
@@ -202,6 +204,10 @@ pub fn maze_apex_grid<R: Rng + ?Sized>(
 /// be re-inserted later with new weights. Self loops are never produced;
 /// steps that cannot proceed (no absent pair found, or no live edge left)
 /// fall back to the other kind.
+///
+/// A pair's presence is looked up in `g`'s adjacency, overridden by the
+/// stream's own earlier steps, so a call copies the edge list once and
+/// then makes `O(len)` lookups; it hashes no edge of `g`.
 pub fn churn_stream<R: Rng + ?Sized>(
     g: &Graph,
     len: usize,
@@ -211,7 +217,9 @@ pub fn churn_stream<R: Rng + ?Sized>(
     assert!(g.n() >= 2, "churn needs at least two nodes");
     assert!(insert_permille <= 1000, "permille is out of range");
     let mut live: Vec<(NodeId, NodeId)> = g.edges().map(|(_, u, v)| (u, v)).collect();
-    let mut present: std::collections::HashSet<(NodeId, NodeId)> = live.iter().copied().collect();
+    // Whether a pair is present: the last insert or delete of it in this
+    // stream, else whether `g` has it.
+    let mut touched: HashMap<(NodeId, NodeId), bool> = HashMap::new();
     let mut out = Vec::with_capacity(len);
     for _ in 0..len {
         let want_insert = rng.random_range(0..1000) < insert_permille;
@@ -226,7 +234,11 @@ pub fn churn_stream<R: Rng + ?Sized>(
                     continue;
                 }
                 let pair = (u.min(v), u.max(v));
-                if !present.contains(&pair) {
+                let present = touched
+                    .get(&pair)
+                    .copied()
+                    .unwrap_or_else(|| g.has_edge(u, v));
+                if !present {
                     sampled = Some(pair);
                     break;
                 }
@@ -234,7 +246,7 @@ pub fn churn_stream<R: Rng + ?Sized>(
         }
         match sampled {
             Some((u, v)) => {
-                present.insert((u, v));
+                touched.insert((u, v), true);
                 live.push((u, v));
                 out.push(EdgeMutation::Insert {
                     u,
@@ -248,7 +260,7 @@ pub fn churn_stream<R: Rng + ?Sized>(
                 }
                 let i = rng.random_range(0..live.len());
                 let (u, v) = live.swap_remove(i);
-                present.remove(&(u, v));
+                touched.insert((u, v), false);
                 out.push(EdgeMutation::Delete { u, v });
             }
         }
@@ -387,5 +399,93 @@ mod tests {
         assert!(deletes
             .iter()
             .all(|m| matches!(m, EdgeMutation::Delete { .. })));
+    }
+
+    /// The stream as first written, with a hash set of every edge of `g`:
+    /// the byte-identity reference for [`churn_stream`].
+    fn churn_stream_reference<R: Rng + ?Sized>(
+        g: &Graph,
+        len: usize,
+        insert_permille: u32,
+        rng: &mut R,
+    ) -> Vec<EdgeMutation> {
+        assert!(g.n() >= 2, "churn needs at least two nodes");
+        assert!(insert_permille <= 1000, "permille is out of range");
+        let mut live: Vec<(NodeId, NodeId)> = g.edges().map(|(_, u, v)| (u, v)).collect();
+        let mut present: std::collections::HashSet<(NodeId, NodeId)> =
+            live.iter().copied().collect();
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            let want_insert = rng.random_range(0..1000) < insert_permille;
+            // Rejection-sample an absent pair; dense graphs may exhaust the
+            // attempt budget, in which case the step degrades to a deletion.
+            let mut sampled = None;
+            if want_insert || live.is_empty() {
+                for _ in 0..64 {
+                    let u = rng.random_range(0..g.n());
+                    let v = rng.random_range(0..g.n());
+                    if u == v {
+                        continue;
+                    }
+                    let pair = (u.min(v), u.max(v));
+                    if !present.contains(&pair) {
+                        sampled = Some(pair);
+                        break;
+                    }
+                }
+            }
+            match sampled {
+                Some((u, v)) => {
+                    present.insert((u, v));
+                    live.push((u, v));
+                    out.push(EdgeMutation::Insert {
+                        u,
+                        v,
+                        weight: rng.random_range(1..=8192),
+                    });
+                }
+                None => {
+                    if live.is_empty() {
+                        break; // nothing left to delete and nothing to insert
+                    }
+                    let i = rng.random_range(0..live.len());
+                    let (u, v) = live.swap_remove(i);
+                    present.remove(&(u, v));
+                    out.push(EdgeMutation::Delete { u, v });
+                }
+            }
+        }
+        out
+    }
+
+    /// Runs both streams from one seed and compares the mutations and the
+    /// generators' states afterwards.
+    fn assert_same_stream(g: &Graph, len: usize, permille: u32, seed: u64) {
+        let mut fast = StdRng::seed_from_u64(seed);
+        let mut slow = StdRng::seed_from_u64(seed);
+        assert_eq!(
+            churn_stream(g, len, permille, &mut fast),
+            churn_stream_reference(g, len, permille, &mut slow),
+            "seed {seed}, permille {permille}"
+        );
+        assert_eq!(fast.next_u64(), slow.next_u64(), "rng drift at seed {seed}");
+    }
+
+    #[test]
+    fn churn_stream_matches_the_hash_set_reference() {
+        let grid = generators::grid(32, 32);
+        for seed in 0..1_000 {
+            for permille in [0, 500, 1000] {
+                assert_same_stream(&grid, 16 + (seed as usize % 48), permille, seed);
+            }
+        }
+        // K6 has no absent pair: every insert attempt falls back to a
+        // deletion until one frees a pair up.
+        let k6 = generators::complete(6);
+        for seed in 0..200 {
+            for permille in [500, 1000] {
+                assert_same_stream(&k6, 40, permille, seed);
+            }
+        }
     }
 }

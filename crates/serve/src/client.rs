@@ -2,7 +2,7 @@
 //! tests, and the doctests drive the daemon with.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use minex_algo::solver::{
@@ -10,6 +10,8 @@ use minex_algo::solver::{
 };
 use minex_algo::wire::{obj, FromWire, JsonValue, ToWire, WireError};
 use minex_graphs::{EdgeMutation, NodeId, WeightedGraph};
+
+use crate::http::write_request;
 
 /// A client-side failure: transport, malformed payload, or a structured
 /// server error.
@@ -223,12 +225,7 @@ impl Client {
         body: Option<&JsonValue>,
     ) -> Result<(u16, String), ServeError> {
         let payload = body.map(JsonValue::to_string).unwrap_or_default();
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nHost: minex\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{payload}",
-            payload.len(),
-        )?;
-        self.writer.flush()?;
+        write_request(&mut self.writer, method, path, payload.as_bytes())?;
         // Status line.
         let mut line = String::new();
         self.reader.read_line(&mut line)?;

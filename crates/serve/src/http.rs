@@ -106,8 +106,19 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Sends `head` and `body` in one `write_all`, then flushes. A message
+/// split over several small writes can stall on Nagle's algorithm plus
+/// the peer's delayed ACK (~40 ms per message).
+fn write_message(writer: &mut impl Write, head: &str, body: &[u8]) -> io::Result<()> {
+    let mut message = Vec::with_capacity(head.len() + body.len());
+    message.extend_from_slice(head.as_bytes());
+    message.extend_from_slice(body);
+    writer.write_all(&message)?;
+    writer.flush()
+}
+
 /// Writes one response (status, `Content-Type`, `Content-Length`,
-/// `Connection`) and flushes.
+/// `Connection`) in a single write and flushes.
 ///
 /// # Errors
 ///
@@ -119,15 +130,32 @@ pub fn write_response(
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
-    write!(
-        writer,
+    let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    )?;
-    writer.write_all(body)?;
-    writer.flush()
+    );
+    write_message(writer, &head, body)
+}
+
+/// Writes one JSON request (request line, `Host`, `Content-Type`,
+/// `Content-Length`) in a single write and flushes.
+///
+/// # Errors
+///
+/// IO errors propagate.
+pub(crate) fn write_request(
+    writer: &mut impl Write,
+    method: &str,
+    path: &str,
+    body: &[u8],
+) -> io::Result<()> {
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: minex\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+        body.len(),
+    );
+    write_message(writer, &head, body)
 }
 
 #[cfg(test)]
@@ -183,5 +211,45 @@ mod tests {
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    /// Records every `write` call it sees.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_goes_out_in_one_write() {
+        let body = br#"{"query":"mst"}"#;
+        let mut out = CountingWriter::default();
+        write_response(&mut out, 200, "application/json", body, true).unwrap();
+        assert_eq!(out.writes, 1, "one write per response");
+        assert!(out.bytes.ends_with(body));
+
+        let mut out = CountingWriter::default();
+        write_request(&mut out, "POST", "/v1/sessions/0/query", body).unwrap();
+        assert_eq!(out.writes, 1, "one write per request");
+        let sent = String::from_utf8(out.bytes).unwrap();
+        let (head, rest) = sent.split_once("\r\n").unwrap();
+        let req = parse(&format!("{head}\r\n"), rest.as_bytes()).unwrap();
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("POST", "/v1/sessions/0/query")
+        );
+        assert_eq!(req.body, body);
     }
 }

@@ -282,8 +282,19 @@ fn read_request_line(
     }
 }
 
+/// Per-connection socket set-up: `TCP_NODELAY`, since each response is
+/// already one write, so Nagle's algorithm has nothing to coalesce and
+/// would only hold a response's last segment for the client's delayed
+/// ACK; and the idle-poll read timeout.
+fn configure(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(IDLE_POLL))
+}
+
 fn connection_loop(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
+    if configure(&stream).is_err() {
+        return;
+    }
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -603,4 +614,92 @@ fn run_query(solver: &mut Solver, q: &JsonValue) -> Result<JsonValue, QueryError
         .map(EdgeMutation::from_wire)
         .collect::<Result<Vec<_>, _>>()?;
     Ok(solver.apply(&mutations)?.to_wire())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, CreateSession, ServeError};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::thread;
+
+    fn upload(n: usize) -> CreateSession {
+        CreateSession::from_weighted(&WeightedGraph::unit(minex_graphs::generators::cycle(n)))
+    }
+
+    #[test]
+    fn accepted_streams_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        configure(&stream).unwrap();
+        assert!(stream.nodelay().unwrap());
+        assert!(stream.read_timeout().unwrap().is_some());
+    }
+
+    #[test]
+    fn a_held_admission_slot_sheds_queries_and_creates() {
+        let server = start(ServerConfig {
+            queue_depth: 1,
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let mut client = Client::connect(server.addr()).unwrap();
+        let session = client.create_session(&upload(6)).unwrap();
+
+        let held = enter(&server.shared).expect("the gate starts empty");
+        for refused in [
+            client.mst(&session).map(drop),
+            client.create_session(&upload(7)).map(drop),
+        ] {
+            match refused {
+                Err(ServeError::Server { status, code, .. }) => {
+                    assert_eq!((status, code.as_str()), (503, CODE_OVERLOADED));
+                }
+                other => panic!("expected 503 OVERLOADED while the slot is held, got {other:?}"),
+            }
+        }
+
+        drop(held);
+        client
+            .mst(&session)
+            .expect("service resumes once the slot frees");
+        client
+            .create_session(&upload(7))
+            .expect("creates resume too");
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_waits_for_a_held_admission_slot() {
+        let server = start(ServerConfig::default()).expect("bind");
+        let addr = server.addr();
+        let shared = Arc::clone(&server.shared);
+        let held = enter(&shared).expect("the gate starts empty");
+
+        let (done, finished) = mpsc::channel();
+        let shutter = thread::spawn(move || {
+            server.shutdown();
+            done.send(()).unwrap();
+        });
+        assert_eq!(
+            finished.recv_timeout(Duration::from_millis(200)),
+            Err(RecvTimeoutError::Timeout),
+            "shutdown returned while a query held the gate"
+        );
+        assert!(shared.draining.load(Ordering::SeqCst));
+
+        drop(held);
+        finished
+            .recv()
+            .expect("shutdown returns once the slot frees");
+        shutter.join().unwrap();
+        // The daemon is gone: new connections fail outright or are refused.
+        if let Ok(mut late) = Client::connect(addr) {
+            assert!(
+                late.health().is_err(),
+                "daemon still serving after shutdown"
+            );
+        }
+    }
 }

@@ -1,10 +1,10 @@
 //! End-to-end tests for the `minex-serve` daemon: wire-level determinism
-//! against an in-process reference solver, backpressure shedding,
-//! graceful drain, LRU eviction, and the stable error-code mapping.
+//! against an in-process reference solver, LRU eviction, and the stable
+//! error-code mapping. Admission shedding and drain are tested without
+//! timing races inside `server.rs`, which can hold a gate slot directly.
 
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -318,97 +318,4 @@ fn lru_evicts_the_coldest_session_over_http() {
     let again = client.create_session(&upload(&grid(3, 3, 1), 1)).unwrap();
     assert_eq!(again, sessions[1]);
     server.shutdown();
-}
-
-#[test]
-fn overload_sheds_with_503_instead_of_queueing() {
-    // queue_depth 1: while one min-cut holds the gate, any concurrent
-    // query must be refused with OVERLOADED — never queued unboundedly.
-    for attempt in 0..3 {
-        let server = start(ServerConfig {
-            queue_depth: 1,
-            ..ServerConfig::default()
-        })
-        .expect("bind");
-        let addr = server.addr();
-        // Large enough that the gate-holding min-cut comfortably outlasts
-        // one mst round-trip even on a fast hot path / slow scheduler —
-        // the raw-speed pass shrank query times enough that an 8x8 grid's
-        // min-cut could finish before the racing mst ever arrived.
-        let wg = grid(16, 16, 5);
-        let mut client = Client::connect(addr).unwrap();
-        let session = client.create_session(&upload(&wg, 1)).unwrap();
-
-        let slow_session = session.clone();
-        let slow = thread::spawn(move || -> Result<(), ServeError> {
-            let mut client = Client::connect(addr).unwrap();
-            loop {
-                // The racing mst below can win the gate first; keep trying
-                // until the min-cut is the one holding it.
-                match client.min_cut(&slow_session, 6) {
-                    Err(e) if e.code() == Some("OVERLOADED") => continue,
-                    other => return other.map(|_| ()),
-                }
-            }
-        });
-
-        let mut shed = 0usize;
-        let mut served = 0usize;
-        while !slow.is_finished() {
-            match client.mst(&session) {
-                Ok(_) => served += 1,
-                Err(e) if e.code() == Some("OVERLOADED") => shed += 1,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        slow.join().unwrap().expect("slow query");
-        server.shutdown();
-        if shed > 0 {
-            // After the gate freed up, service resumed (usually mid-loop;
-            // guaranteed by the post-join query below if not).
-            if served == 0 {
-                let server = default_server();
-                let mut client = Client::connect(server.addr()).unwrap();
-                let session = client.create_session(&upload(&wg, 1)).unwrap();
-                client
-                    .mst(&session)
-                    .expect("service resumes after shedding");
-                server.shutdown();
-            }
-            return;
-        }
-        // The slow query finished before we could race it; try again.
-        assert!(attempt < 2, "never observed OVERLOADED in 3 attempts");
-    }
-}
-
-#[test]
-fn shutdown_drains_in_flight_queries() {
-    let server = default_server();
-    let addr = server.addr();
-    let wg = grid(8, 8, 3);
-    let mut client = Client::connect(addr).unwrap();
-    let session = client.create_session(&upload(&wg, 1)).unwrap();
-
-    let slow = thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.min_cut(&session, 4)
-    });
-    // Let the slow query get admitted, then shut down underneath it.
-    thread::sleep(Duration::from_millis(100));
-    server.shutdown();
-
-    // The admitted query was drained, not dropped: its full response
-    // arrived even though the daemon was shutting down around it.
-    let report = slow.join().unwrap().expect("drained query completes");
-    assert!(report.value.approx_value >= report.value.exact_value);
-
-    // The daemon is gone: new connections fail outright or are refused.
-    match Client::connect(addr) {
-        Err(_) => {}
-        Ok(mut late) => match late.health() {
-            Err(_) => {}
-            Ok(v) => panic!("daemon still serving after shutdown: {v}"),
-        },
-    }
 }

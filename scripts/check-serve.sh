@@ -13,7 +13,11 @@
 #      `two_respecting` still answers; a batch keeps per-query ok/error
 #      envelopes;
 #   4. error-code mapping: DISCONNECTED/422, BAD_QUERY/400,
-#      BAD_REQUEST/400, NOT_FOUND/404 — codes and HTTP statuses both.
+#      BAD_REQUEST/400, NOT_FOUND/404 — codes and HTTP statuses both;
+#   5. transport latency: the median of 20 keep-alive health requests on
+#      one connection stays under 20 ms. A response split over small
+#      writes without TCP_NODELAY stalls ~40 ms on the client's delayed
+#      ACK; a served health check takes well under 1 ms.
 #
 # Usage: scripts/check-serve.sh <host:port>
 set -euo pipefail
@@ -119,4 +123,15 @@ req 200 DELETE "/v1/sessions/$split"
 jq -e '.deleted == true' "$tmp/body" >/dev/null || fail "delete shape"
 req 404 DELETE "/v1/sessions/$split"
 
-echo "serve OK: health, lifecycle, report shapes, and error-code mapping pass against $addr"
+# 5. Transport latency: one curl invocation, so every request after the
+# first rides the same keep-alive connection.
+rm -f "$tmp/body"
+health=()
+for _ in $(seq 1 20); do health+=(-o /dev/null "$base/v1/health"); done
+curl -sf -w '%{time_total}\n' "${health[@]}" > "$tmp/times" \
+    || fail "keep-alive health requests failed"
+median="$(sort -n "$tmp/times" | awk '{ t[NR] = $1 } END { print (t[10] + t[11]) / 2 }')"
+awk -v m="$median" 'BEGIN { exit !(m < 0.020) }' \
+    || fail "keep-alive health median ${median}s is not under 20 ms (transport stall?)"
+
+echo "serve OK: health, lifecycle, report shapes, error-code mapping, and transport latency (median ${median}s) pass against $addr"
