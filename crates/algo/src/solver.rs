@@ -83,10 +83,10 @@ use crate::components::build_per_component;
 use crate::mincut::{
     greedy_tree_packing, min_two_respecting_cut, one_respecting_cuts, stoer_wagner,
 };
-use crate::partwise::partwise_min_impl;
+use crate::partwise::{partwise_min_impl, AggTopology};
 use crate::sssp::{
-    bellman_ford_sssp, channel_distance_flood, dist_value_bits, part_centers, rescale, scale_for,
-    scale_weights, scaled_sssp, ScaledSsspOutcome,
+    bellman_ford_sssp, dist_value_bits, part_centers, rescale, scale_for, scale_weights,
+    scaled_sssp, ScaledSsspOutcome,
 };
 use crate::wire::{obj, JsonValue, ToWire};
 
@@ -1147,6 +1147,21 @@ fn encode(weight: u64, edge: EdgeId, m: u64) -> u64 {
     weight * m + edge as u64
 }
 
+/// Checks that every Borůvka candidate [`encode`]s below `u64::MAX`, the
+/// "no candidate" sentinel: `max_weight·m + (m − 1) < u64::MAX`. The same
+/// bound keeps min-cut's sums of edge weights in range.
+fn check_encodable(wg: &WeightedGraph) -> Result<(), AlgoError> {
+    let m = wg.graph().m().max(1) as u64;
+    let max_w = wg.weights().iter().copied().max().unwrap_or(0);
+    match max_w.checked_mul(m).and_then(|top| top.checked_add(m - 1)) {
+        Some(top) if top < u64::MAX => Ok(()),
+        _ => Err(AlgoError::BadQuery(format!(
+            "edge weight {max_w} is too large: with {m} edges, weights must be at most {}",
+            u64::MAX / m - 1
+        ))),
+    }
+}
+
 impl Solver {
     /// Starts configuring a session over a weighted network. The graph is
     /// **cloned** into the session at [`SolverBuilder::build`]; use
@@ -1629,7 +1644,10 @@ impl Solver {
     /// # Errors
     ///
     /// [`AlgoError::EmptyGraph`] / [`AlgoError::Disconnected`] on
-    /// structurally unfit inputs, [`AlgoError::Sim`] on simulator failures.
+    /// structurally unfit inputs, [`AlgoError::BadQuery`] when a weight is
+    /// too large for the candidate encoding `weight·m + edge` (every weight
+    /// must satisfy `weight·m + (m − 1) < u64::MAX`), [`AlgoError::Sim`] on
+    /// simulator failures.
     pub fn mst(&mut self) -> Result<Report<Mst>, AlgoError> {
         Ok(self.run(&Query::Mst)?.typed())
     }
@@ -1639,8 +1657,9 @@ impl Solver {
     ///
     /// # Errors
     ///
-    /// As [`Solver::mst`], plus [`AlgoError::BadQuery`] when `trees == 0`
-    /// or the graph has fewer than two nodes.
+    /// As [`Solver::mst`] (including its weight bound), plus
+    /// [`AlgoError::BadQuery`] when `trees == 0` or the graph has fewer
+    /// than two nodes.
     pub fn min_cut(&mut self, trees: usize) -> Result<Report<MinCut>, AlgoError> {
         self.min_cut_with(trees, true)
     }
@@ -1719,6 +1738,7 @@ impl Solver {
 
     fn boruvka_mst(&mut self) -> Result<Report<Mst>, AlgoError> {
         self.ensure_tree()?;
+        check_encodable(&self.wg)?;
         let Solver {
             ref wg,
             ref tree,
@@ -1742,8 +1762,11 @@ impl Solver {
         let mut simulated_rounds = 0usize;
         let mut charged = 0usize;
         // Shortcut for the current partition; singleton fragments need none.
+        // A phase's relabel flood and the next phase's candidate flood run
+        // on the same partition, so they share one compiled topology.
         let mut parts = singleton_partition(g);
         let mut shortcut = Shortcut::empty(parts.len());
+        let mut topo = AggTopology::compile(g, &parts, &shortcut);
         let log_n = bits_for(n.max(2));
         // Relabel ids are the identity column every phase; lease it once.
         let mut ids = scratch.lease(n, 0);
@@ -1770,7 +1793,7 @@ impl Solver {
                 trace,
                 &tags,
                 1,
-                || partwise_min_impl(g, &parts, &shortcut, &values, value_bits, config),
+                || topo.partwise_min(g, &values, value_bits, config),
                 |a| a.stats,
             )?;
             scratch.give_back(values);
@@ -1800,21 +1823,13 @@ impl Solver {
             let new_parts = Partition::from_labels(g, &label_options)
                 .expect("fragments are connected by construction");
             let new_shortcut = builder.build(g, tree, &new_parts);
+            topo = AggTopology::compile(g, &new_parts, &new_shortcut);
             let tags = PhaseLabel::new("mst", "relabel").with_attempt(phase);
             let relabel = traced(
                 trace,
                 &tags,
                 1,
-                || {
-                    partwise_min_impl(
-                        g,
-                        &new_parts,
-                        &new_shortcut,
-                        &ids,
-                        bits_for(n.max(2)),
-                        config,
-                    )
-                },
+                || topo.partwise_min(g, &ids, bits_for(n.max(2)), config),
                 |a| a.stats,
             )?;
             simulated_rounds += relabel.stats.rounds;
@@ -1865,6 +1880,7 @@ impl Solver {
         if !self.connected {
             return Err(AlgoError::Disconnected);
         }
+        check_encodable(&self.wg)?;
         let exact = stoer_wagner(self.wg.as_ref());
         let packing = greedy_tree_packing(self.wg.as_ref(), trees);
         // Distributed cost of the packing: one Borůvka MST per tree. The
@@ -2035,7 +2051,15 @@ impl Solver {
         }
         let w_min = self.check_positive_weights()?;
         let scale = scale_for(epsilon, w_min);
-        self.ensure_sssp_plan(source, scale)?;
+        self.ensure_sssp_structure(source);
+        // One topology serves the ρ flood (if this scale is new) and every
+        // phase of this query.
+        let topo = AggTopology::compile(
+            self.wg.graph(),
+            &self.parts,
+            &self.caches.sssp_structure[&source].shortcut,
+        );
+        self.ensure_sssp_plan(source, scale, &topo)?;
         let Solver {
             ref wg,
             ref parts,
@@ -2080,16 +2104,7 @@ impl Solver {
                 trace,
                 &agg_tags,
                 1,
-                || {
-                    partwise_min_impl(
-                        g,
-                        parts,
-                        &structure.shortcut,
-                        &values,
-                        entry.value_bits,
-                        config,
-                    )
-                },
+                || topo.partwise_min(g, &values, entry.value_bits, config),
                 |a| a.stats,
             )?;
             scratch.give_back(values);
@@ -2162,12 +2177,9 @@ impl Solver {
         })
     }
 
-    /// Builds (or reuses) the per-source shortcut-SSSP plan. The
-    /// scale-independent structure (source-rooted shortcut + quality) is
-    /// cached per source; only the scaled weights and the ρ flood are
-    /// per-`(source, scale)`, so an ε sweep over one source builds the
-    /// shortcut exactly once.
-    fn ensure_sssp_plan(&mut self, source: NodeId, scale: u64) -> Result<(), AlgoError> {
+    /// Builds (or reuses) the scale-independent half of the per-source
+    /// shortcut-SSSP plan: the source-rooted shortcut and its quality.
+    fn ensure_sssp_structure(&mut self, source: NodeId) {
         if !self.caches.sssp_structure.contains_key(&source) {
             let g = self.wg.graph();
             let tree = RootedTree::bfs(g, source);
@@ -2181,6 +2193,19 @@ impl Solver {
                 tr.counters.plans_built += 1;
             }
         }
+    }
+
+    /// Builds (or reuses) the per-`(source, scale)` half of the
+    /// shortcut-SSSP plan: the scaled weights and the ρ flood, run on
+    /// `topo`, the source's compiled topology. The structure is cached per
+    /// source ([`Solver::ensure_sssp_structure`]), so an ε sweep over one
+    /// source builds the shortcut exactly once.
+    fn ensure_sssp_plan(
+        &mut self,
+        source: NodeId,
+        scale: u64,
+        topo: &AggTopology,
+    ) -> Result<(), AlgoError> {
         if self.caches.sssp_plans.contains_key(&(source, scale)) {
             return Ok(());
         }
@@ -2190,7 +2215,6 @@ impl Solver {
         let n = g.n();
         let scaled = scale_weights(wg, scale);
         let value_bits = dist_value_bits(&scaled) + 1;
-        let shortcut = &self.caches.sssp_structure[&source].shortcut;
         // One-time center potentials ρ: distance from the part center inside
         // the augmented part, all parts concurrently.
         let centers = part_centers(g, &self.parts, source);
@@ -2201,21 +2225,22 @@ impl Solver {
             .collect();
         let tags = PhaseLabel::new("sssp-shortcut", "rho");
         let config = self.config;
-        let (best, rho_stats) = traced(
+        let flood = traced(
             &mut self.trace,
             &tags,
             1,
-            || channel_distance_flood(&scaled, &self.parts, shortcut, &seeds, value_bits, config),
-            |r| r.1,
+            || topo.distance_flood(&scaled, &seeds, value_bits, config),
+            |r| r.stats,
         )?;
         let rho: Vec<u64> = (0..n)
             .map(|v| match self.parts.part_of(v) {
-                Some(i) => *best[v]
-                    .get(&(i as u32))
+                Some(i) => flood
+                    .value(v, i)
                     .expect("part is connected, so its flood reaches every node"),
                 None => u64::MAX,
             })
             .collect();
+        let rho_stats = flood.stats;
         self.caches.sssp_plans.insert(
             (source, scale),
             SsspPlanEntry {
@@ -2621,6 +2646,41 @@ mod tests {
         assert!(encode(2, 5, 100) < encode(3, 0, 100));
         assert!(encode(2, 5, 100) > encode(2, 4, 100));
         assert_eq!((encode(7, 42, 100) % 100) as EdgeId, 42);
+    }
+
+    /// A 4-cycle whose edge 0 weighs `heavy`; the MST is edges 1..=3. The
+    /// bandwidth fits 64-bit candidates, so only the encoding can fail.
+    fn heavy_cycle(heavy: u64) -> Solver {
+        let g = generators::cycle(4);
+        assert_eq!(g.endpoints(0), (0, 1));
+        Solver::builder(&WeightedGraph::new(g, vec![heavy, 5, 6, 7]))
+            .config(CongestConfig::for_nodes(4).with_bandwidth(128))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn mst_and_min_cut_reject_weights_that_overflow_the_encoding() {
+        // 2^62·4 wraps to 0 in u64: unchecked, edge 0 would look lightest
+        // and the MST would come back as [0, 1, 2].
+        let mut solver = heavy_cycle(1 << 62);
+        assert!(matches!(solver.mst(), Err(AlgoError::BadQuery(_))));
+        assert!(matches!(solver.min_cut(1), Err(AlgoError::BadQuery(_))));
+        // One above the bound: (2^62 − 1)·4 + 3 = u64::MAX, the sentinel.
+        let mut solver = heavy_cycle((1 << 62) - 1);
+        assert!(matches!(solver.mst(), Err(AlgoError::BadQuery(_))));
+    }
+
+    #[test]
+    fn weights_at_the_encoding_bound_are_answered_exactly() {
+        // (2^62 − 2)·4 + 3 = u64::MAX − 4: the largest weight m = 4 allows.
+        let heavy = (1u64 << 62) - 2;
+        let mut solver = heavy_cycle(heavy);
+        let mst = solver.mst().unwrap().value;
+        assert_eq!(mst.edges, vec![1, 2, 3]);
+        assert_eq!(mst.total_weight, 18);
+        let cut = solver.min_cut(2).unwrap().value;
+        assert_eq!((cut.approx_value, cut.exact_value), (11, 11));
     }
 
     #[test]

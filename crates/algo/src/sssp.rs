@@ -31,13 +31,11 @@
 //! The shortcut construction itself is charged analytically at
 //! `quality · ⌈log₂ n⌉` rounds per \[HIZ16a\], mirroring [`crate::mst`].
 
-use std::collections::HashMap;
-
 use minex_congest::primitives::{build_bfs_tree, weighted_distance_flood};
-use minex_congest::{bits_for, run, CongestConfig, Ctx, NodeProgram, Payload, RunStats, SimError};
+use minex_congest::{bits_for, CongestConfig, RunStats, SimError};
 use minex_core::construct::ShortcutBuilder;
-use minex_core::{Partition, Shortcut};
-use minex_graphs::dist::{dist_add, dist_mul, UNREACHED};
+use minex_core::Partition;
+use minex_graphs::dist::{dist_mul, UNREACHED};
 use minex_graphs::{traversal, Graph, NodeId, WeightedGraph};
 
 use crate::solver::{into_sim, PartsStrategy, Solver, Tier};
@@ -278,153 +276,6 @@ pub fn scaled_sssp(
     })
 }
 
-/// A `(channel, value)` flood message with honest bit accounting, used by
-/// the part-wise center-distance flood.
-#[derive(Debug, Clone)]
-pub struct ChannelMsg {
-    channel: u32,
-    value: u64,
-    channel_bits: usize,
-    value_bits: usize,
-}
-
-impl Payload for ChannelMsg {
-    fn bit_size(&self) -> usize {
-        self.channel_bits + self.value_bits
-    }
-}
-
-/// Per-node program of the channel distance flood: like
-/// the part-wise minimum engine, but values accumulate edge weights as they
-/// travel, so channel `i` converges to distances from its seeds inside
-/// `G[P_i] + H_i`. One message per incident edge per round; parts sharing an
-/// edge queue behind each other — the congestion mechanism of Theorem 1.
-#[derive(Debug, Clone)]
-struct ChannelFloodNode {
-    /// Sorted `(neighbor, edge weight, channels shared with that neighbor)`.
-    links: Vec<(NodeId, u64, Vec<u32>)>,
-    /// Best known value per channel.
-    best: HashMap<u32, u64>,
-    /// Outgoing queues: per link index, pending per-channel updates.
-    pending: Vec<HashMap<u32, u64>>,
-    channel_bits: usize,
-    value_bits: usize,
-}
-
-impl ChannelFloodNode {
-    fn enqueue_update(&mut self, channel: u32, value: u64, skip: Option<NodeId>) {
-        for (li, (nb, _, channels)) in self.links.iter().enumerate() {
-            if Some(*nb) == skip {
-                continue;
-            }
-            if channels.binary_search(&channel).is_ok() {
-                let entry = self.pending[li].entry(channel).or_insert(u64::MAX);
-                if value < *entry {
-                    *entry = value;
-                }
-            }
-        }
-    }
-
-    fn absorb(&mut self, channel: u32, value: u64, skip: Option<NodeId>) {
-        let improves = self.best.get(&channel).map_or(true, |&cur| value < cur);
-        if improves {
-            self.best.insert(channel, value);
-            self.enqueue_update(channel, value, skip);
-        }
-    }
-}
-
-impl NodeProgram for ChannelFloodNode {
-    type Msg = ChannelMsg;
-
-    fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        // Read the inbox by reference (all sends happen below, after the
-        // reads) — the hot loop allocates nothing.
-        for &(from, ref msg) in ctx.inbox() {
-            let w = self
-                .links
-                .binary_search_by_key(&from, |&(nb, _, _)| nb)
-                .map(|i| self.links[i].1)
-                .expect("sender is a neighbor");
-            self.absorb(msg.channel, dist_add(msg.value, w), Some(from));
-        }
-        for li in 0..self.links.len() {
-            if self.pending[li].is_empty() {
-                continue;
-            }
-            let (&channel, &value) = self.pending[li]
-                // minex-lint: allow(D001) min over the total-order key (value, channel) is iteration-order-insensitive
-                .iter()
-                .min_by_key(|(&c, &v)| (v, c))
-                .expect("non-empty queue");
-            self.pending[li].remove(&channel);
-            // Drop values a better flood already beat.
-            if self.best.get(&channel).is_some_and(|&b| b < value) {
-                continue;
-            }
-            let to = self.links[li].0;
-            ctx.send(
-                to,
-                ChannelMsg {
-                    channel,
-                    value,
-                    channel_bits: self.channel_bits,
-                    value_bits: self.value_bits,
-                },
-            );
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.pending.iter().all(HashMap::is_empty)
-    }
-}
-
-/// Floods weighted distances from per-channel seeds over each part's
-/// augmented subgraph `G[P_i] + H_i`, all parts concurrently under the
-/// global CONGEST budget. Returns each node's best value per channel.
-///
-/// # Errors
-///
-/// Propagates [`SimError`].
-pub(crate) fn channel_distance_flood(
-    wg: &WeightedGraph,
-    parts: &Partition,
-    shortcut: &Shortcut,
-    seeds: &[(NodeId, u32, u64)],
-    value_bits: usize,
-    config: CongestConfig,
-) -> Result<(Vec<HashMap<u32, u64>>, RunStats), SimError> {
-    let g = wg.graph();
-    let channel_bits = bits_for(parts.len().max(2));
-    // Same edge → parts rule as partwise_min: e ∈ H_i or both ends in P_i.
-    let channels = crate::partwise::parts_of_edge(g, parts, shortcut);
-    let mut programs: Vec<ChannelFloodNode> = (0..g.n())
-        .map(|v| {
-            let mut links: Vec<(NodeId, u64, Vec<u32>)> = Vec::new();
-            for (w, e) in g.neighbors(v) {
-                if !channels[e].is_empty() {
-                    links.push((w, wg.weight(e), channels[e].clone()));
-                }
-            }
-            links.sort_by_key(|&(nb, _, _)| nb);
-            ChannelFloodNode {
-                pending: vec![HashMap::new(); links.len()],
-                links,
-                best: HashMap::new(),
-                channel_bits,
-                value_bits,
-            }
-        })
-        .collect();
-    for &(v, channel, value) in seeds {
-        programs[v].absorb(channel, value, None);
-    }
-    let stats = run(g, &mut programs, config)?;
-    Ok((programs.into_iter().map(|p| p.best).collect(), stats))
-}
-
 /// Per-part centers: the node of minimum hop eccentricity within the
 /// induced part subgraph (ties to the smallest id), except that the part
 /// containing `source` is centered at `source` itself so near-source
@@ -550,9 +401,11 @@ pub fn compare_sssp<B: ShortcutBuilder + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partwise::AggTopology;
     use crate::solver::{PartsStrategy, Solver, Sssp, SsspDetail, Tier};
     use crate::workloads;
     use minex_core::construct::{AutoCappedBuilder, WholeTreeBuilder};
+    use minex_core::Shortcut;
     use minex_graphs::{generators, WeightModel};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -685,13 +538,15 @@ mod tests {
         let wg = WeightModel::Uniform { lo: 1, hi: 30 }.apply(&g, &mut rng);
         let parts = Partition::new(&g, vec![(0..g.n()).collect()]).unwrap();
         let shortcut = Shortcut::empty(1);
-        let (per_node, stats) =
-            channel_distance_flood(&wg, &parts, &shortcut, &[(4, 0, 0)], 24, cfg(g.n())).unwrap();
+        let topo = AggTopology::compile(&g, &parts, &shortcut);
+        let flood = topo
+            .distance_flood(&wg, &[(4, 0, 0)], 24, cfg(g.n()))
+            .unwrap();
         let d = traversal::dijkstra(&wg, 4);
-        for (v, channels) in per_node.iter().enumerate() {
-            assert_eq!(channels[&0], d.dist[v], "node {v}");
+        for v in 0..g.n() {
+            assert_eq!(flood.value(v, 0), Some(d.dist[v]), "node {v}");
         }
-        assert!(stats.rounds > 0);
+        assert!(flood.stats.rounds > 0);
     }
 
     #[test]

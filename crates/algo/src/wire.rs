@@ -487,17 +487,22 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(&b) if b < 0x20 => {
+                    return Err(self.fail("unescaped control character"));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
+                    // Consume a run of plain bytes, validating it once. The
+                    // run ends at `"`, `\` or a control byte — all ASCII,
+                    // so it ends on a char boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.fail("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(self.fail("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
+                        .map_err(|_| self.fail("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -1528,6 +1533,22 @@ mod tests {
             JsonValue::parse(r#""\ud83d\ude00""#).unwrap().as_str(),
             Some("\u{1F600}")
         );
+    }
+
+    #[test]
+    fn json_strings_parse_in_runs() {
+        // Multi-byte runs between escapes come through whole.
+        assert_eq!(
+            JsonValue::parse("\"héllo\\tw\u{f6}rld \u{1F600}\\\"\u{e9}\"")
+                .unwrap()
+                .as_str(),
+            Some("héllo\twörld \u{1F600}\"é")
+        );
+        // Errors name the byte they stop at.
+        let err = |text: &str| JsonValue::parse(text).unwrap_err().to_string();
+        assert!(err("\"ab\u{1}c\"").contains("unescaped control character at byte 3"));
+        assert!(err("\"é\u{1f}\"").contains("unescaped control character at byte 3"));
+        assert!(err("\"abc").contains("unterminated string at byte 4"));
     }
 
     #[test]

@@ -10,7 +10,8 @@ use crate::soa::Outbox;
 /// A node knows: its own id, the current round number, its incident edges
 /// (ids and the neighbor on the other side — "ports" in the CONGEST model),
 /// and the messages that arrived this round. It acts by calling
-/// [`send`](Ctx::send) / [`broadcast`](Ctx::broadcast).
+/// [`send`](Ctx::send) / [`send_via`](Ctx::send_via) /
+/// [`broadcast`](Ctx::broadcast).
 #[derive(Debug)]
 pub struct Ctx<'a, M: Payload> {
     graph: &'a (dyn GraphView + Sync),
@@ -77,6 +78,18 @@ impl<'a, M: Payload> Ctx<'a, M> {
     /// returns.
     pub fn send(&mut self, to: NodeId, msg: M) {
         self.outbox.push(to, msg);
+    }
+
+    /// [`send`](Self::send) over a known edge: `edge` is the id of the edge
+    /// between this node and `to`, as [`neighbors`](Self::neighbors)
+    /// reports it. The unicast twin of [`broadcast`](Self::broadcast)'s
+    /// hint — the validator takes the id instead of looking the edge up, so
+    /// a hot per-link loop skips one `edge_between` search per message.
+    /// Per-edge uniqueness and bandwidth are checked as for `send`, but
+    /// neighborship rests on the id: a wrong `edge` is a program bug, which
+    /// debug builds catch by asserting it against `edge_between`.
+    pub fn send_via(&mut self, to: NodeId, edge: EdgeId, msg: M) {
+        self.outbox.push_via(to, edge, msg);
     }
 
     /// Sends `msg` to every neighbor, walking the CSR row directly (no

@@ -219,7 +219,8 @@ impl SendValidator {
     /// already pays for it, and telemetry sinks key per-link load by it).
     ///
     /// `hint` is the outbox's edge-id hint column entry: broadcasts record
-    /// the CSR edge id at queue time, so the `edge_between` binary search
+    /// the CSR edge id at queue time and `send_via` records the id its
+    /// caller read from its port list, so the `edge_between` binary search
     /// is skipped for them; [`NO_HINT`] (plain `send`) pays the lookup.
     /// Hints originate from the graph's own CSR row, so taking them at
     /// face value cannot change which sends are accepted — the check order
@@ -744,9 +745,9 @@ mod tests {
         }
     }
 
-    /// Mixes hinted broadcasts with unhinted targeted sends,
-    /// data-dependently, so the SoA engines drive both validator paths
-    /// against the AoS reference in one run.
+    /// Mixes hinted broadcasts, hinted targeted sends (`send_via`) and
+    /// unhinted targeted sends, data-dependently, so the SoA engines drive
+    /// every validator path against the AoS reference in one run.
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Mixer {
         acc: u64,
@@ -767,13 +768,17 @@ mod tests {
                 if self.acc % 2 == 0 {
                     ctx.broadcast(self.acc);
                 } else {
-                    let targets: Vec<NodeId> = ctx
+                    let targets: Vec<(NodeId, EdgeId)> = ctx
                         .neighbors()
                         .filter(|&(w, _)| (self.acc ^ w as u64) % 3 != 0)
-                        .map(|(w, _)| w)
                         .collect();
-                    for w in targets {
-                        ctx.send(w, self.acc ^ w as u64);
+                    let hinted = self.acc % 4 == 1;
+                    for (w, e) in targets {
+                        if hinted {
+                            ctx.send_via(w, e, self.acc ^ w as u64);
+                        } else {
+                            ctx.send(w, self.acc ^ w as u64);
+                        }
                     }
                 }
             }

@@ -17,7 +17,8 @@
 //!
 //! [`Outbox`] additionally carries an *edge-id hint* column:
 //! `Ctx::broadcast` walks the CSR row, so it knows the edge id of every
-//! target already and the validator can skip the per-message
+//! target already, and `Ctx::send_via` passes the id a program read from
+//! its port list; either way the validator can skip the per-message
 //! `edge_between` binary search ([`NO_HINT`] marks plain `send`s, which
 //! still pay the lookup). Hints never change observable behaviour — a hint
 //! is only ever the edge id `edge_between` would have found — and the
@@ -29,7 +30,7 @@
 //! which no graph can have as a node, so it still fails validation as the
 //! not-a-neighbor it is.
 
-use minex_graphs::NodeId;
+use minex_graphs::{EdgeId, NodeId};
 
 /// Hint-column sentinel: "sender did not know the edge id, look it up".
 pub(crate) const NO_HINT: u32 = u32::MAX;
@@ -81,8 +82,20 @@ impl<M> Outbox<M> {
     /// Queues one targeted send with no edge hint.
     #[inline]
     pub(crate) fn push(&mut self, to: NodeId, msg: M) {
+        self.push_hinted(to, NO_HINT, msg);
+    }
+
+    /// Queues one targeted send whose edge id the sender already knows
+    /// (an id that does not fit the `u32` column degrades to [`NO_HINT`]).
+    #[inline]
+    pub(crate) fn push_via(&mut self, to: NodeId, edge: EdgeId, msg: M) {
+        self.push_hinted(to, u32::try_from(edge).unwrap_or(NO_HINT), msg);
+    }
+
+    #[inline]
+    fn push_hinted(&mut self, to: NodeId, hint: u32, msg: M) {
         self.dsts.push(clamp_id(to));
-        self.hints.push(NO_HINT);
+        self.hints.push(hint);
         self.payloads.push(msg);
     }
 }

@@ -164,6 +164,35 @@ fn batches_run_back_to_back_and_match_the_reference() {
 }
 
 #[test]
+fn a_four_mib_string_body_is_answered_in_linear_time() {
+    // A string parses in one validation pass per run of plain bytes. A
+    // parser that rescans the rest of the input for every character needs
+    // hours for this body, so the loose bound cannot flake.
+    let server = default_server();
+    let addr = server.addr();
+    let (tx, rx) = std::sync::mpsc::channel();
+    thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        let body = JsonValue::Str("a".repeat(4 << 20));
+        let answer = client.request_raw("POST", "/v1/sessions", Some(&body));
+        tx.send(answer.map_err(|e| e.to_string())).unwrap();
+    });
+    let (status, text) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a 4 MiB string body is answered within 60 s")
+        .unwrap();
+    assert_eq!(status, 400);
+    assert_eq!(
+        JsonValue::parse(&text)
+            .unwrap()
+            .get("code")
+            .and_then(JsonValue::as_str),
+        Some("BAD_REQUEST")
+    );
+    server.shutdown();
+}
+
+#[test]
 fn error_codes_map_stably_over_the_wire() {
     let server = default_server();
     let mut client = Client::connect(server.addr()).unwrap();
