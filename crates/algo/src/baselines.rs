@@ -3,8 +3,6 @@
 //! algorithm [GKP98, KP08] — the incumbents the paper's `Õ(D²)` result is
 //! measured against in E6/E7.
 
-use std::collections::BTreeMap;
-
 use minex_congest::{bits_for, CongestConfig, SimError};
 use minex_core::construct::ShortcutBuilder;
 use minex_core::{Partition, RootedTree, Shortcut};
@@ -261,38 +259,6 @@ pub fn compare_mst<B: ShortcutBuilder + Send + 'static>(
     })
 }
 
-/// Fragments produced by a few shortcut-free Borůvka phases — a realistic
-/// "parts" workload for shortcut experiments.
-pub fn boruvka_fragments(wg: &WeightedGraph, phases: usize) -> Partition {
-    let g = wg.graph();
-    let m = g.m().max(1) as u64;
-    let mut uf = UnionFind::new(g.n());
-    for _ in 0..phases {
-        let mut best: BTreeMap<usize, u64> = BTreeMap::new();
-        for v in 0..g.n() {
-            for (w, e) in g.neighbors(v) {
-                if uf.find(v) != uf.find(w) {
-                    let enc = wg.weight(e) * m + e as u64;
-                    let entry = best.entry(uf.find(v)).or_insert(u64::MAX);
-                    if enc < *entry {
-                        *entry = enc;
-                    }
-                }
-            }
-        }
-        for (_, enc) in best {
-            if enc != u64::MAX {
-                let e = (enc % m) as EdgeId;
-                let (u, v) = g.endpoints(e);
-                uf.union(u, v);
-            }
-        }
-    }
-    let (labels, _) = uf.labels();
-    let options: Vec<Option<usize>> = labels.into_iter().map(Some).collect();
-    Partition::from_labels(g, &options).expect("fragments are connected")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,20 +313,6 @@ mod tests {
         assert!(cmp.shortcut_rounds > 0);
         assert!(cmp.gkp_rounds > 0);
         assert!(cmp.naive_rounds > 0);
-    }
-
-    #[test]
-    fn fragments_are_connected_parts() {
-        let g = generators::triangulated_grid(6, 6);
-        let mut rng = StdRng::seed_from_u64(5);
-        let wg = WeightModel::DistinctShuffled.apply(&g, &mut rng);
-        for phases in [0, 1, 2, 3] {
-            let parts = boruvka_fragments(&wg, phases);
-            assert!(!parts.is_empty());
-            if phases == 0 {
-                assert_eq!(parts.len(), g.n());
-            }
-        }
     }
 
     #[test]

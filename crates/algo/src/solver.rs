@@ -5,8 +5,9 @@
 //! simultaneously accelerates MST (Corollary 1), min-cut, shortest paths,
 //! and every other part-wise aggregation problem. A [`Solver`] session
 //! computes its [`ShortcutPlan`] — BFS tree, partition, shortcut, quality
-//! measurement — **once**, caches it (together with per-source SSSP plans
-//! and their center potentials), and serves repeated queries.
+//! measurement — **once**, caches it, and serves repeated queries. The
+//! shortcut SSSP tier roots its own shortcut at the query's source, so it
+//! builds that shortcut (and its center potentials) on every fresh query.
 //!
 //! Every question a session answers is a [`Query`], and [`Solver::run`]
 //! is the one path that answers it: it returns a [`Report`] of an
@@ -29,7 +30,8 @@
 //! original run (the CONGEST *model* cost is unchanged; only wall-clock
 //! time is saved). The memo holds at most 256 reports — past that, new
 //! queries are answered without being stored — and [`Solver::apply`]
-//! drops it whenever the graph changes.
+//! drops it whenever the graph changes. It is the session's only cache
+//! besides the plan.
 //!
 //! ```
 //! use minex_algo::solver::{Answer, PartsStrategy, Query, Solver, Tier};
@@ -86,7 +88,7 @@ use crate::mincut::{
 use crate::partwise::{partwise_min_impl, AggTopology};
 use crate::sssp::{
     bellman_ford_sssp, dist_value_bits, part_centers, rescale, scale_for, scale_weights,
-    scaled_sssp, ScaledSsspOutcome,
+    scaled_sssp,
 };
 use crate::wire::{obj, JsonValue, ToWire};
 
@@ -216,26 +218,12 @@ pub struct ReportStats {
 }
 
 impl ReportStats {
-    fn from_runs(
-        simulated_rounds: usize,
-        charged_construction_rounds: usize,
-        runs: Vec<PhaseRun>,
-    ) -> Self {
-        let stats = ReportStats {
-            simulated_rounds,
+    fn from_runs(charged_construction_rounds: usize, runs: Vec<PhaseRun>) -> Self {
+        ReportStats {
+            simulated_rounds: runs.iter().map(|r| r.stats.rounds * r.repeats).sum(),
             charged_construction_rounds,
             runs,
-        };
-        debug_assert_eq!(
-            stats.simulated_rounds,
-            stats
-                .runs
-                .iter()
-                .map(|r| r.stats.rounds * r.repeats)
-                .sum::<usize>(),
-            "per-run rounds must add up to the simulated total"
-        );
-        stats
+        }
     }
 
     /// Simulated plus charged rounds — the paper's end-to-end figure.
@@ -274,8 +262,8 @@ pub struct SessionCounters {
     /// Queries that computed fresh (and joined the memo while it was under
     /// its cap).
     pub memo_misses: usize,
-    /// Shortcut plans constructed (the session plan plus per-source SSSP
-    /// structures).
+    /// Shortcut plans constructed: the session plan, plus the
+    /// source-rooted shortcut every fresh shortcut-tier SSSP builds.
     pub plans_built: usize,
     /// Cached plans carried through [`ShortcutPlan::repair`] by `apply`.
     pub plan_repairs: usize,
@@ -283,7 +271,7 @@ pub struct SessionCounters {
     pub parts_rebuilt: usize,
     /// Parts whose shortcut edges were reused (remapped) during repairs.
     pub parts_reused: usize,
-    /// Memoized results and cached plan fragments dropped by `apply`.
+    /// Memoized reports dropped by `apply`.
     pub memos_dropped: usize,
 }
 
@@ -443,28 +431,71 @@ impl SessionTrace {
     }
 }
 
-/// Runs one simulator-backed phase. When the session is traced, the call is
-/// bracketed with [`Sink::on_phase_enter`] / [`Sink::on_phase_exit`] on the
-/// trace profile and every `minex_congest::run` inside `f` records into it
-/// (via [`telemetry::record`]); untraced sessions pay nothing but the
-/// `Option` check.
-fn traced<T, E>(
-    trace: &mut Option<SessionTrace>,
-    label: &PhaseLabel,
-    repeats: usize,
-    f: impl FnOnce() -> Result<T, E>,
-    stats_of: impl FnOnce(&T) -> RunStats,
-) -> Result<T, E> {
-    match trace.as_mut() {
-        None => f(),
-        Some(tr) => {
-            tr.profile.on_phase_enter(label);
-            let result = telemetry::record(&mut tr.profile, f);
-            // Failed phases close their span with zero stats; the engine
-            // already recorded the rejection event into the profile.
-            let stats = result.as_ref().map(stats_of).unwrap_or_default();
-            tr.profile.on_phase_exit(label, stats, repeats);
-            result
+/// The runs of one fresh query, in execution order. Every simulator-backed
+/// phase goes through [`Ledger::run`], which traces it and records its
+/// [`PhaseRun`], so a report and a trace see the same runs. The one
+/// exception is min-cut's tree packing, which charges the memoized MST
+/// report's runs once per tree without re-running them.
+struct Ledger<'t> {
+    trace: &'t mut Option<SessionTrace>,
+    runs: Vec<PhaseRun>,
+}
+
+impl<'t> Ledger<'t> {
+    fn new(trace: &'t mut Option<SessionTrace>) -> Self {
+        Ledger {
+            trace,
+            runs: Vec::new(),
+        }
+    }
+
+    /// Runs one phase as a traced span and records it as one run.
+    fn run<T, E>(
+        &mut self,
+        tags: PhaseLabel,
+        repeats: usize,
+        f: impl FnOnce() -> Result<T, E>,
+        stats_of: impl Fn(&T) -> RunStats,
+    ) -> Result<T, E> {
+        let out = self.span(&tags, repeats, f, &stats_of)?;
+        self.runs.push(PhaseRun {
+            tags,
+            stats: stats_of(&out),
+            repeats,
+        });
+        Ok(out)
+    }
+
+    /// Runs `f` as one span of the trace profile without recording a run.
+    /// When the session is traced, the call is bracketed with
+    /// [`Sink::on_phase_enter`] / [`Sink::on_phase_exit`] and every
+    /// `minex_congest::run` inside `f` records into the profile (via
+    /// [`telemetry::record`]); untraced sessions pay nothing but the
+    /// `Option` check.
+    fn span<T, E>(
+        &mut self,
+        label: &PhaseLabel,
+        repeats: usize,
+        f: impl FnOnce() -> Result<T, E>,
+        stats_of: impl FnOnce(&T) -> RunStats,
+    ) -> Result<T, E> {
+        let Some(tr) = self.trace.as_mut() else {
+            return f();
+        };
+        tr.profile.on_phase_enter(label);
+        let result = telemetry::record(&mut tr.profile, f);
+        // Failed phases close their span with zero stats; the engine
+        // already recorded the rejection event into the profile.
+        let stats = result.as_ref().map(stats_of).unwrap_or_default();
+        tr.profile.on_phase_exit(label, stats, repeats);
+        result
+    }
+
+    /// The report of `value` over the recorded runs.
+    fn report<T>(self, value: T, charged_construction_rounds: usize) -> Report<T> {
+        Report {
+            value,
+            stats: ReportStats::from_runs(charged_construction_rounds, self.runs),
         }
     }
 }
@@ -888,8 +919,7 @@ impl<'a> SolverBuilder<'a> {
             connected,
             tree: None,
             plan: None,
-            caches: Caches::default(),
-            scratch: ScratchArena::default(),
+            memo: HashMap::new(),
             trace: self.trace.then(SessionTrace::default),
         })
     }
@@ -947,113 +977,12 @@ fn resolve_parts(
         .map_err(|e| AlgoError::BadQuery(format!("partition strategy failed: {e:?}")))
 }
 
-/// The scale-independent half of a per-source shortcut-SSSP plan: the
-/// source-rooted shortcut over the session partition and its measured
-/// quality (the BFS tree is only needed during construction).
-#[derive(Debug, Clone)]
-struct SsspStructure {
-    shortcut: Shortcut,
-    quality: usize,
-}
-
-/// The scale-dependent half, keyed by `(source, scale)`: the scaled
-/// weights and the center potentials `ρ` with the stats of the flood that
-/// computed them. Replaying the cached flood stats keeps repeated queries
-/// byte-identical to a fresh run.
-#[derive(Debug, Clone)]
-struct SsspPlanEntry {
-    scaled: WeightedGraph,
-    rho: Vec<u64>,
-    rho_stats: RunStats,
-    value_bits: usize,
-}
-
 /// Cap on the result memo: an entry can own `O(n)` vectors (a part-wise
 /// values key, distances, minima), so a long-lived session serving many
 /// *distinct* queries must not grow without bound. Past the cap new
 /// reports are computed without being stored — correctness is unaffected,
 /// and repeats of the stored queries stay fast.
 const MEMO_CAP: usize = 256;
-
-/// Cap on the per-source SSSP plan caches (`sssp_structure`,
-/// `sssp_plans`), whose entries own a `Shortcut` resp. a scaled
-/// `WeightedGraph` + ρ vector. These are indexed unconditionally after
-/// `ensure_sssp_plan`, so instead of skipping inserts the maps are cleared
-/// generationally when full — a source sweep stays bounded and the hot
-/// working set immediately repopulates.
-const PLAN_CACHE_CAP: usize = 64;
-
-/// Generational bound: clears `map` when inserting the next entry would
-/// exceed `cap`.
-fn evict_generation<K, V>(map: &mut HashMap<K, V>, cap: usize) {
-    if map.len() >= cap {
-        map.clear();
-    }
-}
-
-#[derive(Debug, Default)]
-struct Caches {
-    /// Scale-independent shortcut-SSSP structure, keyed by source.
-    sssp_structure: HashMap<NodeId, SsspStructure>,
-    /// Scale-dependent shortcut-SSSP plans keyed by `(source, scale)`.
-    sssp_plans: HashMap<(NodeId, u64), SsspPlanEntry>,
-    /// Query results, bounded by [`MEMO_CAP`]. Every query is a
-    /// deterministic pure function of (plan, query): the simulator has no
-    /// hidden state and no randomness, so serving a repeated query from
-    /// the memo is byte-identical to re-running it — only the wall clock
-    /// changes.
-    memo: HashMap<Query, Report<Answer>>,
-}
-
-impl Caches {
-    /// Drops every cached plan piece and memoized report — all of them are
-    /// keyed (explicitly or implicitly) by the session graph, so any edge
-    /// mutation invalidates the lot. Returns how many entries were
-    /// discarded, for [`RepairStats::memos_dropped`].
-    fn invalidate(&mut self) -> usize {
-        let dropped = self.sssp_structure.len() + self.sssp_plans.len() + self.memo.len();
-        *self = Caches::default();
-        dropped
-    }
-}
-
-/// Per-session scratch arena: a pool of node-sized `u64` columns the query
-/// hot paths lease instead of allocating. The Borůvka drives and the
-/// overlay-SSSP phase loop each burn several `vec![u64::MAX; n]`-shaped
-/// buffers *per phase* (candidate values, relabel ids, previous-distance
-/// snapshots); on a plan-once / query-many session those allocations
-/// dominate the central bookkeeping cost. Leasing recycles the backing
-/// allocations across phases and across queries.
-///
-/// Buffers are handed back explicitly ([`ScratchArena::give_back`]); a
-/// buffer dropped on an early `?` return simply leaves the pool — the next
-/// lease falls back to a fresh allocation, so errors cost a little reuse,
-/// never correctness. The arena holds no query state between leases
-/// (`lease` re-fills every slot), so it is invisible to results, the memo,
-/// and traces.
-#[derive(Debug, Default)]
-struct ScratchArena {
-    pool: Vec<Vec<u64>>,
-}
-
-impl ScratchArena {
-    /// Leases a buffer of length `n` with every slot set to `fill`.
-    fn lease(&mut self, n: usize, fill: u64) -> Vec<u64> {
-        match self.pool.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(n, fill);
-                buf
-            }
-            None => vec![fill; n],
-        }
-    }
-
-    /// Returns a leased buffer's allocation to the pool.
-    fn give_back(&mut self, buf: Vec<u64>) {
-        self.pool.push(buf);
-    }
-}
 
 /// What [`Solver::apply`] did to the session: how the mutation batch
 /// decomposed, whether the cached plan was repaired incrementally, and how
@@ -1065,7 +994,7 @@ pub struct RepairStats {
     /// Edges deleted by the batch.
     pub deleted: usize,
     /// The batch cancelled out (same edge set, same weights): the session —
-    /// including every cache and memo — was left untouched.
+    /// including its plan and memo — was left untouched.
     pub noop: bool,
     /// Whether the session graph is connected after the batch.
     pub connected: bool,
@@ -1077,7 +1006,7 @@ pub struct RepairStats {
     pub plan_repaired: bool,
     /// Plan-level repair statistics (all zero unless `plan_repaired`).
     pub plan: PlanRepairStats,
-    /// Memoized query results and cached plan fragments dropped.
+    /// Memoized reports dropped.
     pub memos_dropped: usize,
 }
 
@@ -1114,8 +1043,8 @@ fn induces_connected(g: &Graph, part: &[NodeId]) -> bool {
 /// `Solver` is `'static` and `Send`: it can outlive the request handler
 /// that configured it and move between threads — the property the
 /// `minex-serve` daemon's session fleet is built on. A `Solver` is *not*
-/// `Sync` by design: queries take `&mut self` (they fill the caches and
-/// the memo), so concurrent callers must serialize through a lock, which
+/// `Sync` by design: queries take `&mut self` (they fill the plan and the
+/// memo), so concurrent callers must serialize through a lock, which
 /// is exactly the per-session request serialization the wire API
 /// documents.
 #[derive(Debug)]
@@ -1131,8 +1060,12 @@ pub struct Solver {
     connected: bool,
     tree: Option<RootedTree>,
     plan: Option<ShortcutPlan>,
-    caches: Caches,
-    scratch: ScratchArena,
+    /// Query reports, bounded by [`MEMO_CAP`]. Every query is a
+    /// deterministic pure function of (plan, query): the simulator has no
+    /// hidden state and no randomness, so serving a repeated query from
+    /// the memo is byte-identical to re-running it — only the wall clock
+    /// changes.
+    memo: HashMap<Query, Report<Answer>>,
     trace: Option<SessionTrace>,
 }
 
@@ -1344,10 +1277,14 @@ impl Solver {
             self.parts.clone(),
             &self.builder,
         ));
+        self.note_plan_built();
+        Ok(())
+    }
+
+    fn note_plan_built(&mut self) {
         if let Some(tr) = self.trace.as_mut() {
             tr.counters.plans_built += 1;
         }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1478,7 +1415,7 @@ impl Solver {
         }
         if new_g == *old && new_weights == self.wg.weights() {
             // The batch cancelled out. Nothing is invalidated — keep the
-            // plan, the caches, and every memo.
+            // plan and every memo.
             stats.noop = true;
             self.note_query("apply", None, None, &ReportStats::default(), Some(stats));
             return Ok(stats);
@@ -1509,7 +1446,7 @@ impl Solver {
             _ => (None, None),
         };
         // Commit.
-        stats.memos_dropped = self.caches.invalidate();
+        stats.memos_dropped = std::mem::take(&mut self.memo).len();
         self.wg = Arc::new(WeightedGraph::new(new_g, new_weights));
         self.parts = parts;
         self.connected = connected;
@@ -1598,7 +1535,7 @@ impl Solver {
     /// report of `query`, and whether it was a memo hit. Min-cut calls it
     /// for its inner MST.
     fn memoized(&mut self, query: &Query) -> Result<(Report<Answer>, bool), AlgoError> {
-        if let Some(report) = self.caches.memo.get(query) {
+        if let Some(report) = self.memo.get(query) {
             return Ok((report.clone(), true));
         }
         let report = match *query {
@@ -1629,8 +1566,8 @@ impl Solver {
                 .plan_partwise_min(values, value_bits)?
                 .map(Answer::PartwiseMin),
         };
-        if self.caches.memo.len() < MEMO_CAP {
-            self.caches.memo.insert(query.clone(), report.clone());
+        if self.memo.len() < MEMO_CAP {
+            self.memo.insert(query.clone(), report.clone());
         }
         Ok((report, false))
     }
@@ -1684,11 +1621,10 @@ impl Solver {
 
     /// Single-source shortest paths in the selected [`Tier`].
     ///
-    /// The shortcut tier runs over the session partition; its per-source
-    /// plan (source-rooted tree, shortcut, center potentials ρ) is cached
-    /// keyed by `(source, weight scale)`, so a query that misses the memo
-    /// still skips the construction and the one-time ρ flood while
-    /// reporting identical statistics.
+    /// The shortcut tier runs over the session partition. A query that
+    /// misses the memo builds its source-rooted tree and shortcut, floods
+    /// the center potentials ρ, and runs its phases; only the memo skips
+    /// that work for a repeated query.
     ///
     /// # Errors
     ///
@@ -1744,7 +1680,6 @@ impl Solver {
             ref tree,
             ref builder,
             config,
-            ref mut scratch,
             ref mut trace,
             ..
         } = *self;
@@ -1758,8 +1693,7 @@ impl Solver {
         let mut uf = UnionFind::new(n);
         let mut chosen: Vec<EdgeId> = Vec::new();
         let mut phases = 0;
-        let mut runs = Vec::new();
-        let mut simulated_rounds = 0usize;
+        let mut ledger = Ledger::new(trace);
         let mut charged = 0usize;
         // Shortcut for the current partition; singleton fragments need none.
         // A phase's relabel flood and the next phase's candidate flood run
@@ -1768,16 +1702,13 @@ impl Solver {
         let mut shortcut = Shortcut::empty(parts.len());
         let mut topo = AggTopology::compile(g, &parts, &shortcut);
         let log_n = bits_for(n.max(2));
-        // Relabel ids are the identity column every phase; lease it once.
-        let mut ids = scratch.lease(n, 0);
-        for (v, slot) in ids.iter_mut().enumerate() {
-            *slot = v as u64;
-        }
+        // Relabel ids are the identity column every phase.
+        let ids: Vec<u64> = (0..n as u64).collect();
         while uf.count() > 1 {
             let phase = phases;
             charged += measure_quality(g, tree, &parts, &shortcut).quality * log_n;
             // Per-node candidate: lightest incident edge leaving the fragment.
-            let mut values = scratch.lease(n, u64::MAX);
+            let mut values = vec![u64::MAX; n];
             for (v, value) in values.iter_mut().enumerate() {
                 for (w, e) in g.neighbors(v) {
                     if uf.find(v) != uf.find(w) {
@@ -1788,21 +1719,12 @@ impl Solver {
                     }
                 }
             }
-            let tags = PhaseLabel::new("mst", "candidate").with_attempt(phase);
-            let agg = traced(
-                trace,
-                &tags,
+            let agg = ledger.run(
+                PhaseLabel::new("mst", "candidate").with_attempt(phase),
                 1,
                 || topo.partwise_min(g, &values, value_bits, config),
                 |a| a.stats,
             )?;
-            scratch.give_back(values);
-            simulated_rounds += agg.stats.rounds;
-            runs.push(PhaseRun {
-                tags,
-                stats: agg.stats,
-                repeats: 1,
-            });
             // Merge along the chosen edges.
             let mut merged_any = false;
             for &best in &agg.minima {
@@ -1824,36 +1746,25 @@ impl Solver {
                 .expect("fragments are connected by construction");
             let new_shortcut = builder.build(g, tree, &new_parts);
             topo = AggTopology::compile(g, &new_parts, &new_shortcut);
-            let tags = PhaseLabel::new("mst", "relabel").with_attempt(phase);
-            let relabel = traced(
-                trace,
-                &tags,
+            ledger.run(
+                PhaseLabel::new("mst", "relabel").with_attempt(phase),
                 1,
-                || topo.partwise_min(g, &ids, bits_for(n.max(2)), config),
+                || topo.partwise_min(g, &ids, log_n, config),
                 |a| a.stats,
             )?;
-            simulated_rounds += relabel.stats.rounds;
-            runs.push(PhaseRun {
-                tags,
-                stats: relabel.stats,
-                repeats: 1,
-            });
             phases += 1;
             parts = new_parts;
             shortcut = new_shortcut;
         }
-        scratch.give_back(ids);
         chosen.sort_unstable();
         chosen.dedup();
         let total_weight = chosen.iter().map(|&e| wg.weight(e)).sum();
-        Ok(Report {
-            value: Mst {
-                edges: chosen,
-                total_weight,
-                boruvka_phases: phases,
-            },
-            stats: ReportStats::from_runs(simulated_rounds, charged, runs),
-        })
+        let mst = Mst {
+            edges: chosen,
+            total_weight,
+            boruvka_phases: phases,
+        };
+        Ok(ledger.report(mst, charged))
     }
 
     // ------------------------------------------------------------------
@@ -1887,18 +1798,13 @@ impl Solver {
         // load re-weighting does not change the round profile, so simulate
         // the MST once (memoized!) and charge it per tree.
         let mst: Report<Mst> = self.memoized(&Query::Mst)?.0.typed();
-        let mut simulated = mst.stats.simulated_rounds * trees;
         let charged = mst.stats.charged_construction_rounds * trees;
-        let mut runs: Vec<PhaseRun> = mst
-            .stats
-            .runs
-            .into_iter()
-            .map(|mut r| {
-                r.tags.phase = format!("packing-{}", r.tags.phase);
-                r.repeats *= trees;
-                r
-            })
-            .collect();
+        let mut ledger = Ledger::new(&mut self.trace);
+        ledger.runs.extend(mst.stats.runs.into_iter().map(|mut r| {
+            r.tags.phase = format!("packing-{}", r.tags.phase);
+            r.repeats *= trees;
+            r
+        }));
         let config = self.config;
         let wg = self.wg.as_ref();
         let g = wg.graph();
@@ -1911,30 +1817,20 @@ impl Solver {
                 best = best.min(min_two_respecting_cut(wg, tree));
             }
             // Subtree-sum aggregation cost: two convergecasts over the tree.
-            let tags = PhaseLabel::new("mincut", "convergecast").with_attempt(t);
-            let (_, stats) = traced(
-                &mut self.trace,
-                &tags,
+            ledger.run(
+                PhaseLabel::new("mincut", "convergecast").with_attempt(t),
                 2,
                 || primitives::convergecast_sum(g, &tree.parent, &vec![1u64; g.n()], config),
                 |r| r.1,
             )?;
-            simulated += 2 * stats.rounds;
-            runs.push(PhaseRun {
-                tags,
-                stats,
-                repeats: 2,
-            });
         }
-        Ok(Report {
-            value: MinCut {
-                approx_value: best,
-                exact_value: exact,
-                ratio: best as f64 / exact as f64,
-                trees,
-            },
-            stats: ReportStats::from_runs(simulated, charged, runs),
-        })
+        let cut = MinCut {
+            approx_value: best,
+            exact_value: exact,
+            ratio: best as f64 / exact as f64,
+            trees,
+        };
+        Ok(ledger.report(cut, charged))
     }
 
     // ------------------------------------------------------------------
@@ -1960,27 +1856,22 @@ impl Solver {
     }
 
     fn exact_sssp(&mut self, source: NodeId) -> Result<Report<Sssp>, AlgoError> {
-        let tags = PhaseLabel::new("sssp-exact", "flood");
         let config = self.config;
-        let out = traced(
-            &mut self.trace,
-            &tags,
+        let mut ledger = Ledger::new(&mut self.trace);
+        let out = ledger.run(
+            PhaseLabel::new("sssp-exact", "flood"),
             1,
             || bellman_ford_sssp(self.wg.as_ref(), source, config),
             |o| o.stats,
         )?;
-        let run = PhaseRun {
-            tags,
-            stats: out.stats,
-            repeats: 1,
-        };
-        Ok(Report {
-            value: Sssp {
+        let detail = SsspDetail::Exact { parent: out.parent };
+        Ok(ledger.report(
+            Sssp {
                 dist: out.dist,
-                detail: SsspDetail::Exact { parent: out.parent },
+                detail,
             },
-            stats: ReportStats::from_runs(out.stats.rounds, 0, vec![run]),
-        })
+            0,
+        ))
     }
 
     fn scaled_sssp(&mut self, source: NodeId, epsilon: f64) -> Result<Report<Sssp>, AlgoError> {
@@ -1991,49 +1882,44 @@ impl Solver {
             return Err(AlgoError::BadQuery("epsilon must be non-negative".into()));
         }
         self.check_positive_weights()?;
+        let config = self.config;
+        let mut ledger = Ledger::new(&mut self.trace);
         // One span covers both internal runs (certificate + flood): their
         // sends interleave under a single simulator driver call.
-        let tags = PhaseLabel::new("sssp-scaled", "certificate+flood");
-        let config = self.config;
-        let out = traced(
-            &mut self.trace,
-            &tags,
+        let out = ledger.span(
+            &PhaseLabel::new("sssp-scaled", "certificate+flood"),
             1,
             || scaled_sssp(self.wg.as_ref(), source, epsilon, config),
-            |o: &ScaledSsspOutcome| {
+            |o| {
                 let mut s = o.bfs_stats;
                 s.absorb(o.flood_stats);
                 s
             },
         )?;
-        let simulated = out.simulated_rounds();
-        let runs = vec![
-            PhaseRun {
-                tags: PhaseLabel::new("sssp-scaled", "certificate"),
-                stats: out.bfs_stats,
+        for (subphase, stats) in [("certificate", out.bfs_stats), ("flood", out.flood_stats)] {
+            ledger.runs.push(PhaseRun {
+                tags: PhaseLabel::new("sssp-scaled", subphase),
+                stats,
                 repeats: 1,
-            },
-            PhaseRun {
-                tags: PhaseLabel::new("sssp-scaled", "flood"),
-                stats: out.flood_stats,
-                repeats: 1,
-            },
-        ];
-        Ok(Report {
-            value: Sssp {
+            });
+        }
+        let detail = SsspDetail::Scaled {
+            scale: out.scale,
+            hop_budget: out.hop_budget,
+        };
+        Ok(ledger.report(
+            Sssp {
                 dist: out.dist,
-                detail: SsspDetail::Scaled {
-                    scale: out.scale,
-                    hop_budget: out.hop_budget,
-                },
+                detail,
             },
-            stats: ReportStats::from_runs(simulated, 0, runs),
-        })
+            0,
+        ))
     }
 
-    /// The shortcut tier: phases of part-wise aggregation of `D + ρ` over
-    /// the per-source shortcut, each followed by one relax round, until the
-    /// fixpoint or the phase budget.
+    /// The shortcut tier: a shortcut rooted at `source` over the session
+    /// partition, a flood of the center potentials ρ, then phases of
+    /// part-wise aggregation of `D + ρ` over that shortcut, each followed
+    /// by one relax round, until the fixpoint or the phase budget.
     fn overlay_sssp(
         &mut self,
         source: NodeId,
@@ -2051,206 +1937,115 @@ impl Solver {
         }
         let w_min = self.check_positive_weights()?;
         let scale = scale_for(epsilon, w_min);
-        self.ensure_sssp_structure(source);
-        // One topology serves the ρ flood (if this scale is new) and every
-        // phase of this query.
-        let topo = AggTopology::compile(
-            self.wg.graph(),
-            &self.parts,
-            &self.caches.sssp_structure[&source].shortcut,
-        );
-        self.ensure_sssp_plan(source, scale, &topo)?;
+        self.note_plan_built();
         let Solver {
             ref wg,
             ref parts,
+            ref builder,
             config,
-            ref caches,
-            ref mut scratch,
             ref mut trace,
             ..
         } = *self;
-        let structure = &caches.sssp_structure[&source];
-        let entry = &caches.sssp_plans[&(source, scale)];
         let g = wg.graph();
         let n = g.n();
-        let charged = structure.quality * bits_for(n.max(2));
-
-        let mut dist = scratch.lease(n, u64::MAX);
-        dist[source] = 0;
-        let mut phases = 0;
-        let mut simulated_rounds = entry.rho_stats.rounds;
-        let mut runs = vec![PhaseRun {
-            tags: PhaseLabel::new("sssp-shortcut", "rho"),
-            stats: entry.rho_stats,
-            repeats: 1,
-        }];
-        let mut converged = false;
-        for phase in 0..max_phases {
-            let mut before = scratch.lease(n, 0);
-            before.copy_from_slice(&dist);
-            // Overlay aggregation: part minima of D + ρ, through the shortcut.
-            let mut values = scratch.lease(n, 0);
-            for (v, slot) in values.iter_mut().enumerate() {
-                // UNREACHED on either side means "no value for this
-                // part yet"; finite sums saturate below the sentinel.
-                *slot = if entry.rho[v] == UNREACHED {
-                    UNREACHED
-                } else {
-                    dist_add(dist[v], entry.rho[v])
-                };
-            }
-            let agg_tags = PhaseLabel::new("sssp-shortcut", "aggregate").with_attempt(phase);
-            let agg = traced(
-                trace,
-                &agg_tags,
-                1,
-                || topo.partwise_min(g, &values, entry.value_bits, config),
-                |a| a.stats,
-            )?;
-            scratch.give_back(values);
-            for (i, part) in parts.parts().iter().enumerate() {
-                let m = agg.minima[i];
-                if m == u64::MAX {
-                    continue;
-                }
-                for &v in part {
-                    if entry.rho[v] == UNREACHED {
-                        continue;
-                    }
-                    let cand = dist_add(m, entry.rho[v]);
-                    if cand < dist[v] {
-                        dist[v] = cand;
-                    }
-                }
-            }
-            // Boundary stitch: one global relaxation round.
-            let relax_tags = PhaseLabel::new("sssp-shortcut", "relax").with_attempt(phase);
-            let (relaxed, relax_stats) = traced(
-                trace,
-                &relax_tags,
-                1,
-                || {
-                    primitives::distance_broadcast_round(
-                        &entry.scaled,
-                        &dist,
-                        entry.value_bits,
-                        config,
-                    )
-                },
-                |r| r.1,
-            )?;
-            // The relax round returns a fresh column; the displaced one goes
-            // back to the pool for the next phase's snapshot.
-            scratch.give_back(std::mem::replace(&mut dist, relaxed));
-            phases += 1;
-            simulated_rounds += agg.stats.rounds + relax_stats.rounds;
-            runs.push(PhaseRun {
-                tags: agg_tags,
-                stats: agg.stats,
-                repeats: 1,
-            });
-            runs.push(PhaseRun {
-                tags: relax_tags,
-                stats: relax_stats,
-                repeats: 1,
-            });
-            let done = dist == before;
-            scratch.give_back(before);
-            if done {
-                converged = true;
-                break;
-            }
-        }
-        let out_dist = rescale(&dist, scale);
-        scratch.give_back(dist);
-        Ok(Report {
-            value: Sssp {
-                dist: out_dist,
-                detail: SsspDetail::Shortcut {
-                    scale,
-                    phases,
-                    converged,
-                    shortcut_quality: structure.quality,
-                },
-            },
-            stats: ReportStats::from_runs(simulated_rounds, charged, runs),
-        })
-    }
-
-    /// Builds (or reuses) the scale-independent half of the per-source
-    /// shortcut-SSSP plan: the source-rooted shortcut and its quality.
-    fn ensure_sssp_structure(&mut self, source: NodeId) {
-        if !self.caches.sssp_structure.contains_key(&source) {
-            let g = self.wg.graph();
-            let tree = RootedTree::bfs(g, source);
-            let shortcut = self.builder.build(g, &tree, &self.parts);
-            let quality = measure_quality(g, &tree, &self.parts, &shortcut).quality;
-            evict_generation(&mut self.caches.sssp_structure, PLAN_CACHE_CAP);
-            self.caches
-                .sssp_structure
-                .insert(source, SsspStructure { shortcut, quality });
-            if let Some(tr) = self.trace.as_mut() {
-                tr.counters.plans_built += 1;
-            }
-        }
-    }
-
-    /// Builds (or reuses) the per-`(source, scale)` half of the
-    /// shortcut-SSSP plan: the scaled weights and the ρ flood, run on
-    /// `topo`, the source's compiled topology. The structure is cached per
-    /// source ([`Solver::ensure_sssp_structure`]), so an ε sweep over one
-    /// source builds the shortcut exactly once.
-    fn ensure_sssp_plan(
-        &mut self,
-        source: NodeId,
-        scale: u64,
-        topo: &AggTopology,
-    ) -> Result<(), AlgoError> {
-        if self.caches.sssp_plans.contains_key(&(source, scale)) {
-            return Ok(());
-        }
-        evict_generation(&mut self.caches.sssp_plans, PLAN_CACHE_CAP);
-        let wg = self.wg.as_ref();
-        let g = wg.graph();
-        let n = g.n();
+        let tree = RootedTree::bfs(g, source);
+        let shortcut = builder.build(g, &tree, parts);
+        let quality = measure_quality(g, &tree, parts, &shortcut).quality;
+        // One topology serves the ρ flood and every phase.
+        let topo = AggTopology::compile(g, parts, &shortcut);
         let scaled = scale_weights(wg, scale);
         let value_bits = dist_value_bits(&scaled) + 1;
-        // One-time center potentials ρ: distance from the part center inside
-        // the augmented part, all parts concurrently.
-        let centers = part_centers(g, &self.parts, source);
-        let seeds: Vec<(NodeId, u32, u64)> = centers
+        let mut ledger = Ledger::new(trace);
+        // Center potentials ρ: distance from the part center inside the
+        // augmented part, all parts concurrently.
+        let seeds: Vec<(NodeId, u32, u64)> = part_centers(g, parts, source)
             .iter()
             .enumerate()
             .map(|(i, &c)| (c, i as u32, 0))
             .collect();
-        let tags = PhaseLabel::new("sssp-shortcut", "rho");
-        let config = self.config;
-        let flood = traced(
-            &mut self.trace,
-            &tags,
+        let flood = ledger.run(
+            PhaseLabel::new("sssp-shortcut", "rho"),
             1,
             || topo.distance_flood(&scaled, &seeds, value_bits, config),
             |r| r.stats,
         )?;
         let rho: Vec<u64> = (0..n)
-            .map(|v| match self.parts.part_of(v) {
+            .map(|v| match parts.part_of(v) {
                 Some(i) => flood
                     .value(v, i)
                     .expect("part is connected, so its flood reaches every node"),
                 None => u64::MAX,
             })
             .collect();
-        let rho_stats = flood.stats;
-        self.caches.sssp_plans.insert(
-            (source, scale),
-            SsspPlanEntry {
-                scaled,
-                rho,
-                rho_stats,
-                value_bits,
+
+        let mut dist = vec![u64::MAX; n];
+        dist[source] = 0;
+        let mut phases = 0;
+        let mut converged = false;
+        for phase in 0..max_phases {
+            let before = dist.clone();
+            // Overlay aggregation: part minima of D + ρ, through the shortcut.
+            // UNREACHED on either side means "no value for this part yet";
+            // finite sums saturate below the sentinel.
+            let values: Vec<u64> = dist
+                .iter()
+                .zip(&rho)
+                .map(|(&d, &r)| {
+                    if r == UNREACHED {
+                        UNREACHED
+                    } else {
+                        dist_add(d, r)
+                    }
+                })
+                .collect();
+            let agg = ledger.run(
+                PhaseLabel::new("sssp-shortcut", "aggregate").with_attempt(phase),
+                1,
+                || topo.partwise_min(g, &values, value_bits, config),
+                |a| a.stats,
+            )?;
+            for (i, part) in parts.parts().iter().enumerate() {
+                let m = agg.minima[i];
+                if m == u64::MAX {
+                    continue;
+                }
+                for &v in part {
+                    if rho[v] == UNREACHED {
+                        continue;
+                    }
+                    let cand = dist_add(m, rho[v]);
+                    if cand < dist[v] {
+                        dist[v] = cand;
+                    }
+                }
+            }
+            // Boundary stitch: one global relaxation round.
+            (dist, _) = ledger.run(
+                PhaseLabel::new("sssp-shortcut", "relax").with_attempt(phase),
+                1,
+                || primitives::distance_broadcast_round(&scaled, &dist, value_bits, config),
+                |r| r.1,
+            )?;
+            phases += 1;
+            if dist == before {
+                converged = true;
+                break;
+            }
+        }
+        let detail = SsspDetail::Shortcut {
+            scale,
+            phases,
+            converged,
+            shortcut_quality: quality,
+        };
+        let charged = quality * bits_for(n.max(2));
+        Ok(ledger.report(
+            Sssp {
+                dist: rescale(&dist, scale),
+                detail,
             },
-        );
-        Ok(())
+            charged,
+        ))
     }
 
     // ------------------------------------------------------------------
@@ -2262,29 +2057,25 @@ impl Solver {
             ref wg,
             ref builder,
             config,
-            ref mut scratch,
             ref mut trace,
             ..
         } = *self;
         let g = wg.graph();
         let n = g.n();
+        let mut ledger = Ledger::new(trace);
         if n == 0 {
-            return Ok(Report {
-                value: Components {
-                    label: Vec::new(),
-                    forest_edges: Vec::new(),
-                    boruvka_phases: 0,
-                },
-                stats: ReportStats::default(),
-            });
+            let empty = Components {
+                label: Vec::new(),
+                forest_edges: Vec::new(),
+                boruvka_phases: 0,
+            };
+            return Ok(ledger.report(empty, 0));
         }
         let m = g.m().max(1) as u64;
         let (comp_of, comp_count) = traversal::components(g);
         let mut uf = UnionFind::new(n);
         let mut forest: Vec<EdgeId> = Vec::new();
         let mut phases = 0;
-        let mut rounds = 0;
-        let mut runs = Vec::new();
         loop {
             // Fragment partition (within components).
             let (labels, _) = uf.labels();
@@ -2294,25 +2085,13 @@ impl Solver {
             if parts.len() == comp_count {
                 // One fragment per component: done. Final labels = min node
                 // id, flooded once more for the output.
-                let mut ids = scratch.lease(n, 0);
-                for (v, slot) in ids.iter_mut().enumerate() {
-                    *slot = v as u64;
-                }
-                let tags = PhaseLabel::new("components", "final-labels");
-                let agg = traced(
-                    trace,
-                    &tags,
+                let ids: Vec<u64> = (0..n as u64).collect();
+                let agg = ledger.run(
+                    PhaseLabel::new("components", "final-labels"),
                     1,
                     || partwise_min_impl(g, &parts, &shortcut, &ids, bits_for(n.max(2)), config),
                     |a| a.stats,
                 )?;
-                scratch.give_back(ids);
-                rounds += agg.stats.rounds;
-                runs.push(PhaseRun {
-                    tags,
-                    stats: agg.stats,
-                    repeats: 1,
-                });
                 let mut label = vec![0usize; n];
                 for (v, slot) in label.iter_mut().enumerate() {
                     let p = parts.part_of(v).expect("all nodes in fragments");
@@ -2320,18 +2099,16 @@ impl Solver {
                 }
                 forest.sort_unstable();
                 forest.dedup();
-                return Ok(Report {
-                    value: Components {
-                        label,
-                        forest_edges: forest,
-                        boruvka_phases: phases,
-                    },
-                    stats: ReportStats::from_runs(rounds, 0, runs),
-                });
+                let components = Components {
+                    label,
+                    forest_edges: forest,
+                    boruvka_phases: phases,
+                };
+                return Ok(ledger.report(components, 0));
             }
             phases += 1;
             // Candidate: minimum-id incident edge leaving the fragment.
-            let mut values = scratch.lease(n, u64::MAX);
+            let mut values = vec![u64::MAX; n];
             for (v, value) in values.iter_mut().enumerate() {
                 for (w, e) in g.neighbors(v) {
                     if uf.find(v) != uf.find(w) {
@@ -2339,30 +2116,13 @@ impl Solver {
                     }
                 }
             }
-            let tags = PhaseLabel::new("components", "candidate").with_attempt(phases - 1);
-            let agg = traced(
-                trace,
-                &tags,
+            let value_bits = bits_for(g.m().max(2));
+            let agg = ledger.run(
+                PhaseLabel::new("components", "candidate").with_attempt(phases - 1),
                 1,
-                || {
-                    partwise_min_impl(
-                        g,
-                        &parts,
-                        &shortcut,
-                        &values,
-                        bits_for(g.m().max(2)),
-                        config,
-                    )
-                },
+                || partwise_min_impl(g, &parts, &shortcut, &values, value_bits, config),
                 |a| a.stats,
             )?;
-            scratch.give_back(values);
-            rounds += agg.stats.rounds;
-            runs.push(PhaseRun {
-                tags,
-                stats: agg.stats,
-                repeats: 1,
-            });
             for &best in &agg.minima {
                 if best == u64::MAX {
                     continue;
@@ -2390,33 +2150,16 @@ impl Solver {
         }
         self.ensure_plan()?;
         let plan = self.plan.as_ref().expect("ensure_plan filled the plan");
-        let tags = PhaseLabel::new("partwise", "min");
+        let g = self.wg.graph();
         let config = self.config;
-        let agg = traced(
-            &mut self.trace,
-            &tags,
+        let mut ledger = Ledger::new(&mut self.trace);
+        let agg = ledger.run(
+            PhaseLabel::new("partwise", "min"),
             1,
-            || {
-                partwise_min_impl(
-                    self.wg.graph(),
-                    plan.parts(),
-                    plan.shortcut(),
-                    values,
-                    value_bits,
-                    config,
-                )
-            },
+            || partwise_min_impl(g, plan.parts(), plan.shortcut(), values, value_bits, config),
             |a| a.stats,
         )?;
-        let run = PhaseRun {
-            tags,
-            stats: agg.stats,
-            repeats: 1,
-        };
-        Ok(Report {
-            value: PartwiseMin { minima: agg.minima },
-            stats: ReportStats::from_runs(agg.stats.rounds, 0, vec![run]),
-        })
+        Ok(ledger.report(PartwiseMin { minima: agg.minima }, 0))
     }
 }
 
@@ -2782,7 +2525,7 @@ mod tests {
         assert!(stats.noop);
         assert_eq!((stats.inserted, stats.deleted), (1, 1));
         assert_eq!(stats.memos_dropped, 0);
-        assert!(solver.caches.memo.contains_key(&Query::Mst));
+        assert!(solver.memo.contains_key(&Query::Mst));
     }
 
     #[test]
@@ -3039,6 +2782,37 @@ mod tests {
     }
 
     #[test]
+    fn memo_misses_simulate_every_run_they_report() {
+        // One source at several budgets and ε values: every query is a memo
+        // miss on the same source and weight scale, so each one must
+        // simulate (and trace) its own shortcut, ρ flood and phases.
+        let wg = weighted(26);
+        let mut solver = Solver::builder(&wg)
+            .parts(PartsStrategy::Voronoi { parts: 4, seed: 8 })
+            .shortcut_builder(SteinerBuilder)
+            .config(cfg(wg.graph().n()))
+            .trace(true)
+            .build()
+            .unwrap();
+        let mut reported = 0;
+        let mut runs = 0;
+        for epsilon in [0.25, 0.5] {
+            for max_phases in [2, 5, 36] {
+                let tier = Tier::Shortcut {
+                    epsilon,
+                    max_phases,
+                };
+                reported += solver.sssp(0, tier).unwrap().stats.aggregate().messages;
+                runs += 1;
+            }
+        }
+        let tr = solver.trace().unwrap();
+        assert_eq!(tr.counters.memo_misses, runs);
+        assert_eq!(tr.profile.total_messages(), reported);
+        assert_eq!(tr.counters.plans_built, runs);
+    }
+
+    #[test]
     fn enable_trace_mid_session_records_from_then_on() {
         let wg = weighted(23);
         let mut solver = Solver::builder(&wg)
@@ -3147,12 +2921,12 @@ mod tests {
         let mut solver = build();
         for i in 0..MEMO_CAP {
             solver.partwise_min(&values(i), 16).unwrap();
-            assert!(solver.caches.memo.len() <= MEMO_CAP);
+            assert!(solver.memo.len() <= MEMO_CAP);
         }
         // The overflow query is answered, not stored, and matches a fresh
         // session's report.
         let overflow = solver.partwise_min(&values(MEMO_CAP), 16).unwrap();
-        assert_eq!(solver.caches.memo.len(), MEMO_CAP);
+        assert_eq!(solver.memo.len(), MEMO_CAP);
         assert_eq!(
             overflow,
             build().partwise_min(&values(MEMO_CAP), 16).unwrap()

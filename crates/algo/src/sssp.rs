@@ -197,24 +197,13 @@ pub struct ScaledSsspOutcome {
     pub dist: Vec<u64>,
     /// The weight scale used (`1` means the run was exact).
     pub scale: u64,
-    /// Rounds of the BFS-tree construction that certifies the hop budget.
-    pub bfs_rounds: usize,
-    /// Rounds of the hop-bounded scaled flood.
-    pub flood_rounds: usize,
     /// The certified hop budget (the flood provably settles within it).
     pub hop_budget: usize,
-    /// Statistics of the scaled flood.
+    /// Statistics of the hop-bounded scaled flood.
     pub flood_stats: RunStats,
-    /// Full statistics of the BFS-tree construction (its `rounds` equal
-    /// [`Self::bfs_rounds`]); lets session reports aggregate every run.
+    /// Statistics of the BFS-tree construction that certifies the hop
+    /// budget.
     pub bfs_stats: RunStats,
-}
-
-impl ScaledSsspOutcome {
-    /// Total simulated rounds (BFS + flood).
-    pub fn simulated_rounds(&self) -> usize {
-        self.bfs_rounds + self.flood_rounds
-    }
 }
 
 /// `(1+ε)`-approximate SSSP by hop-bounded Bellman–Ford on `k`-scaled
@@ -268,8 +257,6 @@ pub fn scaled_sssp(
     Ok(ScaledSsspOutcome {
         dist: rescale(&flood.dist, scale),
         scale,
-        bfs_rounds: bfs.stats.rounds,
-        flood_rounds: flood.stats.rounds,
         hop_budget,
         flood_stats: flood.stats,
         bfs_stats: bfs.stats,
@@ -521,7 +508,7 @@ mod tests {
             let out = scaled_sssp(&wg, 0, eps, cfg(g.n())).unwrap();
             let stretch = max_stretch(&out.dist, &d.dist);
             assert!(stretch <= 1.0 + eps + 1e-9, "eps={eps}: stretch {stretch}");
-            assert!(out.flood_rounds <= out.hop_budget);
+            assert!(out.flood_stats.rounds <= out.hop_budget);
         }
         // With epsilon 0 the tier degenerates to exact.
         let out = scaled_sssp(&wg, 0, 0.0, cfg(g.n())).unwrap();

@@ -44,7 +44,7 @@ proptest! {
         // max_stretch panics if an estimate undercuts the exact distance.
         let stretch = max_stretch(&out.dist, &d.dist);
         prop_assert!(stretch <= 1.0 + eps + 1e-9, "stretch {} for eps {}", stretch, eps);
-        prop_assert!(out.flood_rounds <= out.hop_budget);
+        prop_assert!(out.flood_stats.rounds <= out.hop_budget);
     }
 
     #[test]

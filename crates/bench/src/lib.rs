@@ -987,9 +987,9 @@ pub fn e12_sssp_quality(full: bool) -> Table {
     };
     for (name, wg, parts, src) in cases {
         let reference = traversal::dijkstra(&wg, src);
-        // One session per graph serves the whole ε × budget sweep: per-source
-        // shortcut plans (tree, shortcut, ρ) are cached by weight scale, so
-        // only the first query of each scale pays for construction.
+        // One session per graph serves the whole ε × budget sweep. Every
+        // query is distinct, so each builds its source-rooted shortcut and
+        // ρ flood afresh.
         let n_parts = parts.len();
         let mut session = Solver::builder(&wg)
             .parts(PartsStrategy::Explicit(parts))
@@ -1064,7 +1064,7 @@ pub fn e12_sssp_quality(full: bool) -> Table {
 /// across engines asserted on every row.
 ///
 /// The timing columns are machine-dependent, so E13 is **excluded from the
-/// golden-CSV regression gate** (`expected/` holds E1–E12 only). Speedups
+/// golden-CSV regression gate** (`expected/` holds E1–E12 and E17). Speedups
 /// only materialize on multicore hardware; on a single-core box the extra
 /// thread counts measure pure engine overhead.
 pub fn e13_engine_scaling(full: bool) -> Table {
@@ -1729,7 +1729,7 @@ pub fn e16_dynamic_repair(full: bool) -> Table {
 /// rounds bound its traffic. Every row must satisfy observed ≤ bound —
 /// asserted by `e17_observed_congestion_within_analytic_bound` — and the
 /// whole table is deterministic, so it joins the engine-equivalence gate
-/// (but, like E13–E16, has no golden: the goldens cover E1–E12).
+/// and has a golden CSV (`expected/E17.csv`).
 pub fn e17_congestion(full: bool) -> Table {
     let mut cases: Vec<(String, WeightedGraph, Partition, &'static str)> = Vec::new();
     let sides: &[usize] = if full { &[12, 16, 24] } else { &[12, 16] };
@@ -2041,11 +2041,6 @@ pub fn experiments() -> Vec<(&'static str, ExperimentFn)> {
     ]
 }
 
-/// Runs every experiment; `full` selects the larger sweeps.
-pub fn run_all(full: bool) -> Vec<Table> {
-    experiments().into_iter().map(|(_, f)| f(full)).collect()
-}
-
 /// Runs only the deterministic experiments — everything except
 /// [`TIMING_EXPERIMENTS`] — whose tables must be byte-identical across
 /// runs and engines. This is what the engine-equivalence suite compares.
@@ -2055,11 +2050,6 @@ pub fn run_deterministic(full: bool) -> Vec<Table> {
         .filter(|(id, _)| !TIMING_EXPERIMENTS.contains(id))
         .map(|(_, f)| f(full))
         .collect()
-}
-
-/// The shortcut-free builder, re-exported for the bench binaries.
-pub fn naive_builder() -> NoShortcutBuilder {
-    NoShortcutBuilder
 }
 
 #[cfg(test)]

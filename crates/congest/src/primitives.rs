@@ -1,5 +1,5 @@
-//! Reusable distributed building blocks: BFS-tree construction, leader
-//! election, tree broadcast, and tree convergecast.
+//! Reusable distributed building blocks: BFS-tree construction, distance
+//! floods and relax rounds, and tree convergecast.
 //!
 //! Each primitive is both a usable subroutine for the higher-level
 //! algorithms and a validation workload for the simulator: the expected
@@ -315,62 +315,6 @@ pub fn distance_broadcast_round(
 }
 
 #[derive(Debug, Clone)]
-struct MinIdFlood {
-    best: NodeId,
-    dirty: bool,
-}
-
-impl NodeProgram for MinIdFlood {
-    type Msg = usize;
-
-    fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        if ctx.round() == 0 {
-            self.best = ctx.node();
-            self.dirty = true;
-        }
-        for &(_, id) in ctx.inbox() {
-            if id < self.best {
-                self.best = id;
-                self.dirty = true;
-            }
-        }
-        if self.dirty {
-            self.dirty = false;
-            ctx.broadcast(self.best);
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        !self.dirty
-    }
-}
-
-/// Elects the minimum-id node by flooding; every node learns the leader.
-/// Takes `O(D)` rounds.
-///
-/// # Errors
-///
-/// Propagates [`SimError`]; also returns an error on a disconnected graph
-/// (nodes would disagree — detected centrally and reported as livelock-free
-/// disagreement via panic in debug, so we verify agreement here).
-pub fn elect_leader(g: &Graph, config: CongestConfig) -> Result<(NodeId, RunStats), SimError> {
-    let mut programs: Vec<MinIdFlood> = vec![
-        MinIdFlood {
-            best: usize::MAX,
-            dirty: true
-        };
-        g.n()
-    ];
-    let stats = run(g, &mut programs, config)?;
-    let leader = programs[0].best;
-    assert!(
-        programs.iter().all(|p| p.best == leader),
-        "leader election requires a connected graph"
-    );
-    Ok((leader, stats))
-}
-
-#[derive(Debug, Clone)]
 struct ConvergecastProgram {
     parent: Option<NodeId>,
     pending_children: usize,
@@ -454,78 +398,6 @@ pub fn convergecast_sum(
     Ok((programs[root].acc, stats))
 }
 
-#[derive(Debug, Clone)]
-struct BroadcastProgram {
-    children: Vec<NodeId>,
-    value: Option<u64>,
-    forwarded: bool,
-}
-
-impl NodeProgram for BroadcastProgram {
-    type Msg = u64;
-
-    fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        if let Some(&(_, v)) = ctx.inbox().first() {
-            if self.value.is_none() {
-                self.value = Some(v);
-            }
-        }
-        if let (Some(v), false) = (self.value, self.forwarded) {
-            self.forwarded = true;
-            let children = self.children.clone();
-            for c in children {
-                ctx.send(c, v);
-            }
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.forwarded || self.value.is_none()
-    }
-}
-
-/// Broadcasts `value` from the tree root down the `parent`-encoded tree;
-/// every node ends up knowing it. Takes `depth(tree)` rounds.
-///
-/// Returns the per-node received values (all equal on success).
-///
-/// # Errors
-///
-/// Propagates [`SimError`].
-pub fn broadcast_down_tree(
-    g: &Graph,
-    parent: &[Option<NodeId>],
-    value: u64,
-    config: CongestConfig,
-) -> Result<(Vec<u64>, RunStats), SimError> {
-    assert_eq!(parent.len(), g.n(), "parent vector must cover all nodes");
-    let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); g.n()];
-    let mut root = None;
-    for (v, pv) in parent.iter().enumerate() {
-        match *pv {
-            Some(p) => children[p].push(v),
-            None => {
-                assert!(root.is_none(), "exactly one root required");
-                root = Some(v);
-            }
-        }
-    }
-    let root = root.expect("exactly one root required");
-    let mut programs: Vec<BroadcastProgram> = (0..g.n())
-        .map(|v| BroadcastProgram {
-            children: std::mem::take(&mut children[v]),
-            value: if v == root { Some(value) } else { None },
-            forwarded: false,
-        })
-        .collect();
-    let stats = run(g, &mut programs, config)?;
-    let got: Vec<u64> = programs
-        .iter()
-        .map(|p| p.value.expect("broadcast must reach all nodes of a tree"))
-        .collect();
-    Ok((got, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,16 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn leader_election_on_random_graph() {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
-        let g = generators::random_connected(64, 30, &mut rng);
-        let (leader, stats) = elect_leader(&g, cfg(64)).unwrap();
-        assert_eq!(leader, 0);
-        assert!(stats.rounds > 0);
-    }
-
-    #[test]
     fn convergecast_counts_nodes() {
         let g = generators::binary_tree(31);
         let central = traversal::bfs(&g, 0);
@@ -587,15 +449,6 @@ mod tests {
         let values = vec![10, 20, 1, 30, 40];
         let (total, _) = convergecast_sum(&g, &central.parent, &values, cfg(5)).unwrap();
         assert_eq!(total, 101);
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone() {
-        let g = generators::triangulated_grid(4, 4);
-        let central = traversal::bfs(&g, 5);
-        let (got, stats) = broadcast_down_tree(&g, &central.parent, 42, cfg(16)).unwrap();
-        assert!(got.iter().all(|&v| v == 42));
-        assert!(stats.rounds <= central.eccentricity() + 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use minex_graphs::{traversal, Graph, NodeId};
+use minex_graphs::{Graph, NodeId};
 
 /// Error produced when a partition violates Definition 9.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,6 +69,10 @@ impl Partition {
     /// Returns a [`PartitionError`] describing the first violated condition.
     pub fn new(g: &Graph, mut parts: Vec<Vec<NodeId>>) -> Result<Self, PartitionError> {
         let mut part_of: Vec<Option<usize>> = vec![None; g.n()];
+        // Parts are disjoint, so one visited column serves every part's
+        // connectivity search and the whole check costs O(n + m).
+        let mut seen = vec![false; g.n()];
+        let mut stack = Vec::new();
         for (i, part) in parts.iter_mut().enumerate() {
             if part.is_empty() {
                 return Err(PartitionError::EmptyPart { part: i });
@@ -84,7 +88,20 @@ impl Partition {
                 }
                 part_of[v] = Some(i);
             }
-            if !traversal::is_connected_subset(g, part) {
+            seen[part[0]] = true;
+            stack.push(part[0]);
+            let mut reached = 1;
+            while let Some(v) = stack.pop() {
+                for &w in g.neighbor_targets(v) {
+                    let w = w as NodeId;
+                    if part_of[w] == Some(i) && !seen[w] {
+                        seen[w] = true;
+                        reached += 1;
+                        stack.push(w);
+                    }
+                }
+            }
+            if reached != part.len() {
                 return Err(PartitionError::PartDisconnected { part: i });
             }
         }
@@ -169,6 +186,15 @@ mod tests {
         let g = generators::path(5);
         assert_eq!(
             Partition::new(&g, vec![vec![0, 2]]).unwrap_err(),
+            PartitionError::PartDisconnected { part: 0 }
+        );
+        // Another part's node never connects a part, before or after it.
+        assert_eq!(
+            Partition::new(&g, vec![vec![1], vec![0, 2]]).unwrap_err(),
+            PartitionError::PartDisconnected { part: 1 }
+        );
+        assert_eq!(
+            Partition::new(&g, vec![vec![0, 2], vec![1]]).unwrap_err(),
             PartitionError::PartDisconnected { part: 0 }
         );
     }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Round-count regression gate: re-runs the quick experiment sweep and fails
-# if any E1–E12 CSV drifts from the checked-in goldens under expected/.
+# if any golden CSV under expected/ (E1–E12 and E17) drifts.
 #
 # Since PR 4 the experiments harness generates every table through the
 # `Solver` session API (plan-once / query-many), so this gate doubles as
@@ -11,8 +11,9 @@
 #   csv-dir  a directory already populated by `experiments --csv` (e.g. the
 #            one CI just produced); omitted, the sweep is run into a tempdir.
 #
-# E13 (engine scaling) and E14 (plan-reuse amortization) are timing-based
-# (machine-dependent columns) and deliberately have no goldens. To accept an
+# E13–E16 and E18 are timing-based (machine-dependent columns) and
+# deliberately have no goldens. The traced-session JSONL golden
+# (expected/trace.jsonl) is compared by the CI telemetry job. To accept an
 # intentional round-count change, run scripts/refresh-golden.sh and commit
 # the updated expected/ files.
 set -euo pipefail

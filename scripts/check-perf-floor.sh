@@ -4,8 +4,9 @@
 # committed floors in expected/perf-floor.json.
 #
 # The floors lock the raw-speed pass (bucket-queue SSSP, SoA message
-# plane, session scratch arenas): E13's engine rounds/sec and E15's
-# million-node CSR iteration speedup must not silently regress. Ratio
+# plane): E13's engine rounds/sec and E15's million-node CSR iteration
+# speedup must not silently regress. Neither experiment runs a `Solver`
+# session. Ratio
 # floors (`min_iter_speedup`) are the real acceptance bars and are
 # machine-independent; absolute-throughput floors (`min_krounds_per_sec`)
 # are set far below the recorded measurement (see the `measured` block in

@@ -82,7 +82,7 @@ fn scaled_tier_is_within_epsilon_on_every_family() {
                 stretch <= 1.0 + eps + 1e-9,
                 "family {name}: stretch {stretch} vs eps {eps}"
             );
-            assert!(out.flood_rounds <= out.hop_budget, "family {name}");
+            assert!(out.flood_stats.rounds <= out.hop_budget, "family {name}");
         }
     }
 }
