@@ -1295,8 +1295,8 @@ impl Solver {
     /// the cached [`ShortcutPlan`] incrementally instead of tearing the
     /// session down and rebuilding it.
     ///
-    /// The batch is staged on a [`DeltaGraph`] overlay of a clone of the
-    /// session graph, so any invalid mutation (duplicate insert, deleting
+    /// The batch is staged on a [`DeltaGraph`] over a clone of the session
+    /// graph, so any invalid mutation (duplicate insert, deleting
     /// a missing edge, exceeding the edge-count limit) returns
     /// [`AlgoError::BadQuery`] and leaves the session **unchanged**. On
     /// success the session commits atomically: graph and weights swap,
@@ -1350,7 +1350,7 @@ impl Solver {
             self.note_query("apply", None, None, &ReportStats::default(), Some(stats));
             return Ok(stats);
         }
-        // Stage the whole batch on an overlay of a clone: every error path
+        // Stage the whole batch on a clone: every error path
         // below returns before the session is touched.
         let old = self.wg.graph();
         let mut dg = DeltaGraph::new(old.clone());
@@ -2526,6 +2526,66 @@ mod tests {
         assert_eq!((stats.inserted, stats.deleted), (1, 1));
         assert_eq!(stats.memos_dropped, 0);
         assert!(solver.memo.contains_key(&Query::Mst));
+        // The other staging path: a buffered insert deleted again.
+        let (a, b) = (0, (wg.graph().n() - 1) as NodeId);
+        assert!(!wg.graph().has_edge(a, b));
+        let stats = solver
+            .apply(&[
+                EdgeMutation::Insert {
+                    u: a,
+                    v: b,
+                    weight: 1,
+                },
+                EdgeMutation::Delete { u: b, v: a },
+            ])
+            .unwrap();
+        assert!(stats.noop);
+        assert_eq!((stats.inserted, stats.deleted), (1, 1));
+        assert_eq!(stats.memos_dropped, 0);
+        assert!(solver.memo.contains_key(&Query::Mst));
+    }
+
+    #[test]
+    fn apply_delete_then_reinsert_takes_the_new_weight() {
+        let wg = weighted(12);
+        let mut solver = Solver::builder(&wg)
+            .shortcut_builder(SteinerBuilder)
+            .config(cfg(wg.graph().n()))
+            .build()
+            .unwrap();
+        let before = solver.mst().unwrap();
+        // Re-insert an MST edge as the unique heaviest edge: the graph has
+        // no bridges, so the new MST must leave it out.
+        let e = before.value.edges[0];
+        let (u, v) = wg.graph().endpoints(e);
+        let heavy = wg.weights().iter().max().unwrap() + 1;
+        let stats = solver
+            .apply(&[
+                EdgeMutation::Delete { u, v },
+                EdgeMutation::Insert {
+                    u: v,
+                    v: u,
+                    weight: heavy,
+                },
+            ])
+            .unwrap();
+        assert!(!stats.noop);
+        assert_eq!((stats.inserted, stats.deleted), (1, 1));
+        assert_eq!(solver.graph(), wg.graph());
+        assert_eq!(solver.weighted_graph().weight(e), heavy);
+        assert!(stats.memos_dropped > 0);
+        assert!(solver.memo.is_empty());
+        let mut weights = wg.weights().to_vec();
+        weights[e] = heavy;
+        let reweighted = WeightedGraph::new(wg.graph().clone(), weights);
+        let mut fresh = Solver::builder(&reweighted)
+            .shortcut_builder(SteinerBuilder)
+            .config(cfg(wg.graph().n()))
+            .build()
+            .unwrap();
+        let after = solver.mst().unwrap();
+        assert!(!after.value.edges.contains(&e));
+        assert_eq!(after, fresh.mst().unwrap());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! * **`Tier`** — `{"tier":"exact"}`,
 //!   `{"tier":"scaled","epsilon":ε}`,
 //!   `{"tier":"shortcut","epsilon":ε,"max_phases":k}`.
-//!   Compact string form (`Display`/`FromStr`): `exact`, `scaled(ε)`,
+//!   `Display` prints the compact form `exact`, `scaled(ε)`,
 //!   `shortcut(ε,k)`.
 //! * **`PartsStrategy`** — `{"strategy":"singletons"}`,
 //!   `{"strategy":"whole"}`,
@@ -34,19 +34,18 @@
 //!   `{"strategy":"explicit","parts":[[v,…],…]}`.
 //!   Explicit partitions validate against a concrete graph, so
 //!   [`FromWire`] covers only the graph-free variants; servers use
-//!   [`parts_strategy_from_wire`] with the session graph in hand. Compact
-//!   string form: `singletons`, `whole`, `voronoi(p,s)` (explicit has no
-//!   string form).
+//!   [`parts_strategy_from_wire`] with the session graph in hand.
+//!   `Display` prints the compact form `singletons`, `whole`,
+//!   `voronoi(p,s)`, `explicit(k parts)`.
 //! * **`EdgeMutation`** — `{"op":"insert","u":u,"v":v,"weight":w}` /
-//!   `{"op":"delete","u":u,"v":v}`. Compact string form (implemented on
-//!   the type in `minex-graphs`): `insert(u,v,w)` / `delete(u,v)`.
+//!   `{"op":"delete","u":u,"v":v}`.
 //! * **`Report<T>`** — `{"value":V,"stats":S}` where `S` is `ReportStats`
 //!   (`{"simulated_rounds":…,"charged_construction_rounds":…,"runs":[…]}`,
 //!   each run `{"tags":{"phase":…,"subphase":…,"attempt":…},
 //!   "stats":{"rounds":…,"messages":…,"max_message_bits":…,"total_bits":…},
-//!   "repeats":…}`). `Display` prints the compact JSON; `FromStr` parses
-//!   it back. A `Report<Answer>` writes exactly the bytes of the typed
-//!   report it holds.
+//!   "repeats":…}`). `Display` prints the compact JSON, which
+//!   [`FromWire::from_wire_str`] parses back. A `Report<Answer>` writes
+//!   exactly the bytes of the typed report it holds.
 //! * **Query values** —
 //!   `Mst {"edges":[…],"total_weight":…,"boruvka_phases":…}`;
 //!   `MinCut {"approx_value":…,"exact_value":…,"ratio":…,"trees":…}`;
@@ -80,7 +79,7 @@
 //! let json = tier.to_wire().to_string();
 //! assert_eq!(json, r#"{"tier":"shortcut","epsilon":0.5,"max_phases":40}"#);
 //! assert_eq!(Tier::from_wire(&JsonValue::parse(&json)?)?, tier);
-//! assert_eq!("shortcut(0.5,40)".parse::<Tier>()?, tier);
+//! assert_eq!(tier.to_string(), "shortcut(0.5,40)");
 //! // Today's min-cut body: `two_respecting` defaults to true.
 //! let query = Query::from_wire_str(r#"{"query":"min_cut","trees":1}"#)?;
 //! assert_eq!(query, Query::MinCut { trees: 1, two_respecting: true });
@@ -88,7 +87,6 @@
 //! ```
 
 use std::fmt;
-use std::str::FromStr;
 
 use minex_congest::{PhaseLabel, RunStats};
 use minex_core::{Partition, PlanRepairStats};
@@ -715,8 +713,7 @@ impl FromWire for Tier {
 }
 
 impl fmt::Display for Tier {
-    /// Compact wire form: `exact`, `scaled(ε)`, `shortcut(ε,k)` — the
-    /// inverse of the [`FromStr`] impl.
+    /// Compact form: `exact`, `scaled(ε)`, `shortcut(ε,k)`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Tier::Exact => write!(f, "exact"),
@@ -725,31 +722,6 @@ impl fmt::Display for Tier {
                 epsilon,
                 max_phases,
             } => write!(f, "shortcut({epsilon:?},{max_phases})"),
-        }
-    }
-}
-
-impl FromStr for Tier {
-    type Err = WireError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        if s == "exact" {
-            return Ok(Tier::Exact);
-        }
-        let err = || WireError::new(format!("bad tier {s:?}"));
-        let (head, rest) = s.split_once('(').ok_or_else(err)?;
-        let body = rest.strip_suffix(')').ok_or_else(err)?;
-        let args: Vec<&str> = body.split(',').map(str::trim).collect();
-        match (head.trim(), args.as_slice()) {
-            ("scaled", [eps]) => Ok(Tier::Scaled {
-                epsilon: eps.parse().map_err(|_| err())?,
-            }),
-            ("shortcut", [eps, phases]) => Ok(Tier::Shortcut {
-                epsilon: eps.parse().map_err(|_| err())?,
-                max_phases: phases.parse().map_err(|_| err())?,
-            }),
-            _ => Err(err()),
         }
     }
 }
@@ -835,39 +807,15 @@ pub fn parts_strategy_from_wire(g: &Graph, v: &JsonValue) -> Result<PartsStrateg
 }
 
 impl fmt::Display for PartsStrategy {
-    /// Compact wire form: `singletons`, `whole`, `voronoi(p,s)`. Explicit
-    /// partitions print as `explicit(k parts)`, which [`FromStr`] does
-    /// **not** parse (they carry a graph-validated [`Partition`]).
+    /// Compact form: `singletons`, `whole`, `voronoi(p,s)`, and
+    /// `explicit(k parts)` for a graph-validated [`Partition`]. The serving
+    /// layer hashes it into session ids.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PartsStrategy::Singletons => write!(f, "singletons"),
             PartsStrategy::Whole => write!(f, "whole"),
             PartsStrategy::Voronoi { parts, seed } => write!(f, "voronoi({parts},{seed})"),
             PartsStrategy::Explicit(p) => write!(f, "explicit({} parts)", p.len()),
-        }
-    }
-}
-
-impl FromStr for PartsStrategy {
-    type Err = WireError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        match s {
-            "singletons" => return Ok(PartsStrategy::Singletons),
-            "whole" => return Ok(PartsStrategy::Whole),
-            _ => {}
-        }
-        let err = || WireError::new(format!("bad parts strategy {s:?}"));
-        let (head, rest) = s.split_once('(').ok_or_else(err)?;
-        let body = rest.strip_suffix(')').ok_or_else(err)?;
-        let args: Vec<&str> = body.split(',').map(str::trim).collect();
-        match (head.trim(), args.as_slice()) {
-            ("voronoi", [parts, seed]) => Ok(PartsStrategy::Voronoi {
-                parts: parts.parse().map_err(|_| err())?,
-                seed: seed.parse().map_err(|_| err())?,
-            }),
-            _ => Err(err()),
         }
     }
 }
@@ -1043,17 +991,10 @@ impl<T: FromWire> FromWire for Report<T> {
 }
 
 impl<T: ToWire> fmt::Display for Report<T> {
-    /// The compact wire JSON — the inverse of the [`FromStr`] impl.
+    /// The compact wire JSON, which [`FromWire::from_wire_str`] parses
+    /// back.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.to_wire().fmt(f)
-    }
-}
-
-impl<T: FromWire> FromStr for Report<T> {
-    type Err = WireError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::from_wire_str(s)
     }
 }
 
@@ -1583,21 +1524,20 @@ mod tests {
             },
         ] {
             roundtrip(&tier);
-            assert_eq!(tier.to_string().parse::<Tier>().unwrap(), tier);
         }
-        assert_eq!(
-            "scaled(0.5)".parse::<Tier>().unwrap(),
-            Tier::Scaled { epsilon: 0.5 }
-        );
-        assert!("scaled".parse::<Tier>().is_err());
-        assert!("shortcut(0.5)".parse::<Tier>().is_err());
     }
 
     #[test]
     fn parts_strategy_roundtrips() {
         use minex_graphs::generators;
-        for s in ["singletons", "whole", "voronoi(8,42)"] {
-            let strategy: PartsStrategy = s.parse().unwrap();
+        for (strategy, s) in [
+            (PartsStrategy::Singletons, "singletons"),
+            (PartsStrategy::Whole, "whole"),
+            (
+                PartsStrategy::Voronoi { parts: 8, seed: 42 },
+                "voronoi(8,42)",
+            ),
+        ] {
             assert_eq!(strategy.to_string(), s);
             // Wire round-trip through the graph-free parser.
             let wired =
@@ -1629,10 +1569,7 @@ mod tests {
         ];
         for m in muts {
             roundtrip(&m);
-            assert_eq!(m.to_string().parse::<EdgeMutation>().unwrap(), m);
         }
-        assert!("insert(1,2)".parse::<EdgeMutation>().is_err());
-        assert!("splice(1,2)".parse::<EdgeMutation>().is_err());
     }
 
     #[test]
@@ -1667,10 +1604,10 @@ mod tests {
             },
         };
         roundtrip(&report);
-        // Display/FromStr are the JSON text.
+        // Display is the JSON text.
         let text = report.to_string();
         assert!(text.contains("\"dist\":[0,7,null]"));
-        assert_eq!(text.parse::<Report<Sssp>>().unwrap(), report);
+        assert_eq!(text, report.to_wire_string());
 
         roundtrip(&Report {
             value: Mst {

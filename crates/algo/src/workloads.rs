@@ -196,7 +196,7 @@ pub fn maze_apex_grid<R: Rng + ?Sized>(
 /// graph as mutated so far (no duplicate inserts, no deletes of missing
 /// edges), so the whole stream applies cleanly in order — e.g. through
 /// [`crate::solver::Solver::apply`] or a
-/// [`minex_graphs::DeltaGraph`] overlay.
+/// [`minex_graphs::DeltaGraph`].
 ///
 /// Each step is an insertion with probability `insert_permille`/1000
 /// (rejection-sampled absent pair, fresh random weight in `1..=8192`),

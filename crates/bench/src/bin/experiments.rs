@@ -1,6 +1,7 @@
 //! Prints every experiment table (E1–E18). Pass `--full` for the larger
 //! sweeps used in `EXPERIMENTS.md`; name ids (e.g. `E6 E7`) to run a
-//! subset; pass `--csv <dir>` to also dump each table as `<dir>/<id>.csv`
+//! subset (an unknown id exits 2 before anything runs); pass
+//! `--csv <dir>` to also dump each table as `<dir>/<id>.csv`
 //! so bench trajectories can be tracked across PRs; `--threads <n>` runs
 //! every simulation on the n-worker engine (0 = all cores; results are
 //! byte-identical to the sequential engine, only wall time changes);
@@ -86,6 +87,14 @@ fn main() {
         .map(|(_, a)| a)
         .filter(|a| a.starts_with('E') && a[1..].chars().all(|c| c.is_ascii_digit()))
         .collect();
+    let known: Vec<&str> = minex_bench::experiments()
+        .iter()
+        .map(|(id, _)| *id)
+        .collect();
+    if let Some(id) = selected.iter().find(|id| !known.contains(&id.as_str())) {
+        minex_bench::error!("unknown experiment id {id}; known ids: {}", known.join(" "));
+        std::process::exit(2);
+    }
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
             minex_bench::error!("cannot create {}: {e}", dir.display());

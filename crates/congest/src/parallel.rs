@@ -51,7 +51,7 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread;
 
-use minex_graphs::{GraphView, NodeId};
+use minex_graphs::{Graph, NodeId};
 
 use crate::message::Payload;
 use crate::program::{Ctx, NodeProgram};
@@ -117,7 +117,7 @@ type WorkerLink<M, S> = (Sender<RoundTask<M, S>>, Receiver<ShardDone<M, S>>);
 /// Runs the multi-threaded engine. `threads >= 2` and `graph.n() >= threads`
 /// (the dispatcher in [`crate::run`] guarantees both).
 pub(crate) fn run_parallel<P, S>(
-    graph: &(dyn GraphView + Sync),
+    graph: &Graph,
     programs: &mut [P],
     config: CongestConfig,
     threads: usize,
@@ -285,7 +285,7 @@ where
 /// the shard's inboxes, execute the shard, report back. Exits when the
 /// coordinator hangs up (run over, error, or coordinator panic).
 fn worker_loop<P: NodeProgram, S: Sink>(
-    graph: &(dyn GraphView + Sync),
+    graph: &Graph,
     config: CongestConfig,
     lo: NodeId,
     programs: &mut [P],
@@ -337,7 +337,7 @@ fn worker_loop<P: NodeProgram, S: Sink>(
 /// outbox position) order. Stops at the shard's first CONGEST violation.
 #[allow(clippy::too_many_arguments)]
 fn run_shard<P: NodeProgram, S: Sink>(
-    graph: &(dyn GraphView + Sync),
+    graph: &Graph,
     config: &CongestConfig,
     round: usize,
     lo: NodeId,

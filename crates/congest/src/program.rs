@@ -1,6 +1,6 @@
 //! Node programs: the per-node state machines executed by the runtime.
 
-use minex_graphs::{EdgeId, GraphView, NodeId};
+use minex_graphs::{EdgeId, Graph, NodeId};
 
 use crate::message::Payload;
 use crate::soa::Outbox;
@@ -14,7 +14,7 @@ use crate::soa::Outbox;
 /// [`broadcast`](Ctx::broadcast).
 #[derive(Debug)]
 pub struct Ctx<'a, M: Payload> {
-    graph: &'a (dyn GraphView + Sync),
+    graph: &'a Graph,
     node: NodeId,
     round: usize,
     inbox: &'a [(NodeId, M)],
@@ -23,7 +23,7 @@ pub struct Ctx<'a, M: Payload> {
 
 impl<'a, M: Payload> Ctx<'a, M> {
     pub(crate) fn new(
-        graph: &'a (dyn GraphView + Sync),
+        graph: &'a Graph,
         node: NodeId,
         round: usize,
         inbox: &'a [(NodeId, M)],

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use minex_graphs::{EdgeId, GraphView, NodeId};
+use minex_graphs::{EdgeId, Graph, NodeId};
 
 use crate::message::{bits_for, Payload};
 use crate::program::{Ctx, NodeProgram};
@@ -229,7 +229,7 @@ impl SendValidator {
     #[inline]
     pub(crate) fn check(
         &mut self,
-        graph: &dyn GraphView,
+        graph: &Graph,
         config: &CongestConfig,
         from: NodeId,
         to: NodeId,
@@ -299,7 +299,7 @@ impl SendValidator {
 ///
 /// Panics if `programs.len() != graph.n()`.
 pub fn run<P>(
-    graph: &(dyn GraphView + Sync),
+    graph: &Graph,
     programs: &mut [P],
     config: CongestConfig,
 ) -> Result<RunStats, SimError>
@@ -329,7 +329,7 @@ where
 ///
 /// Panics if `programs.len() != graph.n()`.
 pub fn run_with_sink<P, S>(
-    graph: &(dyn GraphView + Sync),
+    graph: &Graph,
     programs: &mut [P],
     config: CongestConfig,
     sink: &mut S,
@@ -363,7 +363,7 @@ where
 
 /// The single-threaded engine: the reference semantics.
 fn run_sequential<P: NodeProgram, S: Sink>(
-    graph: &(dyn GraphView + Sync),
+    graph: &Graph,
     programs: &mut [P],
     config: CongestConfig,
     sink: &mut S,
@@ -597,7 +597,7 @@ mod tests {
     /// The seed's per-round-allocating delivery loop, kept verbatim as the
     /// reference semantics the batched runtime must reproduce exactly.
     fn run_naive<P: NodeProgram>(
-        graph: &(dyn GraphView + Sync),
+        graph: &Graph,
         programs: &mut [P],
         config: CongestConfig,
     ) -> Result<RunStats, SimError> {

@@ -13,7 +13,7 @@
 use std::error::Error;
 use std::fmt;
 
-use minex_graphs::{EdgeId, Graph, GraphView, NodeId, UnionFind};
+use minex_graphs::{EdgeId, Graph, NodeId, UnionFind};
 
 use crate::parts::Partition;
 use crate::spanning::RootedTree;
@@ -175,8 +175,8 @@ impl QualityReport {
 /// assert_eq!(q.block, 1);
 /// # Ok::<(), minex_core::PartitionError>(())
 /// ```
-pub fn measure_quality<G: GraphView + ?Sized>(
-    g: &G,
+pub fn measure_quality(
+    g: &Graph,
     tree: &RootedTree,
     parts: &Partition,
     shortcut: &Shortcut,
@@ -187,7 +187,7 @@ pub fn measure_quality<G: GraphView + ?Sized>(
         "shortcut must cover every part"
     );
     // Congestion (Definition 11).
-    let mut per_edge = vec![0usize; g.edge_id_bound()];
+    let mut per_edge = vec![0usize; g.m()];
     for (_, e) in shortcut.assignments() {
         per_edge[e] += 1;
     }

@@ -1,47 +1,31 @@
-//! [`DeltaGraph`]: a mutable delta-overlay on the frozen CSR [`Graph`].
+//! [`DeltaGraph`]: a staging set of edge mutations over a frozen CSR
+//! [`Graph`].
 //!
 //! The CSR core is immutable by design — edge ids are lexicographic ranks
 //! and every array is packed — so edge churn cannot be applied in place.
-//! `DeltaGraph` layers mutations on top of a frozen base instead:
+//! `DeltaGraph` stages mutations against a frozen base instead and builds
+//! the mutated graph once, at [`snapshot`](DeltaGraph::snapshot):
 //!
 //! ```text
-//!             ┌──────────────────────────────┐
-//!   reads ──▶ │ overlay rows (touched nodes) │──▶ merged, sorted slices
-//!             ├──────────────┬───────────────┤
-//!             │ tombstone    │ sorted insert │   deletes set a bit;
-//!             │ bitmap       │ buffer        │   inserts get provisional
-//!             ├──────────────┴───────────────┤   ids past `base.m()`
-//!             │        frozen CSR base       │
-//!             └──────────────────────────────┘
+//!   base edges      (0,1) (0,3) (1,2) (1,3) (2,3)
+//!   tombstones        ·     ·     ✗     ·     ·    ← delete {1,2}
+//!   insert buffer   (0,2)                          ← insert {0,2}
+//!                   └──── one sorted merge ─────┘
+//!   snapshot()      (0,1) (0,2) (0,3) (1,3) (2,3)
 //! ```
 //!
 //! * [`delete_edge`](DeltaGraph::delete_edge) sets one bit in a tombstone
-//!   bitmap over base edge ids; [`insert_edge`](DeltaGraph::insert_edge)
-//!   appends to a sorted insert buffer and hands out a **provisional** edge
-//!   id `base.m() + k` (never reused, even after the insert is deleted
-//!   again — size per-edge arrays by
-//!   [`edge_id_bound`](GraphView::edge_id_bound)).
-//! * For each node touched by a mutation the merged adjacency row is
-//!   materialized once, so the [`GraphView`] accessors stay
-//!   allocation-free borrowed slices at read time; untouched nodes read
-//!   straight from the base CSR.
-//! * Once `pending() = tombstones + buffered inserts` reaches the
-//!   compaction threshold (default `max(64, base.m() / 4)`), the overlay
-//!   [`compact`](DeltaGraph::compact)s back into a flat CSR through
-//!   [`Graph::from_sorted_edge_stream`] — one merge of two sorted runs, no
-//!   intermediate edge list. Compaction renumbers edge ids back to dense
-//!   lexicographic ranks; the [`epoch`](DeltaGraph::epoch) counter (one
-//!   tick per successful mutation) and
-//!   [`compactions`](DeltaGraph::compactions) counter let callers detect
-//!   both.
+//!   bitmap over base edge ids, or drops a pair from the insert buffer.
+//! * [`insert_edge`](DeltaGraph::insert_edge) clears a tombstone bit, or
+//!   adds the pair to a sorted buffer of pairs absent from the base.
+//! * Each mutation is checked against the edge set as mutated so far, so a
+//!   rejected one leaves the staged set unchanged.
 //!
 //! The node set is fixed at construction; only the edge set churns.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::graph::{canonical, EdgeId, Graph, GraphError, NodeId, MAX_EDGES};
-use crate::view::GraphView;
 
 /// One edge mutation, the unit of churn streams fed to
 /// [`DeltaGraph::apply_mutation`] and `Solver::apply` downstream.
@@ -69,94 +53,26 @@ pub enum EdgeMutation {
     },
 }
 
-impl fmt::Display for EdgeMutation {
-    /// Compact wire form, `insert(u,v,weight)` / `delete(u,v)` — the
-    /// inverse of the [`FromStr`](std::str::FromStr) impl.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EdgeMutation::Insert { u, v, weight } => write!(f, "insert({u},{v},{weight})"),
-            EdgeMutation::Delete { u, v } => write!(f, "delete({u},{v})"),
-        }
-    }
-}
-
-/// Error parsing an [`EdgeMutation`] from its compact wire form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseEdgeMutationError {
-    msg: String,
-}
-
-impl fmt::Display for ParseEdgeMutationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.msg)
-    }
-}
-
-impl std::error::Error for ParseEdgeMutationError {}
-
-impl std::str::FromStr for EdgeMutation {
-    type Err = ParseEdgeMutationError;
-
-    /// Parses the compact wire form produced by `Display`:
-    /// `insert(u,v,weight)` or `delete(u,v)` (whitespace around arguments
-    /// tolerated).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = |msg: &str| ParseEdgeMutationError {
-            msg: format!("bad edge mutation {s:?}: {msg}"),
-        };
-        let s = s.trim();
-        let (head, rest) = s
-            .split_once('(')
-            .ok_or_else(|| err("expected `insert(…)` or `delete(…)`"))?;
-        let body = rest
-            .strip_suffix(')')
-            .ok_or_else(|| err("missing closing parenthesis"))?;
-        let args: Vec<&str> = body.split(',').map(str::trim).collect();
-        let num = |a: &str| {
-            a.parse::<u64>()
-                .map_err(|_| err(&format!("bad number {a:?}")))
-        };
-        match (head.trim(), args.as_slice()) {
-            ("insert", [u, v, w]) => Ok(EdgeMutation::Insert {
-                u: num(u)? as NodeId,
-                v: num(v)? as NodeId,
-                weight: num(w)?,
-            }),
-            ("delete", [u, v]) => Ok(EdgeMutation::Delete {
-                u: num(u)? as NodeId,
-                v: num(v)? as NodeId,
-            }),
-            ("insert", _) => Err(err("insert takes exactly (u,v,weight)")),
-            ("delete", _) => Err(err("delete takes exactly (u,v)")),
-            _ => Err(err("unknown mutation kind")),
-        }
-    }
-}
-
-/// A materialized merged adjacency row for one overlay-touched node.
-#[derive(Debug, Clone, Default)]
-struct OverlayRow {
-    targets: Vec<u32>,
-    edge_ids: Vec<u32>,
-}
-
-/// A mutable edge-churn overlay over a frozen CSR [`Graph`]: a tombstone
-/// bitmap over base edge ids plus a sorted insert buffer, with merged
-/// per-node rows materialized on first touch (see the layout diagram at
-/// the top of `delta.rs`).
+/// A staging set of edge mutations over a frozen CSR [`Graph`]: a
+/// tombstone bitmap over base edge ids plus a sorted buffer of inserted
+/// pairs (see the diagram at the top of `delta.rs`).
 ///
 /// # Examples
 ///
 /// ```
-/// use minex_graphs::{DeltaGraph, Graph, GraphError, GraphView};
+/// use minex_graphs::{DeltaGraph, Graph, GraphError};
 ///
 /// let base = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
 /// let mut dg = DeltaGraph::new(base);
 /// dg.delete_edge(1, 2)?;
 /// dg.insert_edge(0, 3)?;
 /// assert_eq!(dg.m(), 3);
-/// assert_eq!(dg.neighbor_targets(0), &[1, 3]);
-/// // Compaction freezes the overlay back into a flat CSR.
+/// // Every mutation is checked against the edge set as mutated so far.
+/// assert_eq!(
+///     dg.insert_edge(3, 0),
+///     Err(GraphError::DuplicateEdge { u: 0, v: 3 })
+/// );
+/// // One merge freezes the staged edge set into a flat CSR.
 /// let flat = dg.snapshot();
 /// assert_eq!(flat, Graph::from_edges(4, [(0, 1), (0, 3), (2, 3)])?);
 /// # Ok::<(), GraphError>(())
@@ -168,23 +84,10 @@ pub struct DeltaGraph {
     tombstones: Vec<u64>,
     /// Number of set tombstone bits.
     dead: usize,
-    /// Buffered inserts as canonical pairs, sorted lexicographically.
+    /// Inserted pairs absent from the base, canonical and sorted.
     inserts: Vec<(u32, u32)>,
-    /// Provisional edge ids aligned with `inserts`.
-    insert_ids: Vec<u32>,
-    /// Provisional id allocation record: slot `k` is id `base.m() + k`;
-    /// `None` once that insert was deleted again (ids are never reused).
-    issued: Vec<Option<(u32, u32)>>,
-    /// Mutation counter: one tick per successful insert/delete.
-    epoch: u64,
-    /// Number of threshold-triggered or explicit compactions so far.
-    compactions: u64,
-    /// Pending-mutation count that triggers compaction.
-    threshold: usize,
     /// Structured-error edge cap enforced on the insert path.
     max_edges: usize,
-    /// Merged rows for nodes touched by at least one pending mutation.
-    overlay: HashMap<NodeId, OverlayRow>,
 }
 
 impl fmt::Debug for DeltaGraph {
@@ -192,69 +95,40 @@ impl fmt::Debug for DeltaGraph {
         f.debug_struct("DeltaGraph")
             .field("n", &self.n())
             .field("m", &self.m())
-            .field("pending", &self.pending())
-            .field("epoch", &self.epoch)
-            .field("compactions", &self.compactions)
+            .field("deleted", &self.dead)
+            .field("inserted", &self.inserts.len())
             .finish()
     }
 }
 
 impl DeltaGraph {
-    /// Wraps a frozen base graph with the default compaction threshold
-    /// `max(64, base.m() / 4)` and the [`MAX_EDGES`] capacity limit.
+    /// Stages mutations over a frozen base graph, capped at [`MAX_EDGES`].
     pub fn new(base: Graph) -> Self {
-        let threshold = (base.m() / 4).max(64);
-        Self::with_limits(base, threshold, MAX_EDGES)
+        Self::with_max_edges(base, MAX_EDGES)
     }
 
-    /// Wraps a base graph with an explicit compaction `threshold` (clamped
-    /// to at least 1) and an explicit `max_edges` cap (clamped to
-    /// [`MAX_EDGES`]). The cap makes the structured
+    /// Stages mutations over a base graph with an explicit `max_edges` cap
+    /// (clamped to [`MAX_EDGES`]). The cap makes the structured
     /// [`GraphError::TooManyEdges`] boundary testable without building a
     /// 2³¹-edge graph.
-    pub fn with_limits(base: Graph, threshold: usize, max_edges: usize) -> Self {
-        let words = base.m().div_ceil(64);
+    pub fn with_max_edges(base: Graph, max_edges: usize) -> Self {
         DeltaGraph {
-            tombstones: vec![0; words],
+            tombstones: vec![0; base.m().div_ceil(64)],
             dead: 0,
             inserts: Vec::new(),
-            insert_ids: Vec::new(),
-            issued: Vec::new(),
-            epoch: 0,
-            compactions: 0,
-            threshold: threshold.max(1),
             max_edges: max_edges.min(MAX_EDGES),
-            overlay: HashMap::new(),
             base,
         }
     }
 
-    /// The frozen base CSR under the overlay (pending mutations excluded).
-    pub fn base(&self) -> &Graph {
-        &self.base
+    /// Number of nodes.
+    pub fn n(&self) -> usize {
+        self.base.n()
     }
 
-    /// Mutation counter: increments once per successful
-    /// [`insert_edge`](Self::insert_edge) / [`delete_edge`](Self::delete_edge).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// How many times the overlay has been compacted back into flat CSR.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Pending mutations against the base: tombstoned base edges plus
-    /// buffered inserts. Reaching [`threshold`](Self::threshold) triggers
-    /// compaction.
-    pub fn pending(&self) -> usize {
-        self.dead + self.inserts.len()
-    }
-
-    /// The pending-mutation count at which mutations auto-compact.
-    pub fn threshold(&self) -> usize {
-        self.threshold
+    /// Number of live edges: surviving base edges plus buffered inserts.
+    pub fn m(&self) -> usize {
+        self.base.m() - self.dead + self.inserts.len()
     }
 
     /// The structured-error edge cap enforced by
@@ -268,154 +142,102 @@ impl DeltaGraph {
         (self.tombstones[e >> 6] >> (e & 63)) & 1 == 1
     }
 
-    /// Inserts edge `{u, v}`, returning its edge id: the original base id
-    /// if this resurrects a tombstoned base edge, else a fresh provisional
-    /// id `>= base().m()`. Ids stay valid only until the next compaction.
+    /// Flips the tombstone bit of base edge `e`.
+    #[inline]
+    fn toggle_tombstone(&mut self, e: EdgeId) {
+        self.tombstones[e >> 6] ^= 1u64 << (e & 63);
+    }
+
+    fn check_room(&self) -> Result<(), GraphError> {
+        if self.m() >= self.max_edges {
+            return Err(GraphError::TooManyEdges {
+                limit: self.max_edges,
+            });
+        }
+        Ok(())
+    }
+
+    /// Inserts edge `{u, v}`: clears its tombstone if it is a deleted base
+    /// edge, else buffers the pair.
     ///
     /// # Errors
     ///
     /// [`GraphError::SelfLoop`] / [`GraphError::NodeOutOfRange`] for invalid
     /// endpoints, [`GraphError::DuplicateEdge`] if the edge is already
     /// live, and [`GraphError::TooManyEdges`] if the insert would push the
-    /// live edge count past [`max_edges`](Self::max_edges).
-    pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<EdgeId, GraphError> {
+    /// live edge count past [`max_edges`](Self::max_edges) — checked in
+    /// that order.
+    pub fn insert_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
         let (cu, cv) = canonical(u, v, self.n())?;
-        if let Some(e) = self.base.edge_between(cu as NodeId, cv as NodeId) {
-            if !self.is_tombstoned(e) {
-                return Err(GraphError::DuplicateEdge {
-                    u: cu as NodeId,
-                    v: cv as NodeId,
-                });
+        let duplicate = GraphError::DuplicateEdge {
+            u: cu as NodeId,
+            v: cv as NodeId,
+        };
+        match self.base.edge_between(cu as NodeId, cv as NodeId) {
+            Some(e) if self.is_tombstoned(e) => {
+                self.check_room()?;
+                self.toggle_tombstone(e);
+                self.dead -= 1;
             }
-            if self.m() >= self.max_edges {
-                return Err(GraphError::TooManyEdges {
-                    limit: self.max_edges,
-                });
+            Some(_) => return Err(duplicate),
+            None => {
+                let Err(at) = self.inserts.binary_search(&(cu, cv)) else {
+                    return Err(duplicate);
+                };
+                self.check_room()?;
+                self.inserts.insert(at, (cu, cv));
             }
-            // Resurrect: clear the tombstone, the base id comes back.
-            self.tombstones[e >> 6] &= !(1u64 << (e & 63));
-            self.dead -= 1;
-            self.epoch += 1;
-            self.refresh_rows(cu as NodeId, cv as NodeId);
-            return Ok(e);
         }
-        if self.inserts.binary_search(&(cu, cv)).is_ok() {
-            return Err(GraphError::DuplicateEdge {
-                u: cu as NodeId,
-                v: cv as NodeId,
-            });
-        }
-        if self.m() >= self.max_edges {
-            return Err(GraphError::TooManyEdges {
-                limit: self.max_edges,
-            });
-        }
-        let id = (self.base.m() + self.issued.len()) as u32;
-        self.issued.push(Some((cu, cv)));
-        let at = self.inserts.partition_point(|&p| p < (cu, cv));
-        self.inserts.insert(at, (cu, cv));
-        self.insert_ids.insert(at, id);
-        self.epoch += 1;
-        self.refresh_rows(cu as NodeId, cv as NodeId);
-        self.maybe_compact();
-        Ok(id as EdgeId)
+        Ok(())
     }
 
-    /// Deletes edge `{u, v}`, returning the id it had: a tombstoned base id
-    /// or a retired provisional id (neither is handed out again before the
-    /// next compaction).
+    /// Deletes edge `{u, v}`: tombstones it if it is a base edge, else
+    /// drops the pair from the insert buffer.
     ///
     /// # Errors
     ///
     /// [`GraphError::EdgeNotFound`] if no live edge `{u, v}` exists — this
     /// covers self-loops and out-of-range endpoints too, since such edges
     /// can never exist.
-    pub fn delete_edge(&mut self, u: NodeId, v: NodeId) -> Result<EdgeId, GraphError> {
+    pub fn delete_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
         let not_found = GraphError::EdgeNotFound { u, v };
         let Ok((cu, cv)) = canonical(u, v, self.n()) else {
             return Err(not_found);
         };
-        if let Some(e) = self.base.edge_between(cu as NodeId, cv as NodeId) {
-            if self.is_tombstoned(e) {
-                return Err(not_found);
+        match self.base.edge_between(cu as NodeId, cv as NodeId) {
+            Some(e) if self.is_tombstoned(e) => return Err(not_found),
+            Some(e) => {
+                self.toggle_tombstone(e);
+                self.dead += 1;
             }
-            self.tombstones[e >> 6] |= 1u64 << (e & 63);
-            self.dead += 1;
-            self.epoch += 1;
-            self.refresh_rows(cu as NodeId, cv as NodeId);
-            self.maybe_compact();
-            return Ok(e);
-        }
-        match self.inserts.binary_search(&(cu, cv)) {
-            Ok(at) => {
-                let id = self.insert_ids[at] as EdgeId;
+            None => {
+                let Ok(at) = self.inserts.binary_search(&(cu, cv)) else {
+                    return Err(not_found);
+                };
                 self.inserts.remove(at);
-                self.insert_ids.remove(at);
-                self.issued[id - self.base.m()] = None;
-                self.epoch += 1;
-                self.refresh_rows(cu as NodeId, cv as NodeId);
-                Ok(id)
             }
-            Err(_) => Err(not_found),
         }
+        Ok(())
     }
 
-    /// Applies one [`EdgeMutation`], returning the affected edge id. The
-    /// weight on inserts is ignored here (the graph layer is unweighted).
+    /// Applies one [`EdgeMutation`]. The weight on inserts is ignored here
+    /// (the graph layer is unweighted).
     ///
     /// # Errors
     ///
     /// Exactly the errors of [`insert_edge`](Self::insert_edge) /
     /// [`delete_edge`](Self::delete_edge).
-    pub fn apply_mutation(&mut self, mutation: &EdgeMutation) -> Result<EdgeId, GraphError> {
+    pub fn apply_mutation(&mut self, mutation: &EdgeMutation) -> Result<(), GraphError> {
         match *mutation {
             EdgeMutation::Insert { u, v, .. } => self.insert_edge(u, v),
             EdgeMutation::Delete { u, v } => self.delete_edge(u, v),
         }
     }
 
-    /// Rebuilds the materialized overlay rows of the two endpoints of a
-    /// mutated edge. Only the mutated edge's endpoints can have changed, so
-    /// every other row — materialized or base — stays valid.
-    fn refresh_rows(&mut self, a: NodeId, b: NodeId) {
-        for v in [a, b] {
-            let mut row: Vec<(u32, u32)> = self
-                .base
-                .neighbor_targets(v)
-                .iter()
-                .zip(self.base.neighbor_edge_ids(v))
-                .filter(|&(_, &e)| !self.is_tombstoned(e as EdgeId))
-                .map(|(&w, &e)| (w, e))
-                .collect();
-            for (i, &(cu, cv)) in self.inserts.iter().enumerate() {
-                if cu as NodeId == v {
-                    row.push((cv, self.insert_ids[i]));
-                } else if cv as NodeId == v {
-                    row.push((cu, self.insert_ids[i]));
-                }
-            }
-            row.sort_unstable();
-            let entry = self.overlay.entry(v).or_default();
-            entry.targets.clear();
-            entry.edge_ids.clear();
-            for (w, e) in row {
-                entry.targets.push(w);
-                entry.edge_ids.push(e);
-            }
-        }
-    }
-
-    fn maybe_compact(&mut self) {
-        if self.pending() >= self.threshold {
-            self.compact();
-        }
-    }
-
-    /// Freezes the current live edge set into a flat CSR [`Graph`] without
-    /// touching the overlay: one merge of the (sorted) surviving base edges
-    /// with the (sorted) insert buffer, streamed twice through
-    /// [`Graph::from_sorted_edge_stream`]. Edge ids in the snapshot are
-    /// dense lexicographic ranks again.
+    /// Freezes the staged edge set into a flat CSR [`Graph`]: one merge of
+    /// the (sorted) surviving base edges with the (sorted) insert buffer,
+    /// streamed twice through [`Graph::from_sorted_edge_stream`]. Edge ids
+    /// in the snapshot are dense lexicographic ranks.
     pub fn snapshot(&self) -> Graph {
         Graph::from_sorted_edge_stream(self.n(), || {
             let mut live = self
@@ -441,74 +263,7 @@ impl DeltaGraph {
                 (None, _) => ins.next(),
             })
         })
-        .expect("overlay invariants keep the live edge set a valid simple graph")
-    }
-
-    /// Compacts the overlay back into a flat CSR base, clearing tombstones,
-    /// the insert buffer and all materialized rows. Edge ids are renumbered
-    /// to dense lexicographic ranks; [`compactions`](Self::compactions)
-    /// increments, [`epoch`](Self::epoch) does not (the edge set is
-    /// unchanged).
-    pub fn compact(&mut self) {
-        self.base = self.snapshot();
-        self.tombstones = vec![0; self.base.m().div_ceil(64)];
-        self.dead = 0;
-        self.inserts.clear();
-        self.insert_ids.clear();
-        self.issued.clear();
-        self.overlay.clear();
-        self.compactions += 1;
-    }
-}
-
-impl GraphView for DeltaGraph {
-    #[inline]
-    fn n(&self) -> usize {
-        self.base.n()
-    }
-
-    #[inline]
-    fn m(&self) -> usize {
-        self.base.m() - self.dead + self.inserts.len()
-    }
-
-    #[inline]
-    fn edge_id_bound(&self) -> usize {
-        self.base.m() + self.issued.len()
-    }
-
-    #[inline]
-    fn degree(&self, v: NodeId) -> usize {
-        match self.overlay.get(&v) {
-            Some(row) => row.targets.len(),
-            None => self.base.degree(v),
-        }
-    }
-
-    #[inline]
-    fn neighbor_targets(&self, v: NodeId) -> &[u32] {
-        match self.overlay.get(&v) {
-            Some(row) => &row.targets,
-            None => self.base.neighbor_targets(v),
-        }
-    }
-
-    #[inline]
-    fn neighbor_edge_ids(&self, v: NodeId) -> &[u32] {
-        match self.overlay.get(&v) {
-            Some(row) => &row.edge_ids,
-            None => self.base.neighbor_edge_ids(v),
-        }
-    }
-
-    fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
-        if e < self.base.m() {
-            assert!(!self.is_tombstoned(e), "edge {e} is tombstoned");
-            self.base.endpoints(e)
-        } else {
-            let (u, v) = self.issued[e - self.base.m()].expect("edge id was retired");
-            (u as NodeId, v as NodeId)
-        }
+        .expect("staged mutations keep the live edge set a valid simple graph")
     }
 }
 
@@ -525,65 +280,19 @@ mod tests {
     fn insert_delete_roundtrip() {
         let mut dg = DeltaGraph::new(base());
         assert_eq!(dg.m(), 5);
-        let e = dg.delete_edge(1, 2).unwrap();
-        assert_eq!(e, 2); // lexicographic rank of (1, 2)
+        dg.delete_edge(1, 2).unwrap();
         assert_eq!(dg.m(), 4);
-        assert!(!dg.has_edge(1, 2));
-        assert_eq!(dg.neighbor_targets(1), &[0, 3]);
-        // Resurrecting returns the original base id.
-        assert_eq!(dg.insert_edge(2, 1).unwrap(), 2);
+        assert!(!dg.snapshot().has_edge(1, 2));
+        assert_eq!(dg.snapshot().neighbor_targets(1), &[0, 3]);
+        // Re-inserting a deleted base edge clears its tombstone.
+        dg.insert_edge(2, 1).unwrap();
         assert_eq!(dg.m(), 5);
-        assert_eq!(dg.epoch(), 2);
         assert_eq!(dg.snapshot(), base());
-    }
-
-    #[test]
-    fn provisional_ids_are_dense_from_base_m_and_never_reused() {
-        let mut dg = DeltaGraph::new(base());
-        let a = dg.insert_edge(0, 2).unwrap();
-        assert_eq!(a, 5);
-        assert_eq!(dg.delete_edge(0, 2).unwrap(), 5);
-        // The retired id 5 is not handed out again.
-        let b = dg.insert_edge(2, 0).unwrap();
-        assert_eq!(b, 6);
-        assert_eq!(dg.edge_id_bound(), 7);
-        assert_eq!(dg.endpoints(6), (0, 2));
-        assert_eq!(dg.m(), 6);
-    }
-
-    #[test]
-    fn merged_rows_stay_sorted_and_aligned() {
-        let mut dg = DeltaGraph::new(base());
+        // A buffered insert deleted again leaves nothing behind.
         dg.insert_edge(0, 2).unwrap();
-        dg.delete_edge(0, 3).unwrap();
-        assert_eq!(dg.neighbor_targets(0), &[1, 2]);
-        assert_eq!(dg.neighbor_targets(2), &[0, 1, 3]);
-        assert_eq!(dg.neighbor_targets(3), &[1, 2]);
-        for v in 0..dg.n() {
-            let (ts, es) = (dg.neighbor_targets(v), dg.neighbor_edge_ids(v));
-            assert_eq!(ts.len(), es.len());
-            assert!(ts.windows(2).all(|w| w[0] < w[1]), "row {v} sorted");
-            for (&w, &e) in ts.iter().zip(es) {
-                let (x, y) = dg.endpoints(e as EdgeId);
-                assert_eq!((x.min(y), x.max(y)), (v.min(w as usize), v.max(w as usize)));
-            }
-        }
-    }
-
-    #[test]
-    fn threshold_triggers_compaction() {
-        let mut dg = DeltaGraph::with_limits(base(), 2, MAX_EDGES);
-        dg.delete_edge(1, 3).unwrap();
-        assert_eq!(dg.compactions(), 0);
-        dg.insert_edge(0, 2).unwrap(); // pending reaches 2
-        assert_eq!(dg.compactions(), 1);
-        assert_eq!(dg.pending(), 0);
-        assert_eq!(
-            dg.base(),
-            &Graph::from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]).unwrap()
-        );
-        // Post-compaction ids are dense ranks again.
-        assert_eq!(dg.edge_between(0, 2), Some(1));
+        dg.delete_edge(2, 0).unwrap();
+        assert_eq!(dg.m(), 5);
+        assert_eq!(dg.snapshot(), base());
     }
 
     #[test]
@@ -623,7 +332,7 @@ mod tests {
     fn edge_cap_is_a_structured_error_at_the_boundary() {
         // An injected cap stands in for the untestable 2³¹ CSR limit; the
         // default cap is asserted to be exactly MAX_EDGES below.
-        let mut dg = DeltaGraph::with_limits(base(), usize::MAX, 6);
+        let mut dg = DeltaGraph::with_max_edges(base(), 6);
         dg.insert_edge(0, 2).unwrap(); // m reaches the cap of 6
         assert_eq!(
             dg.insert_edge(1, 3),
@@ -635,7 +344,7 @@ mod tests {
         // A genuinely new edge at the boundary: structured error, no panic.
         // (4 nodes are full; grow via a larger base.)
         let g = Graph::from_edges(5, [(0, 1), (1, 2)]).unwrap();
-        let mut capped = DeltaGraph::with_limits(g, usize::MAX, 2);
+        let mut capped = DeltaGraph::with_max_edges(g, 2);
         assert_eq!(
             capped.insert_edge(3, 4),
             Err(GraphError::TooManyEdges { limit: 2 })
@@ -659,8 +368,5 @@ mod tests {
         dg.delete_edge(0, 1).unwrap();
         let expect = Graph::from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)]).unwrap();
         assert_eq!(dg.snapshot(), expect);
-        dg.compact();
-        assert_eq!(dg.base(), &expect);
-        assert_eq!(dg.epoch(), 3);
     }
 }

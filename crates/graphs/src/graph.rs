@@ -72,8 +72,6 @@ pub enum GraphError {
         /// Higher endpoint of the duplicated edge.
         v: NodeId,
     },
-    /// An operation required a connected graph but the input was not.
-    Disconnected,
     /// An operation required a non-empty graph.
     Empty,
     /// A mutation would push the edge count past the `u32` CSR capacity
@@ -102,7 +100,6 @@ impl fmt::Display for GraphError {
             GraphError::DuplicateEdge { u, v } => {
                 write!(f, "edge {{{u}, {v}}} was streamed twice")
             }
-            GraphError::Disconnected => write!(f, "graph must be connected"),
             GraphError::Empty => write!(f, "graph must be non-empty"),
             GraphError::TooManyEdges { limit } => {
                 write!(f, "edge count would exceed the limit of {limit} edges")

@@ -9,10 +9,10 @@
 //! * [`Graph`] / [`WeightedGraph`] — immutable simple graphs with dense node
 //!   and edge ids, stored in flat CSR arrays (`u32` offsets/targets/edge
 //!   ids, ≈24 bytes per edge) so million-node instances stay cache-resident;
-//! * [`DeltaGraph`] / [`EdgeMutation`] — a mutable delta-overlay for edge
-//!   churn (tombstone bitmap + sorted insert buffer, threshold-triggered
-//!   compaction back into flat CSR), sharing the read surface with [`Graph`]
-//!   through the object-safe [`GraphView`] trait;
+//! * [`DeltaGraph`] / [`EdgeMutation`] — a staging set for edge churn: a
+//!   tombstone bitmap over base edge ids plus a sorted buffer of inserted
+//!   pairs, checked mutation by mutation and merged into a fresh CSR
+//!   [`Graph`] by [`DeltaGraph::snapshot`];
 //! * [`mod@reference`] — the pre-CSR nested-`Vec` adjacency list and the
 //!   pre-bucket `BinaryHeap` Dijkstra, kept as differential-testing and
 //!   benchmarking baselines;
@@ -93,13 +93,11 @@ pub mod minor;
 pub mod reference;
 pub mod traversal;
 mod union_find;
-mod view;
 pub mod weights;
 
-pub use delta::{DeltaGraph, EdgeMutation, ParseEdgeMutationError};
+pub use delta::{DeltaGraph, EdgeMutation};
 pub use graph::{
     EdgeId, Graph, GraphBuilder, GraphError, NodeId, WeightedGraph, MAX_EDGES, MAX_NODES,
 };
 pub use union_find::UnionFind;
-pub use view::GraphView;
 pub use weights::WeightModel;

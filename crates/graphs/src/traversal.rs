@@ -1,18 +1,15 @@
 //! Breadth-first search, connectivity, and distance utilities.
 //!
-//! The unweighted traversals are generic over [`GraphView`], so they run
-//! unmodified on the frozen CSR [`Graph`](crate::Graph) and on the
-//! [`DeltaGraph`](crate::DeltaGraph) churn overlay. [`dijkstra`] stays on
-//! [`WeightedGraph`] (weights are indexed by dense CSR edge ids) and runs on
-//! a monotone bucket queue whenever the weight range permits, falling back
-//! to the preserved heap reference
+//! The unweighted traversals walk the raw CSR rows of a [`Graph`].
+//! [`dijkstra`] runs on [`WeightedGraph`] (weights are indexed by dense CSR
+//! edge ids) over a monotone bucket queue whenever the weight range permits,
+//! falling back to the preserved heap reference
 //! ([`reference::dijkstra_heap`](crate::reference::dijkstra_heap)) otherwise.
 
 use std::collections::VecDeque;
 
 use crate::dist::{dist_add, UNREACHED};
-use crate::graph::{NodeId, WeightedGraph};
-use crate::view::GraphView;
+use crate::graph::{Graph, NodeId, WeightedGraph};
 
 /// The result of a (multi-source) BFS: distances and BFS-tree parents.
 #[derive(Debug, Clone)]
@@ -66,7 +63,7 @@ impl BfsResult {
 /// let bfs = traversal::bfs(&g, 0);
 /// assert_eq!(bfs.dist[4], 4);
 /// ```
-pub fn bfs<G: GraphView + ?Sized>(g: &G, src: NodeId) -> BfsResult {
+pub fn bfs(g: &Graph, src: NodeId) -> BfsResult {
     multi_source_bfs(g, &[src])
 }
 
@@ -79,7 +76,7 @@ pub fn bfs<G: GraphView + ?Sized>(g: &G, src: NodeId) -> BfsResult {
 ///
 /// Panics if any source is out of range or `sources` is empty while the graph
 /// is non-empty (an empty graph with no sources is fine).
-pub fn multi_source_bfs<G: GraphView + ?Sized>(g: &G, sources: &[NodeId]) -> BfsResult {
+pub fn multi_source_bfs(g: &Graph, sources: &[NodeId]) -> BfsResult {
     let n = g.n();
     let mut dist = vec![usize::MAX; n];
     let mut parent = vec![None; n];
@@ -120,7 +117,7 @@ pub fn multi_source_bfs<G: GraphView + ?Sized>(g: &G, sources: &[NodeId]) -> Bfs
 }
 
 /// Whether the graph is connected. Empty graphs count as connected.
-pub fn is_connected<G: GraphView + ?Sized>(g: &G) -> bool {
+pub fn is_connected(g: &Graph) -> bool {
     if g.n() == 0 {
         return true;
     }
@@ -128,7 +125,7 @@ pub fn is_connected<G: GraphView + ?Sized>(g: &G) -> bool {
 }
 
 /// Connected components: returns `(component_of, component_count)`.
-pub fn components<G: GraphView + ?Sized>(g: &G) -> (Vec<usize>, usize) {
+pub fn components(g: &Graph) -> (Vec<usize>, usize) {
     let n = g.n();
     let mut comp = vec![usize::MAX; n];
     let mut count = 0;
@@ -156,7 +153,7 @@ pub fn components<G: GraphView + ?Sized>(g: &G) -> (Vec<usize>, usize) {
 ///
 /// An empty set is considered connected (matching the convention that parts
 /// are non-empty anyway and keeping the check total).
-pub fn is_connected_subset<G: GraphView + ?Sized>(g: &G, set: &[NodeId]) -> bool {
+pub fn is_connected_subset(g: &Graph, set: &[NodeId]) -> bool {
     if set.is_empty() {
         return true;
     }
@@ -188,7 +185,7 @@ pub fn is_connected_subset<G: GraphView + ?Sized>(g: &G, set: &[NodeId]) -> bool
 /// # Errors-like behaviour
 ///
 /// Returns `None` for an empty or disconnected graph.
-pub fn diameter_exact<G: GraphView + ?Sized>(g: &G) -> Option<usize> {
+pub fn diameter_exact(g: &Graph) -> Option<usize> {
     if g.n() == 0 {
         return None;
     }
@@ -206,7 +203,7 @@ pub fn diameter_exact<G: GraphView + ?Sized>(g: &G) -> Option<usize> {
 /// Double-sweep lower bound on the diameter (exact on trees, and a very good
 /// estimate on the mesh-like graphs used here). Returns `None` when the graph
 /// is empty or disconnected.
-pub fn diameter_double_sweep<G: GraphView + ?Sized>(g: &G) -> Option<usize> {
+pub fn diameter_double_sweep(g: &Graph) -> Option<usize> {
     if g.n() == 0 {
         return None;
     }
@@ -418,12 +415,8 @@ fn next_occupied(occupied: &[u64], summary: &[u64], start: usize) -> Option<usiz
 
 /// Single-source shortest path distances restricted to a subgraph given by an
 /// edge mask: only edges `e` with `allowed[e] == true` may be traversed.
-pub fn bfs_masked<G: GraphView + ?Sized>(g: &G, src: NodeId, allowed: &[bool]) -> Vec<usize> {
-    assert_eq!(
-        allowed.len(),
-        g.edge_id_bound(),
-        "edge mask length mismatch"
-    );
+pub fn bfs_masked(g: &Graph, src: NodeId, allowed: &[bool]) -> Vec<usize> {
+    assert_eq!(allowed.len(), g.m(), "edge mask length mismatch");
     let n = g.n();
     let mut dist = vec![usize::MAX; n];
     dist[src] = 0;
@@ -444,7 +437,6 @@ pub fn bfs_masked<G: GraphView + ?Sized>(g: &G, src: NodeId, allowed: &[bool]) -
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::graph::Graph;
 
     #[test]
     fn bfs_on_path() {

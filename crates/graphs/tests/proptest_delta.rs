@@ -1,23 +1,18 @@
 //! Churn leg of the differential property battery: a [`DeltaGraph`]
-//! overlay driven by random mutation sequences against the nested-Vec
-//! [`AdjListGraph`] reference rebuilt from scratch after every step batch.
+//! staging set driven by random mutation sequences against a plain sorted
+//! edge-set model.
 //!
-//! The model is a plain sorted edge set. After a random mix of valid
-//! inserts, valid deletes, and *invalid* operations (duplicate inserts,
-//! deletes of missing edges — which must error without mutating anything),
-//! every accessor the workspace consumes through [`GraphView`] must agree
-//! with the reference built from the model: `n`/`m`/`degree`/
-//! `neighbor_targets`/`neighbor_edge_ids`/`endpoints`/`edge_between`/
-//! `has_edge`. Compaction (explicit or threshold-triggered) must be
-//! invisible to accessors, and a [`DeltaGraph::snapshot`] must equal
-//! `Graph::from_edges` on the model byte for byte.
+//! A random mix of valid inserts, valid deletes, and *invalid* operations
+//! (duplicate inserts, deletes of missing edges — which must error and
+//! leave the staged set unchanged) runs on both. After every step `m()`
+//! must equal the model's size and [`DeltaGraph::snapshot`] must equal
+//! `Graph::from_edges` on the model byte for byte (same edge ids).
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use minex_graphs::reference::AdjListGraph;
-use minex_graphs::{DeltaGraph, EdgeMutation, Graph, GraphView, NodeId};
+use minex_graphs::{DeltaGraph, EdgeMutation, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -37,9 +32,9 @@ fn seed_edges(n: usize, raw: usize, rng: &mut StdRng) -> Vec<(NodeId, NodeId)> {
     set.into_iter().collect()
 }
 
-/// One random churn step against model + overlay, keeping them in lockstep.
-/// Roughly a third of the steps attempt an *invalid* operation and assert
-/// the overlay rejects it.
+/// One random churn step against model + staging set, keeping them in
+/// lockstep. Roughly a third of the steps attempt an *invalid* operation
+/// and assert the staging set rejects it without changing.
 fn churn_step(dg: &mut DeltaGraph, model: &mut BTreeSet<(NodeId, NodeId)>, rng: &mut StdRng) {
     let n = dg.n();
     let pick_pair = |rng: &mut StdRng| {
@@ -73,14 +68,14 @@ fn churn_step(dg: &mut DeltaGraph, model: &mut BTreeSet<(NodeId, NodeId)>, rng: 
             }
         }
         // Invalid insert: a pair that is already live must be rejected
-        // and leave the overlay untouched.
+        // and leave the staged set untouched.
         4 => {
             if !model.is_empty() {
                 let i = rng.random_range(0..model.len());
                 let &(u, v) = model.iter().nth(i).expect("index in range");
-                let epoch = dg.epoch();
-                assert!(dg.insert_edge(u, v).is_err(), "duplicate insert must fail");
-                assert_eq!(dg.epoch(), epoch, "failed insert must not tick the epoch");
+                let before = dg.snapshot();
+                assert!(dg.insert_edge(v, u).is_err(), "duplicate insert must fail");
+                assert_eq!(dg.snapshot(), before, "failed insert must not stage");
             }
         }
         // Invalid delete: an absent pair must be rejected.
@@ -88,9 +83,9 @@ fn churn_step(dg: &mut DeltaGraph, model: &mut BTreeSet<(NodeId, NodeId)>, rng: 
             for _ in 0..32 {
                 let (u, v) = pick_pair(rng);
                 if !model.contains(&(u, v)) {
-                    let epoch = dg.epoch();
+                    let before = dg.snapshot();
                     assert!(dg.delete_edge(u, v).is_err(), "missing delete must fail");
-                    assert_eq!(dg.epoch(), epoch, "failed delete must not tick the epoch");
+                    assert_eq!(dg.snapshot(), before, "failed delete must not stage");
                     break;
                 }
             }
@@ -98,43 +93,20 @@ fn churn_step(dg: &mut DeltaGraph, model: &mut BTreeSet<(NodeId, NodeId)>, rng: 
     }
 }
 
-/// Accessor-by-accessor agreement of the overlay with the reference built
-/// from the model edge set.
+/// The staging set agrees with the model: same live edge count, and the
+/// snapshot is the canonical CSR of the model's edge set.
 fn assert_agrees(dg: &DeltaGraph, model: &BTreeSet<(NodeId, NodeId)>) {
-    let n = dg.n();
-    let r = AdjListGraph::from_edges(n, model.iter().copied()).expect("model is valid");
-    assert_eq!(dg.m(), r.m(), "live edge count");
-    for v in 0..n {
-        assert_eq!(dg.degree(v), r.degree(v), "degree({v})");
-        let targets = dg.neighbor_targets(v);
-        let ids = dg.neighbor_edge_ids(v);
-        assert_eq!(targets.len(), ids.len(), "row lengths of {v}");
-        let mut expected: Vec<NodeId> = r.neighbors(v).map(|(w, _)| w).collect();
-        expected.sort_unstable();
-        let got: Vec<NodeId> = targets.iter().map(|&t| t as NodeId).collect();
-        assert_eq!(got, expected, "sorted merged row of {v}");
-        // Edge ids must be consistent: endpoints of each row id give back
-        // exactly {v, target}, and edge_between round-trips.
-        for (&t, &e) in targets.iter().zip(ids) {
-            let w = t as NodeId;
-            let (a, b) = dg.endpoints(e as usize);
-            assert_eq!((a.min(b), a.max(b)), (v.min(w), v.max(w)), "endpoints({e})");
-            assert_eq!(
-                dg.edge_between(v, w),
-                Some(e as usize),
-                "edge_between({v},{w})"
-            );
-            assert!(dg.has_edge(v, w));
-        }
-    }
+    assert_eq!(dg.m(), model.len(), "live edge count");
+    let rebuilt = Graph::from_edges(dg.n(), model.iter().copied()).expect("model is valid");
+    assert_eq!(dg.snapshot(), rebuilt, "snapshot == from-scratch rebuild");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random mutation sequences: the overlay agrees with a from-scratch
-    /// reference after every mutation, across insert-buffer and tombstone
-    /// states and across threshold-triggered compactions.
+    /// Random mutation sequences: the staging set agrees with the model
+    /// after every mutation, across tombstoned, resurrected and buffered
+    /// edges.
     #[test]
     fn churn_agrees_with_reference(n in 2usize..40, raw in 0usize..120,
                                    steps in 1usize..60, seed in 0u64..10_000) {
@@ -142,37 +114,11 @@ proptest! {
         let edges = seed_edges(n, raw, &mut rng);
         let base = Graph::from_edges(n, edges.iter().copied()).expect("valid seed");
         let mut model: BTreeSet<(NodeId, NodeId)> = edges.into_iter().collect();
-        // A tiny compaction threshold so threshold-triggered compactions
-        // actually fire inside the sequence.
-        let mut dg = DeltaGraph::with_limits(base, 8, usize::MAX);
-        for _ in 0..steps {
-            churn_step(&mut dg, &mut model, &mut rng);
-        }
-        assert_agrees(&dg, &model);
-    }
-
-    /// Post-compaction equality: an explicit `compact()` must leave the
-    /// overlay agreeing with the reference, and `snapshot()` must equal
-    /// `Graph::from_edges` on the model byte for byte (same edge ids).
-    #[test]
-    fn compaction_is_invisible_and_snapshot_is_canonical(
-        n in 2usize..40, raw in 0usize..120, steps in 1usize..60, seed in 0u64..10_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1 << 32));
-        let edges = seed_edges(n, raw, &mut rng);
-        let base = Graph::from_edges(n, edges.iter().copied()).expect("valid seed");
-        let mut model: BTreeSet<(NodeId, NodeId)> = edges.into_iter().collect();
         let mut dg = DeltaGraph::new(base);
         for _ in 0..steps {
             churn_step(&mut dg, &mut model, &mut rng);
+            assert_agrees(&dg, &model);
         }
-        let snap = dg.snapshot();
-        let rebuilt = Graph::from_edges(n, model.iter().copied()).expect("model is valid");
-        prop_assert_eq!(&snap, &rebuilt, "snapshot == from-scratch rebuild");
-        dg.compact();
-        prop_assert_eq!(dg.pending(), 0, "compaction drains the overlay");
-        assert_agrees(&dg, &model);
-        prop_assert_eq!(dg.base(), &rebuilt, "compacted base is the canonical CSR");
     }
 
     /// Mutation batches expressed as [`EdgeMutation`] values apply through
@@ -183,7 +129,7 @@ proptest! {
         let edges = seed_edges(n, 40, &mut rng);
         let base = Graph::from_edges(n, edges.iter().copied()).expect("valid seed");
         let mut a = DeltaGraph::new(base.clone());
-        let mut b = DeltaGraph::new(base);
+        let mut b = DeltaGraph::new(base.clone());
         let mut model: BTreeSet<(NodeId, NodeId)> = edges.iter().copied().collect();
         for _ in 0..30 {
             churn_step(&mut a, &mut model, &mut rng);
@@ -197,7 +143,7 @@ proptest! {
             }
         }
         for (_, u, v) in snap.edges() {
-            if !b.has_edge(u, v) {
+            if !base.has_edge(u, v) {
                 b.apply_mutation(&EdgeMutation::Insert { u, v, weight: 1 }).expect("valid");
             }
         }

@@ -9,7 +9,8 @@
 #
 # Usage: scripts/check-golden.sh [csv-dir]
 #   csv-dir  a directory already populated by `experiments --csv` (e.g. the
-#            one CI just produced); omitted, the sweep is run into a tempdir.
+#            one CI just produced); omitted, only the experiments with a
+#            golden under expected/ are run, into a tempdir.
 #
 # E13–E16 and E18 are timing-based (machine-dependent columns) and
 # deliberately have no goldens. The traced-session JSONL golden
@@ -22,7 +23,11 @@ cd "$(dirname "$0")/.."
 dir="${1:-}"
 if [ -z "$dir" ]; then
     dir="$(mktemp -d)"
-    cargo run --release -q -p minex-bench --bin experiments -- --csv "$dir" >/dev/null
+    ids=()
+    for want in expected/*.csv; do
+        ids+=("$(basename "$want" .csv)")
+    done
+    cargo run --release -q -p minex-bench --bin experiments -- "${ids[@]}" --csv "$dir" >/dev/null
 fi
 
 status=0
