@@ -19,7 +19,8 @@
 //!   Garay–Kutten–Peleg-style `Õ(D + √n)` algorithm for the E6/E7
 //!   comparisons;
 //! * [`mincut`] — `(1+ε)`-approximate min-cut via greedy tree packing and
-//!   tree-respecting cuts, with exact Stoer–Wagner as reference;
+//!   tree-respecting cuts, with the exact value from Nagamochi–Ono–Ibaraki
+//!   contraction and Stoer–Wagner as the test reference;
 //! * [`sssp`] — single-source shortest paths in three tiers (E11/E12):
 //!   exact Bellman–Ford, BFS-tree-scaled `(1+ε)` Bellman–Ford, and
 //!   shortcut-accelerated overlay SSSP via part-wise aggregation, all

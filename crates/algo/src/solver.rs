@@ -83,7 +83,7 @@ use minex_graphs::{
 
 use crate::components::build_per_component;
 use crate::mincut::{
-    greedy_tree_packing, min_two_respecting_cut, one_respecting_cuts, stoer_wagner,
+    exact_min_cut, greedy_tree_packing, min_two_respecting_cut, one_respecting_cuts,
 };
 use crate::partwise::{partwise_min_impl, AggTopology};
 use crate::sssp::{
@@ -516,7 +516,8 @@ pub struct Mst {
 pub struct MinCut {
     /// Best cut value found over the tree packing.
     pub approx_value: u64,
-    /// Exact value (Stoer–Wagner reference).
+    /// Exact global minimum cut ([`exact_min_cut`], tested against the
+    /// Stoer–Wagner reference).
     pub exact_value: u64,
     /// `approx / exact`.
     pub ratio: f64,
@@ -1595,8 +1596,9 @@ impl Solver {
     /// # Errors
     ///
     /// As [`Solver::mst`] (including its weight bound), plus
-    /// [`AlgoError::BadQuery`] when `trees == 0` or the graph has fewer
-    /// than two nodes.
+    /// [`AlgoError::BadQuery`] when `trees == 0`, the graph has fewer
+    /// than two nodes, or an edge weighs 0 (a zero-weight cut has no
+    /// finite `ratio`).
     pub fn min_cut(&mut self, trees: usize) -> Result<Report<MinCut>, AlgoError> {
         self.min_cut_with(trees, true)
     }
@@ -1792,7 +1794,8 @@ impl Solver {
             return Err(AlgoError::Disconnected);
         }
         check_encodable(&self.wg)?;
-        let exact = stoer_wagner(self.wg.as_ref());
+        self.check_positive_weights()?;
+        let exact = exact_min_cut(self.wg.as_ref());
         let packing = greedy_tree_packing(self.wg.as_ref(), trees);
         // Distributed cost of the packing: one Borůvka MST per tree. The
         // load re-weighting does not change the round profile, so simulate
@@ -2412,6 +2415,40 @@ mod tests {
         // One above the bound: (2^62 − 1)·4 + 3 = u64::MAX, the sentinel.
         let mut solver = heavy_cycle((1 << 62) - 1);
         assert!(matches!(solver.mst(), Err(AlgoError::BadQuery(_))));
+    }
+
+    #[test]
+    fn min_cut_sums_largest_admitted_weights_without_overflow() {
+        // Subtree sums of weighted degrees pass u64::MAX on the cycle (up
+        // to 8·w), and the doubled LCA weight does on the path (2·w): both
+        // are exact in u128.
+        let heavy = (1u64 << 62) - 2;
+        let cycle = WeightedGraph::new(generators::cycle(4), vec![heavy; 4]);
+        let path = WeightedGraph::new(generators::path(2), vec![u64::MAX - 1]);
+        for (wg, want) in [(cycle, 2 * heavy), (path, u64::MAX - 1)] {
+            let mut solver = Solver::builder(&wg)
+                .config(CongestConfig::for_nodes(wg.graph().n()).with_bandwidth(128))
+                .build()
+                .unwrap();
+            let cut = solver.min_cut(1).unwrap().value;
+            assert_eq!((cut.approx_value, cut.exact_value), (want, want));
+        }
+    }
+
+    #[test]
+    fn min_cut_rejects_zero_weight_edges() {
+        // A zero cut has no finite ratio, and the 2-respecting kernel skips
+        // zero cuts: the cycle would answer approx 5 against exact 0.
+        for (g, weights) in [
+            (generators::path(3), vec![0, 1]),
+            (generators::cycle(4), vec![0, 0, 5, 5]),
+        ] {
+            let mut solver = Solver::for_graph(&g).weights(weights).build().unwrap();
+            assert!(matches!(
+                solver.min_cut(1),
+                Err(AlgoError::BadQuery(m)) if m.contains("positive weights")
+            ));
+        }
     }
 
     #[test]

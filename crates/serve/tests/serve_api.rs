@@ -224,6 +224,21 @@ fn error_codes_map_stably_over_the_wire() {
         }
         other => panic!("expected BAD_QUERY, got {other:?}"),
     }
+    // So is a min-cut over a zero-weight edge: its ratio would have no
+    // finite value. Queries that allow zero weights still answer.
+    let zero_edge = CreateSession {
+        n: 3,
+        edges: vec![(0, 1, 0), (1, 2, 1)],
+        ..disconnected
+    };
+    let zero_session = client.create_session(&zero_edge).unwrap();
+    match client.min_cut(&zero_session, 1) {
+        Err(ServeError::Server { status, code, .. }) => {
+            assert_eq!((status, code.as_str()), (400, "BAD_QUERY"));
+        }
+        other => panic!("expected BAD_QUERY, got {other:?}"),
+    }
+    assert_eq!(client.mst(&zero_session).unwrap().value.total_weight, 1);
 
     // Malformed request bodies -> BAD_REQUEST/400.
     match client.query(

@@ -1,10 +1,12 @@
 //! Approximate minimum cut via greedy tree packing (the Corollary 1
-//! min-cut), checked against exact Stoer–Wagner.
+//! min-cut). The session's exact value is checked against the independent
+//! Stoer–Wagner reference.
 //!
 //! ```sh
 //! cargo run --example mincut_approx --release
 //! ```
 
+use minex::algo::mincut::stoer_wagner;
 use minex::congest::CongestConfig;
 use minex::core::construct::SteinerBuilder;
 use minex::graphs::{generators, WeightModel};
@@ -30,8 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .shortcut_builder(SteinerBuilder)
             .config(config)
             .build()?;
+        let reference = stoer_wagner(&wg);
         for trees in [1, 4, 8] {
             let out = session.min_cut(trees)?;
+            assert_eq!(out.value.exact_value, reference);
             println!(
                 "  {trees} packed trees: approx={} exact={} ratio={:.3} simulated rounds={}",
                 out.value.approx_value,

@@ -9,6 +9,7 @@
 //! their standalone reference implementations (`bellman_ford_sssp`,
 //! `scaled_sssp`), which remain public non-session entry points.
 
+use minex::algo::mincut::stoer_wagner;
 use minex::algo::sssp::{bellman_ford_sssp, scaled_sssp};
 use minex::algo::workloads;
 use minex::congest::CongestConfig;
@@ -194,8 +195,30 @@ fn min_cut_is_byte_identical_to_a_fresh_session_across_engines_and_repeats() {
         assert_eq!(first, second, "threads={threads}: repeat must be identical");
         assert_eq!(first, fresh, "threads={threads}: warm ≡ fresh");
         assert!(first.value.approx_value >= first.value.exact_value);
+        assert_eq!(first.value.exact_value, stoer_wagner(&wg));
         assert_eq!(first.value.trees, 4);
     }
+}
+
+/// Tier-2 scale leg (`#[ignore]`; the scheduled scale job runs it with
+/// `cargo test --release -q -- --ignored`): a fresh min-cut's exact value
+/// at n = 44,944, where a dense `n × n` weight matrix would need 16 GB.
+/// Bringing one back into the query path fails this test rather than
+/// slowing it down.
+#[test]
+#[ignore = "tier-2 scale leg (seconds in release); run with cargo test --release -- --ignored"]
+fn fresh_min_cut_on_a_45k_node_tri_grid_needs_no_dense_matrix() {
+    let g = generators::triangulated_grid(212, 212);
+    assert_eq!(g.n(), 44_944);
+    let cut = Solver::for_graph(&g)
+        .shortcut_builder(SteinerBuilder)
+        .config(cfg(g.n(), 1))
+        .build()
+        .unwrap()
+        .min_cut_with(1, false)
+        .unwrap()
+        .value;
+    assert_eq!((cut.exact_value, cut.approx_value), (2, 2));
 }
 
 #[test]
