@@ -60,9 +60,8 @@
 //! Sessions can record a [`SessionTrace`](solver::SessionTrace): lifetime
 //! counters (memo hits/misses, plans built/repaired), one span per query,
 //! and a wire-level `CongestionProfile` fed by the simulator's telemetry
-//! sinks. The whole record is deterministic — byte-identical across the
-//! sequential and parallel engines and any `MINEX_THREADS` setting — and
-//! exports as JSON Lines via
+//! sinks. The whole record is deterministic — a function of the session's
+//! graph, options and queries alone — and exports as JSON Lines via
 //! [`SessionTrace::to_jsonl`](solver::SessionTrace::to_jsonl):
 //!
 //! ```

@@ -839,7 +839,7 @@ mod tests {
 
         /// The flat engine against the ordered-map reference: identical
         /// per-node values, minima, `RunStats` and errors, for both value
-        /// rules and both engines, on random graphs, partitions (singletons,
+        /// rules, on random graphs, partitions (singletons,
         /// one part, Voronoi cells, partial covers) and shortcuts (empty,
         /// random overlapping edge sets, or the whole BFS tree for every
         /// part), so links carry several parts.
@@ -905,42 +905,40 @@ mod tests {
             // 12-bit values fit the 32-bit budget; 40-bit ones never do.
             let value_bits = if wide { 40 } else { 12 };
             let topo = AggTopology::compile(&g, &parts, &shortcut);
-            for threads in [1usize, 4] {
-                let config = CongestConfig::for_nodes(n).with_bandwidth(32).with_threads(threads);
-                let reference =
-                    run_reference(&wg, &parts, &shortcut, weighted, &seeds, value_bits, config);
-                if weighted {
-                    let flat = topo.distance_flood(&wg, &seeds, value_bits, config);
-                    match (reference, flat) {
-                        (Ok((values, stats)), Ok(flat)) => {
-                            proptest::prop_assert_eq!(stats, flat.stats);
-                            proptest::prop_assert_eq!(values, flat_values(&flat));
-                        }
-                        (Err(a), Err(b)) => proptest::prop_assert_eq!(a, b),
-                        (a, b) => proptest::prop_assert!(
-                            false, "outcomes differ: {:?} vs {:?}", a.map(|r| r.1), b.map(|r| r.stats)
-                        ),
+            let config = CongestConfig::for_nodes(n).with_bandwidth(32);
+            let reference =
+                run_reference(&wg, &parts, &shortcut, weighted, &seeds, value_bits, config);
+            if weighted {
+                let flat = topo.distance_flood(&wg, &seeds, value_bits, config);
+                match (reference, flat) {
+                    (Ok((values, stats)), Ok(flat)) => {
+                        proptest::prop_assert_eq!(stats, flat.stats);
+                        proptest::prop_assert_eq!(values, flat_values(&flat));
                     }
-                } else {
-                    let mut values = vec![0u64; n];
-                    for &(v, _, x) in &seeds {
-                        values[v] = x;
+                    (Err(a), Err(b)) => proptest::prop_assert_eq!(a, b),
+                    (a, b) => proptest::prop_assert!(
+                        false, "outcomes differ: {:?} vs {:?}", a.map(|r| r.1), b.map(|r| r.stats)
+                    ),
+                }
+            } else {
+                let mut values = vec![0u64; n];
+                for &(v, _, x) in &seeds {
+                    values[v] = x;
+                }
+                let flat = topo.min_run(&g, &values, value_bits, config);
+                match (reference, flat) {
+                    (Ok((per_node, stats)), Ok(flat)) => {
+                        proptest::prop_assert_eq!(stats, flat.stats);
+                        proptest::prop_assert_eq!(per_node, flat_values(&flat));
+                        proptest::prop_assert_eq!(
+                            flat.minima(),
+                            partwise_min_reference(&parts, &values)
+                        );
                     }
-                    let flat = topo.min_run(&g, &values, value_bits, config);
-                    match (reference, flat) {
-                        (Ok((per_node, stats)), Ok(flat)) => {
-                            proptest::prop_assert_eq!(stats, flat.stats);
-                            proptest::prop_assert_eq!(per_node, flat_values(&flat));
-                            proptest::prop_assert_eq!(
-                                flat.minima(),
-                                partwise_min_reference(&parts, &values)
-                            );
-                        }
-                        (Err(a), Err(b)) => proptest::prop_assert_eq!(a, b),
-                        (a, b) => proptest::prop_assert!(
-                            false, "outcomes differ: {:?} vs {:?}", a.map(|r| r.1), b.map(|r| r.stats)
-                        ),
-                    }
+                    (Err(a), Err(b)) => proptest::prop_assert_eq!(a, b),
+                    (a, b) => proptest::prop_assert!(
+                        false, "outcomes differ: {:?} vs {:?}", a.map(|r| r.1), b.map(|r| r.stats)
+                    ),
                 }
             }
         }

@@ -18,8 +18,8 @@
 //!
 //! **Determinism contract:** a report is a pure function of the session
 //! graph, its configuration, and the query — the same outputs, `RunStats`
-//! and round counts on a warm session as on a fresh one, on every engine —
-//! and repeated queries on one session return identical reports (plan
+//! and round counts on a warm session as on a fresh one — and repeated
+//! queries on one session return identical reports (plan
 //! reuse skips rebuilding, never re-deciding).
 //!
 //! **Result memoization:** the simulator has no randomness or hidden
@@ -303,8 +303,8 @@ pub struct QuerySpan {
 ///
 /// Enable with [`SolverBuilder::trace`] or [`Solver::enable_trace`]; read
 /// with [`Solver::trace`] or drain with [`Solver::take_trace`]. The whole
-/// record is deterministic: byte-identical across the sequential and
-/// parallel engines and any `MINEX_THREADS` setting.
+/// record is deterministic: a function of the session's graph, options and
+/// query sequence alone.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionTrace {
     /// Session-lifetime counters.
@@ -336,9 +336,9 @@ impl SessionTrace {
     /// * `reject` — one per recorded validator rejection: `message`.
     /// * `summary` — profile totals, once (last line).
     ///
-    /// The output is deterministic and diffable across engines and thread
-    /// counts — the CI telemetry step compares it byte-for-byte between
-    /// `MINEX_THREADS=1` and `MINEX_THREADS=4`.
+    /// The output is deterministic and diffable — the CI telemetry step
+    /// compares it byte-for-byte with the committed
+    /// `expected/trace.jsonl`.
     pub fn to_jsonl(&self) -> String {
         use JsonValue::{Bool, Null, Str, UInt};
         let uint = |x: usize| UInt(x as u64);
@@ -775,7 +775,6 @@ pub struct SolverBuilder<'a> {
     parts: PartsStrategy,
     builder: Box<dyn ShortcutBuilder + Send + 'static>,
     config: Option<CongestConfig>,
-    threads: Option<usize>,
     root: NodeId,
     trace: bool,
 }
@@ -788,7 +787,6 @@ impl<'a> SolverBuilder<'a> {
             parts: PartsStrategy::Singletons,
             builder: Box::new(minex_core::construct::AutoCappedBuilder),
             config: None,
-            threads: None,
             root: 0,
             trace: false,
         }
@@ -829,10 +827,11 @@ impl<'a> SolverBuilder<'a> {
         self
     }
 
-    /// Overrides the execution-engine thread count of the session config
-    /// (`1` = sequential, `0` = all cores); results are engine-independent.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+    /// A no-op, kept so that callers written against the former
+    /// multi-threaded engine still compile: every session simulates on the
+    /// thread that runs its query. Returns `self` unchanged.
+    pub fn threads(self, threads: usize) -> Self {
+        let _ = threads;
         self
     }
 
@@ -906,10 +905,7 @@ impl<'a> SolverBuilder<'a> {
         let connected = n > 0 && traversal::is_connected(wg.graph());
         let strategy = self.parts.clone();
         let parts = resolve_parts(wg.graph(), self.parts, connected)?;
-        let mut config = self.config.unwrap_or_else(|| CongestConfig::for_nodes(n));
-        if let Some(t) = self.threads {
-            config = config.with_threads(t);
-        }
+        let config = self.config.unwrap_or_else(|| CongestConfig::for_nodes(n));
         Ok(Solver {
             wg,
             parts,
@@ -1597,8 +1593,10 @@ impl Solver {
     ///
     /// As [`Solver::mst`] (including its weight bound), plus
     /// [`AlgoError::BadQuery`] when `trees == 0`, the graph has fewer
-    /// than two nodes, or an edge weighs 0 (a zero-weight cut has no
-    /// finite `ratio`).
+    /// than two nodes, `trees` exceeds the node count `n` (the packing
+    /// holds one spanning tree per requested tree, so `trees` is bounded
+    /// before anything is allocated for it), or an edge weighs 0 (a
+    /// zero-weight cut has no finite `ratio`).
     pub fn min_cut(&mut self, trees: usize) -> Result<Report<MinCut>, AlgoError> {
         self.min_cut_with(trees, true)
     }
@@ -1789,6 +1787,12 @@ impl Solver {
             return Err(AlgoError::BadQuery(
                 "min cut needs at least two nodes".into(),
             ));
+        }
+        if trees > g.n() {
+            return Err(AlgoError::BadQuery(format!(
+                "{trees} packed trees exceed the node count {}",
+                g.n()
+            )));
         }
         if !self.connected {
             return Err(AlgoError::Disconnected);
@@ -2452,6 +2456,31 @@ mod tests {
     }
 
     #[test]
+    fn min_cut_bounds_trees_by_node_count() {
+        // One packed tree per requested tree: a count above n is refused
+        // before the packing allocates anything for it.
+        let g = generators::cycle(6);
+        let mut solver = Solver::for_graph(&g).build().unwrap();
+        for trees in [7, 1 << 40, usize::MAX] {
+            assert!(matches!(
+                solver.min_cut(trees),
+                Err(AlgoError::BadQuery(m)) if m.contains("exceed the node count 6")
+            ));
+        }
+        assert_eq!(solver.min_cut(6).unwrap().value.approx_value, 2);
+        // The empty-graph and node-count checks still come first.
+        let empty = Graph::from_edges(0, std::iter::empty()).unwrap();
+        let mut solver = Solver::for_graph(&empty).build().unwrap();
+        assert_eq!(solver.min_cut(5).unwrap_err(), AlgoError::EmptyGraph);
+        let single = Graph::from_edges(1, std::iter::empty()).unwrap();
+        let mut solver = Solver::for_graph(&single).build().unwrap();
+        assert!(matches!(
+            solver.min_cut(5),
+            Err(AlgoError::BadQuery(m)) if m.contains("at least two nodes")
+        ));
+    }
+
+    #[test]
     fn weights_at_the_encoding_bound_are_answered_exactly() {
         // (2^62 − 2)·4 + 3 = u64::MAX − 4: the largest weight m = 4 allows.
         let heavy = (1u64 << 62) - 2;
@@ -2758,13 +2787,12 @@ mod tests {
 
     /// Drives one traced session through every query kind plus a mutation
     /// batch and returns the drained trace.
-    fn traced_session_run(threads: usize) -> SessionTrace {
+    fn traced_session_run() -> SessionTrace {
         let wg = weighted(21);
         let mut solver = Solver::builder(&wg)
             .parts(PartsStrategy::Voronoi { parts: 5, seed: 3 })
             .shortcut_builder(SteinerBuilder)
             .config(cfg(wg.graph().n()))
-            .threads(threads)
             .trace(true)
             .build()
             .unwrap();
@@ -2798,11 +2826,12 @@ mod tests {
 
     #[test]
     fn session_trace_is_engine_independent_and_reconciles() {
-        let seq = traced_session_run(1);
-        let par = traced_session_run(4);
-        assert_eq!(seq, par);
-        assert_eq!(seq.to_jsonl(), par.to_jsonl());
-        assert_eq!(seq.profile.render(), par.profile.render());
+        // Two identical sessions record identical traces.
+        let seq = traced_session_run();
+        let again = traced_session_run();
+        assert_eq!(seq, again);
+        assert_eq!(seq.to_jsonl(), again.to_jsonl());
+        assert_eq!(seq.profile.render(), again.profile.render());
 
         // Counters: 10 successful calls; the second mst() is the only hit.
         assert_eq!(seq.counters.queries, 10);

@@ -4,8 +4,8 @@
 //! Everything here is hand-rolled on a dependency-free [`JsonValue`] model
 //! (the repository vendors no serde), which also writes every line of
 //! [`SessionTrace::to_jsonl`](crate::solver::SessionTrace::to_jsonl):
-//! deterministic field order, compact output, byte-identical across
-//! engines and thread counts.
+//! deterministic field order, compact output, byte-identical from run to
+//! run.
 //!
 //! # Schema v2
 //!
@@ -18,7 +18,8 @@
 //! * **`Query`** — the `POST /v1/sessions/{id}/query` body, tagged by
 //!   `query`: `{"query":"mst"}`,
 //!   `{"query":"min_cut","trees":k,"two_respecting":b}` (a missing
-//!   `two_respecting` means `true`),
+//!   `two_respecting` means `true`; `k` above the session's node count is
+//!   a `BAD_QUERY`),
 //!   `{"query":"sssp","source":s,"tier":T}`, `{"query":"components"}`,
 //!   `{"query":"partwise_min","values":[…],"value_bits":b}`. The daemon
 //!   also accepts `{"query":"apply","mutations":[…]}`, which mutates the

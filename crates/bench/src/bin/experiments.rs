@@ -2,9 +2,7 @@
 //! sweeps used in `EXPERIMENTS.md`; name ids (e.g. `E6 E7`) to run a
 //! subset (an unknown id exits 2 before anything runs); pass
 //! `--csv <dir>` to also dump each table as `<dir>/<id>.csv`
-//! so bench trajectories can be tracked across PRs; `--threads <n>` runs
-//! every simulation on the n-worker engine (0 = all cores; results are
-//! byte-identical to the sequential engine, only wall time changes);
+//! so bench trajectories can be tracked across PRs;
 //! `--perf-json <file>` writes a machine-readable wall-time summary
 //! (`BENCH_pr.json` in CI), including a `plan_reuse` section with E14's
 //! solver-vs-legacy amortization figures, an `engine_scaling` section with
@@ -16,7 +14,7 @@
 //! `telemetry` section with E17's observed-congestion rows plus the
 //! noop-sink dispatch-overhead sample; `--trace <file>` (or `MINEX_TRACE=<file>`)
 //! writes the deterministic traced-session JSONL export the CI telemetry
-//! gate validates and diffs across thread counts.
+//! gate validates and byte-compares with `expected/trace.jsonl`.
 //!
 //! Tables go to stdout; progress chatter goes to stderr through the
 //! `MINEX_LOG`-leveled logger, so `experiments > tables.md` captures
@@ -65,15 +63,7 @@ fn main() {
     let trace_path: Option<PathBuf> = trace_pos
         .map(|i| PathBuf::from(flag_value(&args, i, "--trace")))
         .or_else(|| std::env::var_os("MINEX_TRACE").map(PathBuf::from));
-    let threads_pos = args.iter().position(|a| a == "--threads");
-    let threads: Option<usize> = threads_pos.map(|i| {
-        let raw = flag_value(&args, i, "--threads");
-        raw.parse().unwrap_or_else(|_| {
-            minex_bench::error!("--threads requires an integer, got {raw:?}");
-            std::process::exit(2);
-        })
-    });
-    let value_positions: Vec<usize> = [csv_pos, perf_pos, trace_pos, threads_pos]
+    let value_positions: Vec<usize> = [csv_pos, perf_pos, trace_pos]
         .iter()
         .flatten()
         .map(|p| p + 1)
@@ -81,8 +71,7 @@ fn main() {
     let selected: Vec<&String> = args
         .iter()
         .enumerate()
-        // Tokens after --csv/--perf-json/--trace/--threads are values,
-        // never ids.
+        // Tokens after --csv/--perf-json/--trace are values, never ids.
         .filter(|(i, _)| !value_positions.contains(i))
         .map(|(_, a)| a)
         .filter(|a| a.starts_with('E') && a[1..].chars().all(|c| c.is_ascii_digit()))
@@ -111,64 +100,56 @@ fn main() {
         }
     }
     println!(
-        "# minex experiments ({} sweep{})\n",
+        "# minex experiments ({} sweep)\n",
         if full { "full" } else { "quick" },
-        threads.map_or(String::new(), |t| format!(", {t}-thread engine")),
     );
-    let run = || {
-        let mut out = SweepOutput {
-            perf: Vec::new(),
-            engine_scaling: None,
-            plan_reuse: None,
-            scale: None,
-            dynamic: None,
-            serve: None,
-            telemetry: None,
-            sink_overhead: None,
-            trace: None,
-        };
-        for (id, runner) in minex_bench::experiments() {
-            if !selected.is_empty() && !selected.iter().any(|s| *s == id) {
-                continue;
-            }
-            minex_bench::debug!("running {id}");
-            let start = Instant::now();
-            let table = runner(full);
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            println!("{}", table.render());
-            minex_bench::info!("{id} computed in {wall_ms:.1}ms");
-            out.perf.push((id, wall_ms));
-            if let Some(dir) = &csv_dir {
-                let path = dir.join(format!("{id}.csv"));
-                std::fs::write(&path, table.to_csv()).unwrap_or_else(|e| {
-                    minex_bench::error!("cannot write {}: {e}", path.display());
-                    std::process::exit(2);
-                });
-            }
-            match id {
-                "E13" => out.engine_scaling = Some(table),
-                "E14" => out.plan_reuse = Some(table),
-                "E15" => out.scale = Some(table),
-                "E16" => out.dynamic = Some(table),
-                "E17" => out.telemetry = Some(table),
-                "E18" => out.serve = Some(table),
-                _ => {}
-            }
-        }
-        if trace_path.is_some() {
-            minex_bench::debug!("exporting the traced-session JSONL");
-            out.trace = Some(minex_bench::trace_session_jsonl());
-        }
-        if perf_path.is_some() {
-            minex_bench::debug!("sampling noop-sink dispatch overhead");
-            out.sink_overhead = Some(minex_bench::sink_overhead_ms(5));
-        }
-        out
+    let mut out = SweepOutput {
+        perf: Vec::new(),
+        engine_scaling: None,
+        plan_reuse: None,
+        scale: None,
+        dynamic: None,
+        serve: None,
+        telemetry: None,
+        sink_overhead: None,
+        trace: None,
     };
-    let out = match threads {
-        Some(t) => minex_bench::with_engine_threads(t, run),
-        None => run(),
-    };
+    for (id, runner) in minex_bench::experiments() {
+        if !selected.is_empty() && !selected.iter().any(|s| *s == id) {
+            continue;
+        }
+        minex_bench::debug!("running {id}");
+        let start = Instant::now();
+        let table = runner(full);
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        println!("{}", table.render());
+        minex_bench::info!("{id} computed in {wall_ms:.1}ms");
+        out.perf.push((id, wall_ms));
+        if let Some(dir) = &csv_dir {
+            let path = dir.join(format!("{id}.csv"));
+            std::fs::write(&path, table.to_csv()).unwrap_or_else(|e| {
+                minex_bench::error!("cannot write {}: {e}", path.display());
+                std::process::exit(2);
+            });
+        }
+        match id {
+            "E13" => out.engine_scaling = Some(table),
+            "E14" => out.plan_reuse = Some(table),
+            "E15" => out.scale = Some(table),
+            "E16" => out.dynamic = Some(table),
+            "E17" => out.telemetry = Some(table),
+            "E18" => out.serve = Some(table),
+            _ => {}
+        }
+    }
+    if trace_path.is_some() {
+        minex_bench::debug!("exporting the traced-session JSONL");
+        out.trace = Some(minex_bench::trace_session_jsonl());
+    }
+    if perf_path.is_some() {
+        minex_bench::debug!("sampling noop-sink dispatch overhead");
+        out.sink_overhead = Some(minex_bench::sink_overhead_ms(5));
+    }
     if let (Some(path), Some(trace)) = (&trace_path, &out.trace) {
         std::fs::write(path, trace).unwrap_or_else(|e| {
             minex_bench::error!("cannot write {}: {e}", path.display());
@@ -182,11 +163,6 @@ fn main() {
             json,
             "  \"mode\": \"{}\",",
             if full { "full" } else { "quick" }
-        );
-        let _ = writeln!(
-            json,
-            "  \"threads\": {},",
-            threads.map_or("null".into(), |t| t.to_string())
         );
         // Debug builds distort every wall-clock figure (no vectorization,
         // overflow checks on the hot loops); consumers like
@@ -205,16 +181,16 @@ fn main() {
         }
         json.push_str("  ],\n");
         // E13's engine-throughput rows: rounds/sec of the CONGEST round
-        // loop per thread count. These are the hot-path numbers the
-        // nightly scale job locks against `expected/perf-floor.json`.
+        // loop per family. These are the hot-path numbers the nightly
+        // scale job locks against `expected/perf-floor.json`.
         json.push_str("  \"engine_scaling\": [\n");
         if let Some(table) = &out.engine_scaling {
             for (i, row) in table.rows.iter().enumerate() {
                 let comma = if i + 1 < table.rows.len() { "," } else { "" };
                 let _ = writeln!(
                     json,
-                    "    {{\"family\": \"{}\", \"n\": {}, \"threads\": {}, \"rounds\": {}, \"messages\": {}, \"krounds_per_sec\": {}, \"speedup\": {}}}{comma}",
-                    row[0], row[1], row[2], row[3], row[4], row[6], row[7]
+                    "    {{\"family\": \"{}\", \"n\": {}, \"workload\": \"{}\", \"rounds\": {}, \"messages\": {}, \"wall_ms\": {}, \"krounds_per_sec\": {}}}{comma}",
+                    row[0], row[1], row[2], row[3], row[4], row[5], row[6]
                 );
             }
         }

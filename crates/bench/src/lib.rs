@@ -14,7 +14,6 @@
 
 #![warn(missing_docs)]
 
-use std::cell::Cell;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -197,36 +196,10 @@ macro_rules! debug {
     };
 }
 
-thread_local! {
-    /// Per-thread engine override consulted by [`config`]; see
-    /// [`with_engine_threads`].
-    static ENGINE_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with every simulator config built by this crate pinned to
-/// `threads` engine workers, overriding the `MINEX_THREADS` default.
-///
-/// Used by the `experiments --threads` flag and by the engine-equivalence
-/// tests that re-run whole experiment tables on both engines. The override
-/// is scoped to the current thread, so concurrently running tests cannot
-/// race each other.
-pub fn with_engine_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    ENGINE_THREADS.with(|cell| {
-        let prev = cell.replace(Some(threads));
-        let out = f();
-        cell.set(prev);
-        out
-    })
-}
-
 fn config(n: usize) -> CongestConfig {
-    let config = CongestConfig::for_nodes(n)
+    CongestConfig::for_nodes(n)
         .with_bandwidth(192)
-        .with_max_rounds(2_000_000);
-    match ENGINE_THREADS.with(Cell::get) {
-        Some(threads) => config.with_threads(threads),
-        None => config,
-    }
+        .with_max_rounds(2_000_000)
 }
 
 fn diameter(g: &Graph) -> usize {
@@ -1058,17 +1031,19 @@ pub fn e12_sssp_quality(full: bool) -> Table {
     }
 }
 
-/// E13 — engine scaling: wall-clock throughput (rounds/sec) of the CONGEST
-/// execution engine vs thread count on the largest benchmarked families
-/// (planar triangulated grid, k-tree, maze grid), with `RunStats` equality
-/// across engines asserted on every row.
+/// E13 — engine throughput: wall-clock rounds/sec of the CONGEST round
+/// loop on the largest benchmarked families (planar triangulated grid,
+/// k-tree, maze grid, each running exact SSSP), on a long path (exact
+/// SSSP: one active node pair per round for 40,000 rounds), and, with
+/// `--full`, on a BFS-tree flood over a 10⁶-node triangulated grid (a
+/// thin wavefront per round). The last two show that a round costs the
+/// active nodes and messages, not `n`.
 ///
 /// The timing columns are machine-dependent, so E13 is **excluded from the
-/// golden-CSV regression gate** (`expected/` holds E1–E12 and E17). Speedups
-/// only materialize on multicore hardware; on a single-core box the extra
-/// thread counts measure pure engine overhead.
+/// golden-CSV regression gate** (`expected/` holds E1–E12 and E17); the
+/// nightly scale job checks its krounds/s against
+/// `expected/perf-floor.json` instead.
 pub fn e13_engine_scaling(full: bool) -> Table {
-    let thread_counts: &[usize] = if full { &[1, 2, 4, 8] } else { &[1, 2, 4] };
     let mut rng = StdRng::seed_from_u64(13);
     let mut cases: Vec<(String, WeightedGraph)> = Vec::new();
     let side = if full { 96 } else { 64 };
@@ -1085,50 +1060,54 @@ pub fn e13_engine_scaling(full: bool) -> Table {
     let mside = if full { 64 } else { 32 };
     let (mg, _) = workloads::maze_grid(mside, mside, 8, &mut rng);
     cases.push((format!("maze {mside}x{mside}"), mg));
+    cases.push((
+        "path 40000".into(),
+        WeightedGraph::unit(generators::path(40_000)),
+    ));
     let mut rows = Vec::new();
+    let mut row =
+        |family: String, n: usize, workload: &str, stats: minex_congest::RunStats, secs: f64| {
+            rows.push(vec![
+                family,
+                n.to_string(),
+                workload.to_string(),
+                stats.rounds.to_string(),
+                stats.messages.to_string(),
+                format!("{:.1}", secs * 1e3),
+                format!("{:.1}", stats.rounds as f64 / secs / 1e3),
+            ]);
+        };
     for (family, wg) in cases {
         let n = wg.graph().n();
-        let mut reference = None;
-        let mut base_secs = f64::NAN;
-        for &threads in thread_counts {
-            let start = Instant::now();
-            let out = minex_algo::sssp::bellman_ford_sssp(&wg, 0, config(n).with_threads(threads))
-                .expect("bellman-ford");
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            match reference {
-                None => {
-                    reference = Some(out.stats);
-                    base_secs = secs;
-                }
-                Some(r) => assert_eq!(
-                    r, out.stats,
-                    "{family}: engine stats diverge at {threads} threads"
-                ),
-            }
-            rows.push(vec![
-                family.clone(),
-                n.to_string(),
-                threads.to_string(),
-                out.stats.rounds.to_string(),
-                out.stats.messages.to_string(),
-                format!("{:.1}", secs * 1e3),
-                format!("{:.1}", out.stats.rounds as f64 / secs / 1e3),
-                format!("{:.2}", base_secs / secs),
-            ]);
-        }
+        let start = Instant::now();
+        let out = minex_algo::sssp::bellman_ford_sssp(&wg, 0, config(n)).expect("bellman-ford");
+        let secs = start.elapsed().as_secs_f64().max(1e-9);
+        row(family, n, "exact sssp", out.stats, secs);
+    }
+    if full {
+        let g = generators::triangulated_grid(1000, 1000);
+        let start = Instant::now();
+        let tree = minex_congest::primitives::build_bfs_tree(&g, 0, config(g.n())).expect("bfs");
+        let secs = start.elapsed().as_secs_f64().max(1e-9);
+        row(
+            "tri-grid 1000x1000".into(),
+            g.n(),
+            "bfs tree",
+            tree.stats,
+            secs,
+        );
     }
     Table {
         id: "E13",
-        title: "Engine scaling: rounds/sec vs threads (byte-identical RunStats asserted)".into(),
+        title: "Engine throughput: rounds/sec of the active-set round loop".into(),
         headers: [
             "family",
             "n",
-            "threads",
+            "workload",
             "rounds",
             "messages",
             "wall ms",
             "krounds/s",
-            "speedup",
         ]
         .map(String::from)
         .to_vec(),
@@ -1728,8 +1707,8 @@ pub fn e16_dynamic_repair(full: bool) -> Table {
 /// two messages per round (one per direction), so `2 · quality·⌈log₂ n⌉`
 /// rounds bound its traffic. Every row must satisfy observed ≤ bound —
 /// asserted by `e17_observed_congestion_within_analytic_bound` — and the
-/// whole table is deterministic, so it joins the engine-equivalence gate
-/// and has a golden CSV (`expected/E17.csv`).
+/// whole table is deterministic, so it has a golden CSV
+/// (`expected/E17.csv`).
 pub fn e17_congestion(full: bool) -> Table {
     let mut cases: Vec<(String, WeightedGraph, Partition, &'static str)> = Vec::new();
     let sides: &[usize] = if full { &[12, 16, 24] } else { &[12, 16] };
@@ -1866,7 +1845,7 @@ pub fn e18_serve(full: bool) -> Table {
         let mut solver = Solver::from_arc(Arc::clone(wg))
             .parts(PartsStrategy::Singletons)
             .shortcut_builder(AutoCappedBuilder)
-            .config(CongestConfig::for_nodes(n).with_threads(1))
+            .config(CongestConfig::for_nodes(n))
             .build()
             .expect("reference solver");
         (0..queries)
@@ -1891,9 +1870,9 @@ pub fn e18_serve(full: bool) -> Table {
                 let wg = grid_for(c as u64 + 1);
                 std::thread::spawn(move || -> Vec<String> {
                     let mut client = Client::connect(addr).expect("connect");
-                    let mut req = CreateSession::from_weighted(&wg);
-                    req.threads = Some(1);
-                    let session = client.create_session(&req).expect("create session");
+                    let session = client
+                        .create_session(&CreateSession::from_weighted(&wg))
+                        .expect("create session");
                     let n = wg.graph().n();
                     (0..queries)
                         .map(|i| {
@@ -1954,10 +1933,8 @@ pub fn e18_serve(full: bool) -> Table {
 /// (twice — the repeat is a memo hit), a part-wise MIN, and an exact SSSP,
 /// exported as JSON Lines via `SessionTrace::to_jsonl`.
 ///
-/// The output is byte-identical across the sequential and parallel engines
-/// and any `MINEX_THREADS` setting — the CI telemetry step `cmp`s the
-/// files from two thread counts, and `trace_jsonl_is_engine_independent`
-/// asserts the same in-process.
+/// The output is deterministic: the CI telemetry step `cmp`s it with the
+/// committed golden `expected/trace.jsonl`.
 pub fn trace_session_jsonl() -> String {
     let g = generators::triangulated_grid(8, 8);
     let mut rng = StdRng::seed_from_u64(17);
@@ -2012,11 +1989,6 @@ pub fn sink_overhead_ms(reps: usize) -> (f64, f64) {
 /// An experiment runner: `full` selects the larger parameter sweep.
 pub type ExperimentFn = fn(bool) -> Table;
 
-/// Experiments whose columns are wall-clock measurements (machine
-/// dependent): excluded from the golden-CSV gate and from determinism
-/// comparisons. The single source of truth for "which tables are timing".
-pub const TIMING_EXPERIMENTS: &[&str] = &["E13", "E14", "E15", "E16", "E18"];
-
 /// The experiment registry: `(id, runner)` pairs, lazily invocable.
 pub fn experiments() -> Vec<(&'static str, ExperimentFn)> {
     vec![
@@ -2039,17 +2011,6 @@ pub fn experiments() -> Vec<(&'static str, ExperimentFn)> {
         ("E17", e17_congestion),
         ("E18", e18_serve),
     ]
-}
-
-/// Runs only the deterministic experiments — everything except
-/// [`TIMING_EXPERIMENTS`] — whose tables must be byte-identical across
-/// runs and engines. This is what the engine-equivalence suite compares.
-pub fn run_deterministic(full: bool) -> Vec<Table> {
-    experiments()
-        .into_iter()
-        .filter(|(id, _)| !TIMING_EXPERIMENTS.contains(id))
-        .map(|(_, f)| f(full))
-        .collect()
 }
 
 #[cfg(test)]
@@ -2341,15 +2302,19 @@ mod tests {
     #[test]
     fn e17_and_trace_export_are_engine_independent() {
         // The determinism contract at the bench surface: the E17 table and
-        // the `--trace` JSONL export are byte-identical across the
-        // sequential and 4-thread engines (the CI telemetry step repeats
-        // the JSONL comparison across MINEX_THREADS processes).
-        let seq = with_engine_threads(1, || e17_congestion(false).to_csv());
-        let par = with_engine_threads(4, || e17_congestion(false).to_csv());
-        assert_eq!(seq, par, "E17 diverges across engines");
-        let seq = with_engine_threads(1, trace_session_jsonl);
-        let par = with_engine_threads(4, trace_session_jsonl);
-        assert_eq!(seq, par, "trace export diverges across engines");
+        // the `--trace` JSONL export are byte-identical from run to run.
+        let e17 = e17_congestion(false).to_csv();
+        assert_eq!(
+            e17,
+            e17_congestion(false).to_csv(),
+            "E17 differs between runs"
+        );
+        let seq = trace_session_jsonl();
+        assert_eq!(
+            seq,
+            trace_session_jsonl(),
+            "trace export differs between runs"
+        );
         assert!(seq.lines().all(|l| l.starts_with("{\"type\":\"")));
         assert!(seq.starts_with("{\"type\":\"counters\""));
         assert!(seq

@@ -9,19 +9,23 @@
 //! bits and per-edge-per-round uniqueness is checked — so the *round counts*
 //! it reports are the model's true cost measure.
 //!
-//! Two execution engines share those semantics: the sequential round loop
-//! (default) and a deterministic multi-threaded engine selected via
-//! [`CongestConfig::with_threads`] (or the `MINEX_THREADS` environment
-//! variable). Successful runs are byte-identical across engines —
-//! [`RunStats`], program outputs, and the error *selection* on failing runs
-//! (see [`run`]); threads only trade wall-clock time.
+//! One engine runs every simulation, on the calling thread. Its round loop
+//! visits only the *active* nodes — every node in round 0, and afterwards
+//! the ones that were not done after their last round or have mail — in
+//! ascending id order, so a round costs O(n/4096 + active nodes +
+//! messages): the work the paper counts, not `n` per round. That rests on
+//! one contract, documented on [`NodeProgram::is_done`]: a node's `is_done`
+//! changes only inside its own `on_round`. Runs are deterministic —
+//! [`RunStats`], program outputs, and the error *selection* on failing
+//! runs (see [`run`]) depend only on the graph, the programs and the
+//! config.
 //!
-//! Both engines are instrumented with the zero-cost-when-off
+//! The round loop is instrumented with the zero-cost-when-off
 //! [`telemetry`] layer: a [`Sink`] receives per-round, per-send,
 //! per-delivery, and rejection events, and the [`CongestionProfile`]
 //! recorder turns them into per-edge congestion maps, per-round
-//! histograms, and phase attribution — byte-identical across engines and
-//! thread counts. The default [`NoopSink`] monomorphizes every hook away.
+//! histograms, and phase attribution. The default [`NoopSink`]
+//! monomorphizes every hook away.
 //!
 //! ## Example
 //!
@@ -60,7 +64,6 @@
 #![warn(missing_debug_implementations)]
 
 mod message;
-mod parallel;
 pub mod primitives;
 mod program;
 mod runtime;

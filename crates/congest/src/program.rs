@@ -111,9 +111,10 @@ impl<'a, M: Payload> Ctx<'a, M> {
 
 /// A distributed algorithm, from one node's point of view.
 ///
-/// The runtime calls [`on_round`](Self::on_round) every round (round 0 acts
-/// as initialization; the inbox is empty then). A node that is
-/// [`is_done`](Self::is_done) *and* has an empty inbox is skipped — it can be
+/// The runtime calls [`on_round`](Self::on_round) on every node in round 0
+/// (initialization; the inbox is empty then). After that it calls it only
+/// on *active* nodes: a node that was [`is_done`](Self::is_done) after its
+/// last `on_round` *and* has an empty inbox is skipped — it can be
 /// reawakened by incoming messages. The run terminates when every node is
 /// done and no messages are in flight.
 pub trait NodeProgram {
@@ -124,5 +125,12 @@ pub trait NodeProgram {
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
 
     /// Whether this node currently has nothing more to do.
+    ///
+    /// **Contract:** the answer changes only inside this node's own
+    /// [`on_round`](Self::on_round). It must be a function of the node's
+    /// state, not of anything shared with other nodes, because the runtime
+    /// asks it once after each `on_round` and trusts that answer until the
+    /// node runs again. Debug builds check the contract at the end of every
+    /// round and panic on a node that turned not done without running.
     fn is_done(&self) -> bool;
 }

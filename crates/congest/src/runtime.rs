@@ -17,33 +17,12 @@ pub struct CongestConfig {
     pub bandwidth_bits: usize,
     /// Abort the run after this many rounds (guards against livelock).
     pub max_rounds: usize,
-    /// Worker threads for the execution engine: `1` runs the sequential
-    /// engine, larger values shard each round across that many workers, and
-    /// `0` resolves to the machine's available parallelism. Both engines
-    /// produce byte-identical [`RunStats`], program outputs, and errors.
-    pub threads: usize,
-}
-
-/// The process-wide default thread count used by
-/// [`CongestConfig::for_nodes`]: the `MINEX_THREADS` environment variable if
-/// set to a parseable integer (read once, at first use), else `1`.
-fn default_threads() -> usize {
-    static ENV_DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *ENV_DEFAULT.get_or_init(|| {
-        std::env::var("MINEX_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(1)
-    })
 }
 
 impl CongestConfig {
     /// The standard model parameters for an `n`-node network:
     /// `B = 8·⌈log₂(n+1)⌉` bits (a generous constant, enough for a tagged
-    /// id/weight pair) and a `64·n + 1024` round guard. The engine thread
-    /// count defaults to the `MINEX_THREADS` environment variable (else 1),
-    /// so a test matrix can exercise the parallel engine without touching
-    /// call sites.
+    /// id/weight pair) and a `64·n + 1024` round guard.
     ///
     /// `n = 0` (an empty network) is clamped to `n = 1` so degenerate inputs
     /// still produce the same well-formed budgets as a singleton network
@@ -55,7 +34,6 @@ impl CongestConfig {
         CongestConfig {
             bandwidth_bits: 8 * bits_for(n.saturating_add(1)).max(8),
             max_rounds: n.saturating_mul(64).saturating_add(1024),
-            threads: default_threads(),
         }
     }
 
@@ -71,31 +49,17 @@ impl CongestConfig {
         self
     }
 
-    /// Overrides the engine thread count (`1` = sequential engine, `0` =
-    /// available parallelism). Results are identical either way; threads only
-    /// trade wall-clock time.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// A no-op, kept so that callers written against the former
+    /// multi-threaded engine still compile: there is one engine, and it
+    /// runs on the calling thread. Returns `self` unchanged.
+    pub fn with_threads(self, threads: usize) -> Self {
+        let _ = threads;
         self
-    }
-
-    /// The worker count the engine will actually use: `0` resolves to
-    /// [`std::thread::available_parallelism`] (or 1 if that is unknowable).
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            self.threads
-        }
     }
 }
 
-/// Cost and volume statistics of a completed run.
-///
-/// Every counter is **engine-independent**: the sequential and the
-/// multi-threaded engine produce byte-identical `RunStats` for the same
-/// graph, programs, and config — [`threads`](CongestConfig::threads) only
-/// changes wall-clock time, never what is measured.
+/// Cost and volume statistics of a completed run: the model's cost
+/// measure (rounds, messages, bits), never wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
     /// Number of synchronous rounds executed until global quiescence.
@@ -195,11 +159,11 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
-/// Per-sender send validation shared by both engines, so the CONGEST
-/// constraints are checked in exactly the same order (neighborship, then
-/// per-edge-per-round uniqueness, then bandwidth) regardless of engine.
+/// Per-sender send validation: the CONGEST constraints are checked in a
+/// fixed order (neighborship, then per-edge-per-round uniqueness, then
+/// bandwidth).
 #[derive(Debug)]
-pub(crate) struct SendValidator {
+struct SendValidator {
     /// Destinations already used by the current sender this round.
     seen_dest: Vec<bool>,
     /// The set bits of `seen_dest`, for O(degree) reset.
@@ -207,7 +171,7 @@ pub(crate) struct SendValidator {
 }
 
 impl SendValidator {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         SendValidator {
             seen_dest: vec![false; n],
             used: Vec::new(),
@@ -227,7 +191,7 @@ impl SendValidator {
     /// (neighborship, duplicate, bandwidth) is observably identical either
     /// way.
     #[inline]
-    pub(crate) fn check(
+    fn check(
         &mut self,
         graph: &Graph,
         config: &CongestConfig,
@@ -263,11 +227,80 @@ impl SendValidator {
 
     /// Clears the per-sender state; call once the sender's outbox is drained.
     #[inline]
-    pub(crate) fn finish_sender(&mut self) {
+    fn finish_sender(&mut self) {
         for &to in &self.used {
             self.seen_dest[to] = false;
         }
         self.used.clear();
+    }
+}
+
+/// A set of node ids as a two-level bitmap: one bit per node, plus one
+/// summary bit per 64-node word. Walking it costs O(n/4096 + members) and
+/// yields members in ascending id order.
+#[derive(Debug)]
+struct ActiveSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl ActiveSet {
+    fn empty(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        ActiveSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    fn full(n: usize) -> Self {
+        let mut set = ActiveSet::empty(n);
+        for v in 0..n {
+            set.insert(v);
+        }
+        set
+    }
+
+    #[inline]
+    fn insert(&mut self, v: NodeId) {
+        let w = v / 64;
+        self.words[w] |= 1 << (v % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    #[cfg(debug_assertions)]
+    fn contains(&self, v: NodeId) -> bool {
+        self.words[v / 64] & (1 << (v % 64)) != 0
+    }
+
+    /// Calls `visit` on every member in ascending id order, stopping at
+    /// the first error.
+    #[inline]
+    fn try_for_each<E>(&self, mut visit: impl FnMut(NodeId) -> Result<(), E>) -> Result<(), E> {
+        for (s, &summary) in self.summary.iter().enumerate() {
+            let mut marked = summary;
+            while marked != 0 {
+                let w = s * 64 + marked.trailing_zeros() as usize;
+                marked &= marked - 1;
+                let mut members = self.words[w];
+                while members != 0 {
+                    visit(w * 64 + members.trailing_zeros() as usize)?;
+                    members &= members - 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Empties the set, touching only the words that hold members.
+    fn clear(&mut self) {
+        for (i, summary) in self.summary.iter_mut().enumerate() {
+            let mut bits = std::mem::take(summary);
+            while bits != 0 {
+                self.words[i * 64 + bits.trailing_zeros() as usize] = 0;
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
@@ -277,36 +310,29 @@ impl SendValidator {
 /// Returns the run statistics. Programs can be inspected afterwards to
 /// extract their outputs.
 ///
-/// [`CongestConfig::threads`] selects the execution engine: `1` (the
-/// default) is the sequential round loop, anything larger shards each round
-/// across that many worker threads. On every successful run the engines are
-/// observationally identical — same `RunStats`, same program states — because
-/// CONGEST rounds are embarrassingly parallel: every node reads only its own
-/// inbox and writes only its own outbox, and the parallel engine merges
-/// outboxes into the next round's inboxes in node-id order.
+/// Round 0 runs every node's [`on_round`](NodeProgram::on_round). After
+/// that a round visits only the *active* nodes, in ascending id order: a
+/// node is active if it was not done after its last `on_round` or if it
+/// has mail. A round therefore costs O(n/4096 + active nodes + messages),
+/// the work the model counts, not O(n). This rests on the contract that
+/// [`NodeProgram::is_done`] changes only inside `on_round`; debug builds
+/// check it at the end of every round.
 ///
 /// # Errors
 ///
 /// Returns a [`SimError`] if a program violates the CONGEST constraints or
-/// the round guard fires. Error selection is deterministic on both engines:
-/// the violation with the smallest sender id (and, within one sender, the
-/// earliest queued message) is the one reported. After an `Err`, though,
-/// the *program states* are engine-dependent (the sequential engine stops
-/// mid-round at the offender; a parallel run's other shards finish their
-/// nodes first) — only inspect `programs` after an `Ok`.
+/// the round guard fires. Error selection is deterministic: the violation
+/// with the smallest sender id (and, within one sender, the earliest queued
+/// message) is the one reported, and the run stops there, mid-round.
 ///
 /// # Panics
 ///
 /// Panics if `programs.len() != graph.n()`.
-pub fn run<P>(
+pub fn run<P: NodeProgram>(
     graph: &Graph,
     programs: &mut [P],
     config: CongestConfig,
-) -> Result<RunStats, SimError>
-where
-    P: NodeProgram + Send,
-    P::Msg: Send,
-{
+) -> Result<RunStats, SimError> {
     // One branch per run decides between the recording and the no-op
     // monomorphization; the no-op leg compiles to the uninstrumented round
     // loop (every `NoopSink` hook is an empty inline default).
@@ -323,46 +349,31 @@ where
 /// [`run`] with an explicit telemetry [`Sink`] receiving every engine
 /// event. Semantics, determinism, and error selection are identical to
 /// `run`; see the [`telemetry`](crate::telemetry) module docs for the
-/// hook order and the recorder determinism contract.
+/// hook order.
 ///
 /// # Panics
 ///
 /// Panics if `programs.len() != graph.n()`.
-pub fn run_with_sink<P, S>(
+pub fn run_with_sink<P: NodeProgram, S: Sink>(
     graph: &Graph,
     programs: &mut [P],
     config: CongestConfig,
     sink: &mut S,
-) -> Result<RunStats, SimError>
-where
-    P: NodeProgram + Send,
-    P::Msg: Send,
-    S: Sink,
-{
+) -> Result<RunStats, SimError> {
     assert_eq!(
         programs.len(),
         graph.n(),
         "one program per node is required"
     );
-    // More workers than nodes cannot help; empty networks and singletons
-    // always take the sequential path.
-    let threads = config.resolved_threads().min(graph.n().max(1));
-    let result = if threads <= 1 {
-        run_sequential(graph, programs, config, sink)
-    } else {
-        crate::parallel::run_parallel(graph, programs, config, threads, sink)
-    };
-    // Rejections are reported here, after the parallel engine has merged
-    // its shard sinks, so both engines fire exactly one deterministic
-    // rejection event on the root sink.
+    let result = run_rounds(graph, programs, config, sink);
     if let Err(ref err) = result {
         sink.on_reject(err);
     }
     result
 }
 
-/// The single-threaded engine: the reference semantics.
-fn run_sequential<P: NodeProgram, S: Sink>(
+/// The round loop.
+fn run_rounds<P: NodeProgram, S: Sink>(
     graph: &Graph,
     programs: &mut [P],
     config: CongestConfig,
@@ -377,17 +388,17 @@ fn run_sequential<P: NodeProgram, S: Sink>(
     // the steady-state loop performs no allocation.
     let mut inboxes: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); n];
     let mut next_inboxes: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); n];
+    // The nodes this round visits, and the ones the next round will: every
+    // node still not done after its `on_round`, and every mail recipient.
+    let mut active = ActiveSet::full(n);
+    let mut next_active = ActiveSet::empty(n);
     let mut outbox: Outbox<P::Msg> = Outbox::new();
     let mut validator = SendValidator::new(n);
     for round in 0..config.max_rounds {
         sink.on_round_start(round);
         let mut any_message = false;
-        for v in 0..n {
-            // Quiescence fast path: a done node with no mail does not act.
-            // Round 0 always runs so programs can initialize.
-            if round > 0 && inboxes[v].is_empty() && programs[v].is_done() {
-                continue;
-            }
+        let mut all_done = true;
+        active.try_for_each(|v| {
             for (from, msg) in &inboxes[v] {
                 sink.on_deliver(round, *from, v, msg.bit_size());
             }
@@ -395,6 +406,10 @@ fn run_sequential<P: NodeProgram, S: Sink>(
             {
                 let mut ctx = Ctx::new(graph, v, round, &inboxes[v], &mut outbox);
                 programs[v].on_round(&mut ctx);
+            }
+            if !programs[v].is_done() {
+                all_done = false;
+                next_active.insert(v);
             }
             // The inbox is consumed; empty it in place, keeping its capacity
             // for the swap two rounds from now.
@@ -415,17 +430,34 @@ fn run_sequential<P: NodeProgram, S: Sink>(
             // Every send validated: move the payload column into the
             // destination inboxes. Deferring the moves past the sweep is
             // unobservable — an `Err` above returns immediately and all
-            // engine state is discarded.
+            // engine state is discarded. A recipient joins the next round's
+            // active set with its first message.
             for (&to, msg) in outbox.dsts.iter().zip(outbox.payloads.drain(..)) {
-                next_inboxes[to as usize].push((v, msg));
+                let inbox = &mut next_inboxes[to as usize];
+                if inbox.is_empty() {
+                    next_active.insert(to as usize);
+                }
+                inbox.push((v, msg));
             }
             outbox.clear();
+            Ok(())
+        })?;
+        // The `is_done` contract: a node not visited this round was done
+        // after its last `on_round`, and still is — so `all_done`, taken
+        // over the visited nodes only, holds for every node.
+        #[cfg(debug_assertions)]
+        for (v, program) in programs.iter().enumerate() {
+            assert!(
+                active.contains(v) || program.is_done(),
+                "node {v} turned not done outside on_round (NodeProgram::is_done contract)"
+            );
         }
-        let all_done = (0..n).all(|v| programs[v].is_done());
-        // Every processed slot of `inboxes` was cleared above and skipped
-        // slots were already empty, so after the swap `next_inboxes` is all
-        // empty (but warm) for the round after next.
+        // Every visited slot of `inboxes` was cleared above and the others
+        // were already empty, so after the swap `next_inboxes` is all empty
+        // (but warm) for the round after next.
         std::mem::swap(&mut inboxes, &mut next_inboxes);
+        active.clear();
+        std::mem::swap(&mut active, &mut next_active);
         sink.on_round_end(round);
         if all_done && !any_message {
             stats.rounds = round;
@@ -445,7 +477,7 @@ mod tests {
     use minex_graphs::generators;
 
     /// Floods the minimum id seen so far; classic leader election.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, PartialEq, Eq)]
     struct MinFlood {
         best: usize,
         dirty: bool,
@@ -524,7 +556,7 @@ mod tests {
     }
 
     /// Sends twice to the same neighbor.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct DoubleSend;
     impl NodeProgram for DoubleSend {
         type Msg = u32;
@@ -548,7 +580,7 @@ mod tests {
     }
 
     /// Messages a non-neighbor.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct Teleporter;
     impl NodeProgram for Teleporter {
         type Msg = u32;
@@ -594,8 +626,9 @@ mod tests {
         assert_eq!(err, SimError::MaxRoundsExceeded { limit: 10 });
     }
 
-    /// The seed's per-round-allocating delivery loop, kept verbatim as the
-    /// reference semantics the batched runtime must reproduce exactly.
+    /// The full-scan reference: the seed's per-round-allocating delivery
+    /// loop, which polls every node every round. The active-set loop must
+    /// reproduce it exactly: stats, program states, and the error chosen.
     fn run_naive<P: NodeProgram>(
         graph: &Graph,
         programs: &mut [P],
@@ -678,6 +711,26 @@ mod tests {
         })
     }
 
+    /// Runs fresh copies of `fresh` on `run` and on `run_naive` and checks
+    /// they agree on the outcome (stats or the error chosen) and on every
+    /// final program state; returns the outcome.
+    fn assert_matches_naive<P: NodeProgram + Clone + PartialEq + std::fmt::Debug>(
+        graph: &Graph,
+        fresh: &[P],
+        config: CongestConfig,
+    ) -> Result<RunStats, SimError> {
+        let mut active = fresh.to_vec();
+        let mut naive = fresh.to_vec();
+        let a = run(graph, &mut active, config);
+        let b = run_naive(graph, &mut naive, config);
+        assert_eq!(a, b, "outcomes diverge from the full-scan reference");
+        assert_eq!(
+            active, naive,
+            "program states diverge from the full-scan reference"
+        );
+        a
+    }
+
     #[test]
     fn batched_delivery_matches_naive_reference() {
         for g in [
@@ -688,28 +741,21 @@ mod tests {
             generators::wheel(17),
         ] {
             let n = g.n();
-            let mut batched = vec![
+            let config = CongestConfig::for_nodes(n);
+            let min_flood = vec![
                 MinFlood {
                     best: usize::MAX,
                     dirty: true
                 };
                 n
             ];
-            let mut naive = batched.clone();
-            let a = run(&g, &mut batched, CongestConfig::for_nodes(n)).unwrap();
-            let b = run_naive(&g, &mut naive, CongestConfig::for_nodes(n)).unwrap();
-            assert_eq!(a, b, "MinFlood stats diverge on n={n}");
-
-            let mut batched = vec![Pinger3 { rounds_left: 3 }; n];
-            let mut naive = batched.clone();
-            let a = run(&g, &mut batched, CongestConfig::for_nodes(n)).unwrap();
-            let b = run_naive(&g, &mut naive, CongestConfig::for_nodes(n)).unwrap();
-            assert_eq!(a, b, "Pinger stats diverge on n={n}");
+            assert_matches_naive(&g, &min_flood, config).unwrap();
+            assert_matches_naive(&g, &vec![Pinger3 { rounds_left: 3 }; n], config).unwrap();
         }
     }
 
     /// Broadcasts for three rounds (used by the equivalence test).
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, PartialEq, Eq)]
     struct Pinger3 {
         rounds_left: usize,
     }
@@ -729,7 +775,7 @@ mod tests {
 
     /// Sends one oversized message from a configurable node — used to plant
     /// violations at several places in one round.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, PartialEq, Eq)]
     struct BlastFrom {
         active: bool,
     }
@@ -746,7 +792,7 @@ mod tests {
     }
 
     /// Mixes hinted broadcasts, hinted targeted sends (`send_via`) and
-    /// unhinted targeted sends, data-dependently, so the SoA engines drive
+    /// unhinted targeted sends, data-dependently, so the SoA engine drives
     /// every validator path against the AoS reference in one run.
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Mixer {
@@ -788,160 +834,239 @@ mod tests {
         }
     }
 
+    /// A deliberately irregular gossip: every node accumulates a rolling
+    /// hash of `(sender, payload)` pairs (so its state depends on inbox
+    /// order) and keeps chattering to a data-dependent subset of neighbors
+    /// for a node-dependent number of bursts. A done node that gets mail
+    /// echoes to a few neighbors, a bounded number of times, so the round
+    /// loop's order among woken and not-done nodes shows in every inbox.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Gossip {
+        acc: u64,
+        bursts_left: usize,
+        echoes_left: usize,
+    }
+
+    impl NodeProgram for Gossip {
+        type Msg = u64;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
+            for &(from, msg) in ctx.inbox() {
+                self.acc = self
+                    .acc
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(msg ^ from as u64);
+            }
+            if self.bursts_left > 0 {
+                self.bursts_left -= 1;
+            } else if !ctx.inbox().is_empty() && self.echoes_left > 0 {
+                self.echoes_left -= 1;
+            } else {
+                return;
+            }
+            let v = ctx.node() as u64;
+            let targets: Vec<NodeId> = ctx
+                .neighbors()
+                .filter(|&(w, _)| (self.acc ^ w as u64 ^ v) % 3 != 0)
+                .map(|(w, _)| w)
+                .collect();
+            for w in targets {
+                ctx.send(w, self.acc ^ w as u64);
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.bursts_left == 0
+        }
+    }
+
+    /// A message of a given size in bits.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct BitsMsg(usize);
+
+    impl Payload for BitsMsg {
+        fn bit_size(&self) -> usize {
+            self.0
+        }
+    }
+
+    /// Before `blast_round`, odd nodes stay awake and ping their
+    /// neighbors, so later rounds visit both not-done nodes and nodes woken
+    /// by mail. In `blast_round`, every visited node whose id is
+    /// `node_mod - 1 (mod node_mod)` blasts an oversized broadcast: many
+    /// nodes of both kinds break the bandwidth budget in the same round,
+    /// and only the first in id order may be reported.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Offender {
+        node_mod: usize,
+        blast_round: usize,
+        awake: bool,
+    }
+
+    impl NodeProgram for Offender {
+        type Msg = BitsMsg;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
+            let v = ctx.node();
+            if ctx.round() == 0 {
+                self.awake = v % 2 == 1;
+            }
+            if ctx.round() < self.blast_round {
+                if self.awake {
+                    ctx.broadcast(BitsMsg(8));
+                }
+            } else {
+                if v % self.node_mod == self.node_mod - 1 {
+                    ctx.broadcast(BitsMsg(128));
+                }
+                self.awake = false;
+            }
+        }
+        fn is_done(&self) -> bool {
+            !self.awake
+        }
+    }
+
+    fn random_graph(n: usize, extra: usize, seed: u64) -> Graph {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        generators::random_connected(n, extra, &mut rng)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// SoA-vs-AoS byte identity: the column-based engines (sequential
-        /// and 4-thread) must match the tuple-based `run_naive` reference —
-        /// stats and final program states — on irregular traffic.
+        /// SoA-vs-AoS byte identity: the column-based engine must match the
+        /// tuple-based `run_naive` reference — stats and final program
+        /// states — on irregular traffic.
         #[test]
         fn soa_engines_match_aos_reference(
             n in 4usize..48, extra in 0usize..32, seed in 0u64..1000,
         ) {
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let g = generators::random_connected(n, extra, &mut rng);
+            let g = random_graph(n, extra, seed);
             let fresh: Vec<Mixer> = (0..n)
                 .map(|v| Mixer { acc: v as u64 ^ seed, bursts_left: 1 + v % 4 })
                 .collect();
-            let mut naive = fresh.clone();
-            let a = run_naive(&g, &mut naive, CongestConfig::for_nodes(n)).unwrap();
-            for threads in [1usize, 4] {
-                let mut soa = fresh.clone();
-                let b = run(
-                    &g,
-                    &mut soa,
-                    CongestConfig::for_nodes(n).with_threads(threads),
-                )
-                .unwrap();
-                proptest::prop_assert_eq!(a, b, "stats diverge (threads={})", threads);
-                proptest::prop_assert_eq!(
-                    &naive, &soa,
-                    "program states diverge (threads={})", threads
-                );
-            }
+            assert_matches_naive(&g, &fresh, CongestConfig::for_nodes(n)).unwrap();
         }
     }
 
-    #[test]
-    fn parallel_engine_matches_sequential() {
-        for g in [
-            generators::cycle(16),
-            generators::path(12),
-            generators::grid(6, 9),
-            generators::complete(9),
-            generators::wheel(17),
-        ] {
-            let n = g.n();
-            for threads in [2usize, 3, 4, 7, 0] {
-                let mut seq = vec![
-                    MinFlood {
-                        best: usize::MAX,
-                        dirty: true
-                    };
-                    n
-                ];
-                let mut par = seq.clone();
-                let a = run(&g, &mut seq, CongestConfig::for_nodes(n).with_threads(1)).unwrap();
-                let b = run(
-                    &g,
-                    &mut par,
-                    CongestConfig::for_nodes(n).with_threads(threads),
-                )
-                .unwrap();
-                assert_eq!(a, b, "MinFlood stats diverge on n={n}, threads={threads}");
-                assert!(
-                    seq.iter().zip(&par).all(|(x, y)| x.best == y.best),
-                    "MinFlood outputs diverge on n={n}, threads={threads}"
-                );
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn min_flood_matches_full_scan_reference(
+            n in 4usize..80, extra in 0usize..60, seed in 0u64..1000,
+        ) {
+            let g = random_graph(n, extra, seed);
+            let fresh = vec![MinFlood { best: usize::MAX, dirty: true }; n];
+            let stats = assert_matches_naive(&g, &fresh, CongestConfig::for_nodes(n)).unwrap();
+            proptest::prop_assert!(stats.messages > 0);
+        }
+
+        #[test]
+        fn gossip_matches_full_scan_reference(
+            n in 4usize..60, extra in 0usize..40, seed in 0u64..1000,
+        ) {
+            let g = random_graph(n, extra, seed);
+            let fresh: Vec<Gossip> = (0..n)
+                .map(|v| Gossip { acc: v as u64, bursts_left: 1 + v % 5, echoes_left: v % 3 })
+                .collect();
+            assert_matches_naive(&g, &fresh, CongestConfig::for_nodes(n)).unwrap();
+        }
+
+        #[test]
+        fn error_selection_matches_full_scan_reference(
+            n in 4usize..60, extra in 0usize..40, seed in 0u64..1000,
+            node_mod in 2usize..5, blast_round in 0usize..3,
+        ) {
+            let g = random_graph(n, extra, seed);
+            let fresh = vec![Offender { node_mod, blast_round, awake: false }; n];
+            // 64-bit budget: the 128-bit blast is twice over it.
+            let config = CongestConfig::for_nodes(n).with_bandwidth(64);
+            match assert_matches_naive(&g, &fresh, config) {
+                // In round 0 every node runs, so the reported offender is
+                // the smallest violating node id.
+                Err(SimError::BandwidthExceeded { from, .. }) if blast_round == 0 => {
+                    proptest::prop_assert_eq!(from, node_mod - 1);
+                }
+                Err(SimError::BandwidthExceeded { from, .. }) => {
+                    proptest::prop_assert_eq!(from % node_mod, node_mod - 1);
+                }
+                // Later, an offender runs only if it is awake or was
+                // pinged; on a few small graphs none is.
+                Ok(_) if blast_round > 0 => {}
+                other => panic!("expected a bandwidth violation, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn parallel_engine_handles_more_threads_than_nodes() {
-        let g = generators::path(3);
-        let mut programs = vec![
-            MinFlood {
-                best: usize::MAX,
-                dirty: true
-            };
-            3
-        ];
-        let stats = run(
-            &g,
-            &mut programs,
-            CongestConfig::for_nodes(3).with_threads(64),
-        )
-        .unwrap();
-        assert!(programs.iter().all(|p| p.best == 0));
-        assert!(stats.messages > 0);
     }
 
     #[test]
     fn error_selection_is_deterministic_across_engines() {
-        // Nodes 2 and 14 both blast oversized broadcasts in round 0. The
-        // sequential engine reports node 2's first send; any sharding of the
-        // parallel engine must report the identical (from, to) pair even
-        // though node 14 lives in a later shard that may finish first.
+        // Nodes 2 and 14 both blast oversized broadcasts in round 0: the
+        // active-set loop and the full-scan reference must both report
+        // node 2's first send.
         let g = generators::cycle(16);
-        let make = || {
-            (0..16)
-                .map(|v| BlastFrom {
-                    active: v == 2 || v == 14,
-                })
-                .collect::<Vec<_>>()
-        };
+        let fresh: Vec<BlastFrom> = (0..16)
+            .map(|v| BlastFrom {
+                active: v == 2 || v == 14,
+            })
+            .collect();
         let config = CongestConfig::for_nodes(16).with_bandwidth(64);
-        let seq_err = run(&g, &mut make(), config.with_threads(1)).unwrap_err();
-        for threads in [2usize, 3, 4, 8, 16] {
-            let par_err = run(&g, &mut make(), config.with_threads(threads)).unwrap_err();
-            assert_eq!(seq_err, par_err, "threads={threads}");
-        }
+        let err = assert_matches_naive(&g, &fresh, config).unwrap_err();
         assert!(
-            matches!(seq_err, SimError::BandwidthExceeded { from: 2, .. }),
-            "{seq_err:?}"
+            matches!(err, SimError::BandwidthExceeded { from: 2, .. }),
+            "{err:?}"
         );
     }
 
     #[test]
     fn duplicate_and_non_neighbor_errors_match_across_engines() {
         let g = generators::path(8);
-        let mut seq = vec![DoubleSend; 8];
-        let seq_err = run(&g, &mut seq, CongestConfig::for_nodes(8).with_threads(1)).unwrap_err();
-        let mut par = vec![DoubleSend; 8];
-        let par_err = run(&g, &mut par, CongestConfig::for_nodes(8).with_threads(4)).unwrap_err();
-        assert_eq!(seq_err, par_err);
+        let err = assert_matches_naive(&g, &[DoubleSend; 8], CongestConfig::for_nodes(8));
+        assert_eq!(err, Err(SimError::DuplicateSend { from: 0, to: 1 }));
+        let err = assert_matches_naive(&g, &[Teleporter; 8], CongestConfig::for_nodes(8));
+        assert_eq!(err, Err(SimError::NotANeighbor { from: 0, to: 3 }));
+    }
 
-        let mut seq = vec![Teleporter; 8];
-        let seq_err = run(&g, &mut seq, CongestConfig::for_nodes(8).with_threads(1)).unwrap_err();
-        let mut par = vec![Teleporter; 8];
-        let par_err = run(&g, &mut par, CongestConfig::for_nodes(8).with_threads(4)).unwrap_err();
-        assert_eq!(seq_err, par_err);
+    /// Node 0 raises a shared flag in round 1; every other node reports
+    /// not done once the flag is up, without running — an `is_done` that
+    /// changes outside the node's own `on_round`.
+    #[derive(Debug, Clone)]
+    struct SharedFlag {
+        flag: std::rc::Rc<std::cell::Cell<bool>>,
+        waker: bool,
+        raised: bool,
+    }
+
+    impl NodeProgram for SharedFlag {
+        type Msg = u32;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
+            if self.waker && ctx.round() == 1 {
+                self.flag.set(true);
+                self.raised = true;
+            }
+        }
+        fn is_done(&self) -> bool {
+            if self.waker {
+                self.raised
+            } else {
+                !self.flag.get()
+            }
+        }
     }
 
     #[test]
-    fn round_guard_fires_on_parallel_engine() {
-        let g = generators::path(4);
-        let mut programs = vec![Livelock; 4];
-        let err = run(
-            &g,
-            &mut programs,
-            CongestConfig::for_nodes(4)
-                .with_max_rounds(10)
-                .with_threads(2),
-        )
-        .unwrap_err();
-        assert_eq!(err, SimError::MaxRoundsExceeded { limit: 10 });
-    }
-
-    #[test]
-    fn with_threads_and_resolution() {
-        let c = CongestConfig::for_nodes(8);
-        assert_eq!(c.with_threads(3).threads, 3);
-        assert_eq!(c.with_threads(3).resolved_threads(), 3);
-        // `0` resolves to the machine's parallelism, which is at least 1.
-        assert!(c.with_threads(0).resolved_threads() >= 1);
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is_done contract")]
+    fn is_done_contract_is_checked_in_debug_builds() {
+        let g = generators::path(3);
+        let flag = std::rc::Rc::new(std::cell::Cell::new(false));
+        let mut programs: Vec<SharedFlag> = (0..3)
+            .map(|v| SharedFlag {
+                flag: flag.clone(),
+                waker: v == 0,
+                raised: false,
+            })
+            .collect();
+        let _ = run(&g, &mut programs, CongestConfig::for_nodes(3));
     }
 
     #[test]

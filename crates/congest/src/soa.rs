@@ -1,19 +1,14 @@
 //! Struct-of-arrays message buffers for the round-loop hot paths.
 //!
-//! The engines used to move `Vec<(NodeId, M)>` (and triples of the same
-//! shape) between the outbox, the shard send buffers, and the delivery
-//! buckets. For small payloads the tuple layout interleaves ids and
-//! payloads, so the validation sweep and the shard merge — which only look
-//! at the *ids* — stride over payload bytes they never read. These types
-//! split every buffer into parallel columns: the id columns are dense
-//! `u32` arrays the sweeps can walk branch-light (and the compiler can
-//! vectorize), and the payload column is only touched by the final move
-//! into the per-node inboxes.
+//! A tuple outbox `Vec<(NodeId, M)>` interleaves ids and payloads, so the
+//! validation sweep — which only looks at the *ids* — would stride over
+//! payload bytes it never reads. [`Outbox`] splits the buffer into
+//! parallel columns: the id columns are dense `u32` arrays the sweep can
+//! walk branch-light (and the compiler can vectorize), and the payload
+//! column is only touched by the final move into the per-node inboxes.
 //!
 //! Per-node *inboxes* deliberately stay `Vec<(NodeId, M)>`: `Ctx::inbox()`
-//! exposes `&[(NodeId, M)]` publicly, and per-node fan-in is small — the
-//! SoA win is in the per-round aggregate buffers, which see every message
-//! of the round.
+//! exposes `&[(NodeId, M)]` publicly, and per-node fan-in is small.
 //!
 //! [`Outbox`] additionally carries an *edge-id hint* column:
 //! `Ctx::broadcast` walks the CSR row, so it knows the edge id of every
@@ -96,76 +91,6 @@ impl<M> Outbox<M> {
     fn push_hinted(&mut self, to: NodeId, hint: u32, msg: M) {
         self.dsts.push(clamp_id(to));
         self.hints.push(hint);
-        self.payloads.push(msg);
-    }
-}
-
-/// A shard's validated sends of one round: `(src, dst, payload)` columns in
-/// (sender id, outbox position) order — ready for the coordinator's
-/// id-order merge sweep.
-#[derive(Debug)]
-pub(crate) struct SendColumns<M> {
-    pub(crate) srcs: Vec<u32>,
-    pub(crate) dsts: Vec<u32>,
-    pub(crate) payloads: Vec<M>,
-}
-
-impl<M> Default for SendColumns<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M> SendColumns<M> {
-    pub(crate) fn new() -> Self {
-        SendColumns {
-            srcs: Vec::new(),
-            dsts: Vec::new(),
-            payloads: Vec::new(),
-        }
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.srcs.clear();
-        self.dsts.clear();
-        self.payloads.clear();
-    }
-}
-
-/// One shard's incoming mail for a round: `(local index, sender, payload)`
-/// columns in global ascending-sender order.
-#[derive(Debug)]
-pub(crate) struct DeliveryColumns<M> {
-    pub(crate) locals: Vec<u32>,
-    pub(crate) srcs: Vec<u32>,
-    pub(crate) payloads: Vec<M>,
-}
-
-impl<M> Default for DeliveryColumns<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M> DeliveryColumns<M> {
-    pub(crate) fn new() -> Self {
-        DeliveryColumns {
-            locals: Vec::new(),
-            srcs: Vec::new(),
-            payloads: Vec::new(),
-        }
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.locals.clear();
-        self.srcs.clear();
-        self.payloads.clear();
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, local: usize, src: NodeId, msg: M) {
-        self.locals.push(local as u32);
-        self.srcs.push(src as u32);
         self.payloads.push(msg);
     }
 }

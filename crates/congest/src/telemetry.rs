@@ -4,8 +4,8 @@
 //! The CONGEST cost model is *about* congestion, yet [`RunStats`] only
 //! reports end-of-run aggregates. This module adds a zero-cost-when-off
 //! observability layer: the [`Sink`] trait receives events from the
-//! execution engines (round boundaries, every validated send, every
-//! delivery, validator rejections) and from phase-structured drivers
+//! round loop (round boundaries, every validated send, every delivery,
+//! validator rejections) and from phase-structured drivers
 //! (phase span enter/exit), and [`CongestionProfile`] is the recorder
 //! implementation that accumulates per-edge congestion, per-round message
 //! histograms, and per-phase attribution.
@@ -21,18 +21,12 @@
 //!
 //! ## Determinism contract
 //!
-//! A [`CongestionProfile`] recorded from a successful run is
-//! **byte-identical across the sequential and parallel engines** and any
-//! thread count: every counter is a sum, max, or round-indexed sum of
-//! per-event contributions, and the parallel engine forks one sink per
-//! shard ([`Sink::fork_shard`]) and merges them back in ascending node-id
-//! shard order ([`Sink::merge_shard`]) — mirroring how it merges the
-//! shards' message buffers. [`CongestionProfile::render`] is the canonical
-//! byte-comparable form.
-//!
-//! On failing runs the rejection event itself is deterministic (the
-//! engines agree on the reported error), but send/deliver totals after the
-//! offending round are engine-dependent, just like program states.
+//! A [`CongestionProfile`] is a function of the graph, the programs and
+//! the config alone: the round loop fires its events in a fixed order
+//! (see [`Sink`]), and every counter is a sum, max, or round-indexed sum
+//! of per-event contributions. [`CongestionProfile::render`] is the
+//! canonical byte-comparable form. A failing run records the events up to
+//! the offending send, then the one deterministically chosen rejection.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -83,20 +77,18 @@ impl fmt::Display for PhaseLabel {
     }
 }
 
-/// An event sink wired into the execution engines.
+/// An event sink wired into the round loop.
 ///
 /// All event hooks default to no-ops, so a sink implements only what it
-/// cares about. The two shard hooks have no default: any sink must say how
-/// it splits and re-joins across the parallel engine's shards, because
-/// getting that wrong silently breaks the determinism contract.
+/// cares about.
 ///
 /// Hook order on a successful run, per round `r`: `on_round_start(r)`,
-/// then per node in ascending id order `on_deliver` for each inbox message
-/// followed by `on_send` for each validated outbox message, then
-/// `on_round_end(r)`. On the parallel engine the per-node events of one
-/// round land in per-shard forks and only the round hooks fire on the root
-/// sink; after the merge the accumulated totals are identical.
-pub trait Sink: Sized + Send {
+/// then per visited node in ascending id order `on_deliver` for each inbox
+/// message followed by `on_send` for each validated outbox message, then
+/// `on_round_end(r)`. A round visits every node in round 0 and afterwards
+/// only the active ones (see [`crate::run`]); a node that is skipped has no
+/// mail and sends nothing, so it would fire no event anyway.
+pub trait Sink: Sized {
     /// A synchronous round is starting.
     #[inline]
     fn on_round_start(&mut self, round: usize) {
@@ -129,7 +121,7 @@ pub trait Sink: Sized + Send {
     }
 
     /// A driver-level phase span opened (fired by phase-structured callers
-    /// such as `minex-algo`'s `Solver`, not by the engines).
+    /// such as `minex-algo`'s `Solver`, not by the round loop).
     #[inline]
     fn on_phase_enter(&mut self, label: &PhaseLabel) {
         let _ = label;
@@ -141,30 +133,14 @@ pub trait Sink: Sized + Send {
     fn on_phase_exit(&mut self, label: &PhaseLabel, stats: RunStats, repeats: usize) {
         let _ = (label, stats, repeats);
     }
-
-    /// A fresh sink for one shard of the parallel engine. Shard sinks see
-    /// only `on_send`/`on_deliver`.
-    fn fork_shard(&self) -> Self;
-
-    /// Folds a shard sink back in. The engine calls this in ascending
-    /// node-id shard order on every exit path.
-    fn merge_shard(&mut self, shard: Self);
 }
 
-/// The default sink: every hook is an empty inline no-op, so engines
-/// instrumented with it compile to the uninstrumented round loop.
+/// The default sink: every hook is an empty inline no-op, so the round
+/// loop instrumented with it compiles to the uninstrumented one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopSink;
 
-impl Sink for NoopSink {
-    #[inline]
-    fn fork_shard(&self) -> Self {
-        NoopSink
-    }
-
-    #[inline]
-    fn merge_shard(&mut self, _shard: Self) {}
-}
+impl Sink for NoopSink {}
 
 /// Load carried by one edge (both directions pooled).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -300,7 +276,7 @@ impl CongestionProfile {
     /// The canonical byte-comparable rendering: one line per counter, edge,
     /// round, phase, and rejection, in a fixed order. Two profiles render
     /// identically iff they are equal, so this is what the determinism
-    /// tests and the CI thread-matrix diff compare.
+    /// tests compare.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -351,8 +327,7 @@ impl CongestionProfile {
     }
 
     /// Folds another profile's counters into this one (used by session
-    /// aggregation; distinct from [`Sink::merge_shard`], which folds a
-    /// shard fork of *this* profile).
+    /// aggregation).
     pub fn absorb(&mut self, other: &CongestionProfile) {
         if self.edges.len() < other.edges.len() {
             self.edges.resize(other.edges.len(), EdgeLoad::default());
@@ -439,19 +414,6 @@ impl Sink for CongestionProfile {
             wire_messages: self.messages - msgs0,
             wire_bits: self.total_bits - bits0,
         });
-    }
-
-    /// Shard forks start empty; only additive counters accumulate in them.
-    fn fork_shard(&self) -> Self {
-        CongestionProfile::default()
-    }
-
-    fn merge_shard(&mut self, shard: Self) {
-        debug_assert!(
-            shard.phases.is_empty() && shard.rejections.is_empty() && shard.rounds_started == 0,
-            "shard sinks only see send/deliver events"
-        );
-        self.absorb(&shard);
     }
 }
 
@@ -584,24 +546,6 @@ mod tests {
         assert_eq!(span.repeats, 3);
         assert_eq!(span.wire_messages, 2);
         assert_eq!(span.wire_bits, 16);
-    }
-
-    #[test]
-    fn shard_merge_is_additive() {
-        let mut root = CongestionProfile::new();
-        root.on_round_start(0);
-        let mut a = root.fork_shard();
-        let mut b = root.fork_shard();
-        a.on_send(0, 0, 1, 0, 8);
-        b.on_send(0, 2, 3, 5, 16);
-        b.on_deliver(0, 9, 2, 4);
-        root.merge_shard(a);
-        root.merge_shard(b);
-        assert_eq!(root.total_messages(), 2);
-        assert_eq!(root.total_bits(), 24);
-        assert_eq!(root.delivered(), 1);
-        assert_eq!(root.rounds_started(), 1);
-        assert_eq!(root.edge_loads()[5].messages, 1);
     }
 
     #[test]

@@ -1,15 +1,10 @@
-//! The telemetry determinism and reconciliation contracts:
-//!
-//! * a [`CongestionProfile`] recorded from a successful run is
-//!   byte-identical ([`CongestionProfile::render`]) across the sequential
-//!   and parallel engines for any thread count, and
-//! * its aggregates exactly reconcile with the run's [`RunStats`]
-//!   (Σ per-edge messages == `stats.messages`, Σ per-edge bits ==
-//!   `stats.total_bits`, the max recorded message == `max_message_bits`),
-//!
-//! property-tested over random graphs × programs × engines, plus directed
-//! coverage of the rejection path and the per-edge validator bound that
-//! E17's analytic check leans on (≤ 2 messages per edge per round).
+//! The telemetry reconciliation contract: a [`CongestionProfile`]'s
+//! aggregates exactly reconcile with the [`RunStats`] of the run it
+//! recorded (Σ per-edge messages == `stats.messages`, Σ per-edge bits ==
+//! `stats.total_bits`, the max recorded message == `max_message_bits`),
+//! property-tested over random graphs × programs, plus directed coverage
+//! of the rejection path and the per-edge validator bound that E17's
+//! analytic check leans on (≤ 2 messages per edge per round).
 
 use proptest::prelude::*;
 
@@ -58,9 +53,8 @@ impl NodeProgram for MinFlood {
     }
 }
 
-/// Irregular data-dependent gossip (mirrors `proptest_engine.rs`): uneven
-/// per-node work, selective sends, reawakening — the traffic shapes where a
-/// sloppy shard merge would break profile determinism.
+/// Irregular data-dependent gossip: uneven per-node work, selective sends,
+/// reawakening of done nodes — a sparse, shifting active set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Gossip {
     acc: u64,
@@ -94,41 +88,20 @@ impl NodeProgram for Gossip {
     }
 }
 
-/// Records `fresh.clone()` under both engines and checks the determinism
-/// contract; returns the (identical) profile and stats.
-fn profile_both<P>(
+/// Records one run of `fresh.clone()`; returns the profile and stats.
+fn profile_run<P>(
     graph: &minex_graphs::Graph,
     fresh: &[P],
     config: CongestConfig,
-    threads: usize,
 ) -> (CongestionProfile, minex_congest::RunStats)
 where
-    P: NodeProgram + Send + Clone + PartialEq + std::fmt::Debug,
-    P::Msg: Send,
+    P: NodeProgram + Clone,
 {
-    let mut seq = fresh.to_vec();
-    let mut par = fresh.to_vec();
-    let mut seq_profile = CongestionProfile::new();
-    let mut par_profile = CongestionProfile::new();
-    let a = telemetry::record(&mut seq_profile, || {
-        run(graph, &mut seq, config.with_threads(1))
-    })
-    .expect("sequential run succeeds");
-    let b = telemetry::record(&mut par_profile, || {
-        run(graph, &mut par, config.with_threads(threads))
-    })
-    .expect("parallel run succeeds");
-    assert_eq!(a, b, "RunStats diverge (threads={threads})");
-    assert_eq!(
-        seq_profile, par_profile,
-        "profiles diverge (threads={threads})"
-    );
-    assert_eq!(
-        seq_profile.render(),
-        par_profile.render(),
-        "profile renderings diverge (threads={threads})"
-    );
-    (seq_profile, a)
+    let mut programs = fresh.to_vec();
+    let mut profile = CongestionProfile::new();
+    let stats = telemetry::record(&mut profile, || run(graph, &mut programs, config))
+        .expect("run succeeds");
+    (profile, stats)
 }
 
 /// The satellite reconciliation contract between a profile and the
@@ -165,25 +138,25 @@ proptest! {
 
     #[test]
     fn min_flood_profile_is_engine_independent_and_reconciles(
-        n in 4usize..80, extra in 0usize..60, seed in 0u64..1000, threads in 2usize..6,
+        n in 4usize..80, extra in 0usize..60, seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = generators::random_connected(n, extra, &mut rng);
         let fresh = vec![MinFlood::fresh(); n];
-        let (profile, stats) = profile_both(&g, &fresh, CongestConfig::for_nodes(n), threads);
+        let (profile, stats) = profile_run(&g, &fresh, CongestConfig::for_nodes(n));
         assert_reconciles(&profile, stats, &g);
     }
 
     #[test]
     fn gossip_profile_is_engine_independent_and_reconciles(
-        n in 4usize..60, extra in 0usize..40, seed in 0u64..1000, threads in 2usize..9,
+        n in 4usize..60, extra in 0usize..40, seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = generators::random_connected(n, extra, &mut rng);
         let fresh: Vec<Gossip> = (0..n)
             .map(|v| Gossip { acc: v as u64, bursts_left: 1 + v % 5 })
             .collect();
-        let (profile, stats) = profile_both(&g, &fresh, CongestConfig::for_nodes(n), threads);
+        let (profile, stats) = profile_run(&g, &fresh, CongestConfig::for_nodes(n));
         assert_reconciles(&profile, stats, &g);
     }
 }
@@ -205,23 +178,23 @@ impl NodeProgram for Blaster {
 
 #[test]
 fn rejections_are_recorded_identically_on_both_engines() {
+    // The scoped recorder and an explicit sink see the same failing run:
+    // one rejection, and nothing after the offending send.
     let g = generators::cycle(16);
     let config = CongestConfig::for_nodes(16).with_bandwidth(64);
-    let mut rendered = Vec::new();
-    for threads in [1usize, 4] {
-        let mut profile = CongestionProfile::new();
-        let mut programs = vec![Blaster; 16];
-        let err = telemetry::record(&mut profile, || {
-            run(&g, &mut programs, config.with_threads(threads))
-        })
+    let mut scoped = CongestionProfile::new();
+    let mut programs = vec![Blaster; 16];
+    let err = telemetry::record(&mut scoped, || run(&g, &mut programs, config))
         .expect_err("the blast must be rejected");
-        assert!(matches!(err, SimError::BandwidthExceeded { from: 0, .. }));
-        assert_eq!(profile.rejections(), [err.to_string()]);
-        rendered.push(profile.render());
-    }
-    // The whole profile — not just the rejection — matches here because the
-    // error fires in round 0 before any engine-dependent divergence.
-    assert_eq!(rendered[0], rendered[1]);
+    assert!(matches!(err, SimError::BandwidthExceeded { from: 0, .. }));
+    assert_eq!(scoped.rejections(), [err.to_string()]);
+    assert_eq!(scoped.total_messages(), 0);
+    assert_eq!(scoped.rounds_started(), 1);
+    let mut explicit = CongestionProfile::new();
+    let mut programs = vec![Blaster; 16];
+    let again = run_with_sink(&g, &mut programs, config, &mut explicit).unwrap_err();
+    assert_eq!(err, again);
+    assert_eq!(scoped.render(), explicit.render());
 }
 
 #[test]

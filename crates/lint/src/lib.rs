@@ -1,10 +1,9 @@
 //! `minex-lint` — the determinism-contract static-analysis pass.
 //!
 //! The minex workspace's central invariant is that every result is
-//! byte-identical across the sequential and parallel CONGEST engines and
-//! any `MINEX_THREADS`. The dynamic checkers (golden CSVs, trace
-//! byte-compares, engine-equivalence proptests) catch violations after
-//! they run; this crate catches the classic sources *statically*, at the
+//! byte-identical from run to run and from host to host. The dynamic
+//! checkers (golden CSVs, trace byte-compares, the round loop's
+//! differential proptests) catch violations after they run; this crate catches the classic sources *statically*, at the
 //! source level: unordered `HashMap`/`HashSet` iteration, wall-clock
 //! reads, thread-environment probes, floating point on the message
 //! plane, ambient randomness, and non-total-order sorts.

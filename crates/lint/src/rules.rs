@@ -1,8 +1,8 @@
 //! The determinism-contract rule drivers (D001–D007) and waiver engine.
 //!
 //! Every rule enforces a repo-specific invariant of the minex determinism
-//! contract: results must be byte-identical across the sequential and
-//! parallel CONGEST engines and any `MINEX_THREADS`. The rules are
+//! contract: results must be byte-identical from run to run and from host
+//! to host. The rules are
 //! deliberately *lexical* — a lexer-level analysis over one file at a
 //! time, with a file-local binding tracker standing in for type
 //! inference. That makes them fast, dependency-free, and predictable; the
@@ -43,8 +43,7 @@ pub struct Scope {
     /// except the `bench`/`serve` timing crates.
     pub d002: bool,
     /// D003: no `thread::current`/`available_parallelism` thread
-    /// introspection (exempt inside `fn resolved_threads`). Same scope as
-    /// D002.
+    /// introspection. Same scope as D002.
     pub d003: bool,
     /// D004: no `f32`/`f64` anywhere in the congest crate's `src/` —
     /// message payloads and `RunStats` are integer-only by design. (The
@@ -81,7 +80,7 @@ pub const RULES: [(&str, &str); 9] = [
     ),
     (
         "D003",
-        "no thread::current/available_parallelism outside CongestConfig::resolved_threads",
+        "no thread::current/available_parallelism outside the bench/serve crates",
     ),
     (
         "D004",
@@ -192,11 +191,6 @@ struct FileCx<'a> {
     /// D003/D005 flag call sites, not imports — an unused import is
     /// rustc's problem).
     in_use: Vec<bool>,
-    /// For each token, the name of the innermost enclosing `fn`, if any
-    /// (D003's `resolved_threads` exemption).
-    fn_name: Vec<Option<usize>>,
-    /// Interned fn names indexed by `fn_name`.
-    fn_names: Vec<String>,
 }
 
 impl<'a> FileCx<'a> {
@@ -213,52 +207,11 @@ impl<'a> FileCx<'a> {
             }
         }
 
-        // Enclosing-fn tracking: `fn NAME … {` pushes at the next brace;
-        // a `;` before the brace (trait method declaration) cancels.
-        let mut fn_name = vec![None; tokens.len()];
-        let mut fn_names: Vec<String> = Vec::new();
-        let mut stack: Vec<(usize, usize)> = Vec::new(); // (name idx, depth)
-        let mut pending: Option<usize> = None;
-        let mut depth = 0usize;
-        let mut i = 0usize;
-        while i < tokens.len() {
-            let t = &tokens[i];
-            if t.is_ident("fn") {
-                if let Some(next) = tokens.get(i + 1) {
-                    if next.kind == TokenKind::Ident {
-                        let idx = fn_names.len();
-                        fn_names.push(next.text.clone());
-                        pending = Some(idx);
-                    }
-                }
-            } else if t.is_punct(';') {
-                pending = None;
-            } else if t.is_punct('{') {
-                if let Some(idx) = pending.take() {
-                    stack.push((idx, depth));
-                }
-                depth += 1;
-            } else if t.is_punct('}') {
-                depth = depth.saturating_sub(1);
-                while stack.last().is_some_and(|&(_, d)| d >= depth) {
-                    stack.pop();
-                }
-            }
-            fn_name[i] = stack.last().map(|&(idx, _)| idx);
-            i += 1;
-        }
-
         FileCx {
             file,
             tokens,
             in_use,
-            fn_name,
-            fn_names,
         }
-    }
-
-    fn enclosing_fn(&self, i: usize) -> Option<&str> {
-        self.fn_name[i].map(|idx| self.fn_names[idx].as_str())
     }
 
     fn finding(&self, rule: &'static str, i: usize, message: String) -> Finding {
@@ -652,9 +605,8 @@ fn d002_wall_clock(cx: &FileCx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// D003: thread-environment introspection. The engine thread count is
-/// resolved in exactly one place (`CongestConfig::resolved_threads`) so
-/// results can never depend on the host's core count.
+/// D003: thread-environment introspection. Nothing that affects a result
+/// may depend on the host's core count or on which thread runs it.
 fn d003_thread_introspection(cx: &FileCx<'_>, out: &mut Vec<Finding>) {
     let toks = cx.tokens;
     for i in 0..toks.len() {
@@ -669,15 +621,12 @@ fn d003_thread_introspection(cx: &FileCx<'_>, out: &mut Vec<Finding>) {
             None
         };
         if let Some(what) = hit {
-            if cx.enclosing_fn(i) == Some("resolved_threads") {
-                continue; // the one sanctioned resolution point
-            }
             out.push(cx.finding(
                 "D003",
                 i,
                 format!(
-                    "{what} probes the host's thread environment; route through \
-                     `CongestConfig::resolved_threads` or waive with a justification"
+                    "{what} probes the host's thread environment in a result-affecting \
+                     crate; move it to the bench/serve crates or waive with a justification"
                 ),
             ));
         }
@@ -1009,13 +958,16 @@ mod tests {
     }
 
     #[test]
-    fn d003_resolved_threads_is_exempt() {
+    fn d003_flags_probes_in_every_fn() {
+        // No fn name is exempt, not even the former resolution point.
         let src = "impl C { pub fn resolved_threads(&self) -> usize { \
                    std::thread::available_parallelism().map_or(1, |p| p.get()) } }";
-        assert!(rules_of(src).is_empty());
+        assert_eq!(rules_of(src), vec!["D003"]);
         let src2 = "fn elsewhere() -> usize { \
                     std::thread::available_parallelism().map_or(1, |p| p.get()) }";
         assert_eq!(rules_of(src2), vec!["D003"]);
+        let src3 = "use std::thread::available_parallelism; fn f() {}";
+        assert!(rules_of(src3).is_empty());
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn d002_fixture_passes_in_timing_crate() {
 #[test]
 fn d003_flag_fixture() {
     let (findings, _) = lint_fixture("d003_flag.rs", CORE_PATH);
-    assert_eq!(rule_ids(&findings), ["D003"; 2], "{findings:?}");
+    assert_eq!(rule_ids(&findings), ["D003"; 3], "{findings:?}");
 }
 
 #[test]

@@ -1,22 +1,19 @@
-// Should-pass fixture for D003: `resolved_threads` is the one sanctioned
-// resolution point; spawning scoped workers from an already-resolved
-// count is fine.
+// Should-pass fixture for D003: an explicit worker count is fine, and so
+// is importing a probe without calling it (imports are rustc's business).
 
-struct CongestConfig {
-    threads: usize,
+use std::thread::available_parallelism;
+
+struct Config {
+    workers: usize,
 }
 
-impl CongestConfig {
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            self.threads
-        }
+impl Config {
+    pub fn workers(&self) -> usize {
+        self.workers.max(1)
     }
 }
 
-fn spawn_workers(config: &CongestConfig) -> usize {
-    let n = config.resolved_threads();
+fn spawn_workers(config: &Config) -> usize {
+    let n = config.workers();
     std::thread::scope(|_s| n)
 }

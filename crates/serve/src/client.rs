@@ -87,7 +87,9 @@ pub struct CreateSession {
     pub bandwidth: Option<usize>,
     /// Round-guard override.
     pub max_rounds: Option<usize>,
-    /// Engine thread count override.
+    /// Ignored: kept so that callers written against the former
+    /// multi-threaded engine still compile. It is never sent, and the
+    /// daemon ignores a `threads` field in an upload.
     pub threads: Option<usize>,
     /// Enable session tracing.
     pub trace: bool,
@@ -146,9 +148,6 @@ impl CreateSession {
         }
         if let Some(r) = self.max_rounds {
             fields.push(("max_rounds".to_string(), JsonValue::UInt(r as u64)));
-        }
-        if let Some(t) = self.threads {
-            fields.push(("threads".to_string(), JsonValue::UInt(t as u64)));
         }
         if self.trace {
             fields.push(("trace".to_string(), JsonValue::Bool(true)));

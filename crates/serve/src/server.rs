@@ -544,13 +544,8 @@ fn create_session(shared: &Shared, body: &[u8]) -> Result<String, (&'static str,
                 .ok_or_else(|| bad(WireError::new("max_rounds must be a positive integer")))?,
         );
     }
-    if let Some(t) = v.get("threads") {
-        config =
-            config
-                .with_threads(t.as_usize().ok_or_else(|| {
-                    bad(WireError::new("threads must be a non-negative integer"))
-                })?);
-    }
+    // A `threads` field, which older clients send, is ignored like any
+    // unknown field: one engine runs every query on its connection thread.
     spec.config = config;
     if let Some(t) = v.get("trace") {
         spec.trace = t

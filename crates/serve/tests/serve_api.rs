@@ -24,12 +24,6 @@ fn grid(rows: usize, cols: usize, seed: u64) -> Arc<WeightedGraph> {
     Arc::new(WeightedGraph::new(g, weights))
 }
 
-fn upload(wg: &WeightedGraph, threads: usize) -> CreateSession {
-    let mut req = CreateSession::from_weighted(wg);
-    req.threads = Some(threads);
-    req
-}
-
 fn default_server() -> ServerHandle {
     start(ServerConfig::default()).expect("bind")
 }
@@ -62,7 +56,7 @@ fn reference_reports(wg: &Arc<WeightedGraph>, mix: &[usize]) -> Vec<String> {
     let mut solver = Solver::from_arc(Arc::clone(wg))
         .parts(PartsStrategy::Singletons)
         .shortcut_builder(AutoCappedBuilder)
-        .config(CongestConfig::for_nodes(n).with_threads(1))
+        .config(CongestConfig::for_nodes(n))
         .build()
         .expect("reference solver");
     let values: Vec<u64> = (0..n as u64).collect();
@@ -85,10 +79,7 @@ proptest! {
 
     /// The headline determinism contract: N interleaved clients issuing
     /// the same query mix against one fleet session get responses
-    /// byte-identical to a single-threaded in-process [`Solver`] — for
-    /// engine thread counts 1 and 4 (the axis `MINEX_THREADS` drives; the
-    /// tests pin it per-session via the wire `threads` field so the
-    /// in-process env var cannot race).
+    /// byte-identical to a single-threaded in-process [`Solver`].
     #[test]
     fn interleaved_clients_match_the_in_process_solver(
         seed in 0u64..1_000,
@@ -96,35 +87,33 @@ proptest! {
     ) {
         let wg = grid(4, 4, seed);
         let expected = reference_reports(&wg, &mix);
-        for threads in [1usize, 4] {
-            let server = default_server();
-            let addr = server.addr();
-            let clients: Vec<_> = (0..3)
-                .map(|_| {
-                    let wg = Arc::clone(&wg);
-                    let mix = mix.clone();
-                    thread::spawn(move || -> Result<Vec<String>, ServeError> {
-                        let mut client = Client::connect(addr)?;
-                        let session = client.create_session(&upload(&wg, threads))?;
-                        let n = wg.graph().n();
-                        mix.iter()
-                            .map(|&kind| {
-                                client
-                                    .query(&session, &mix_query(kind, n))
-                                    .map(|v| v.to_string())
-                            })
-                            .collect()
-                    })
+        let server = default_server();
+        let addr = server.addr();
+        let clients: Vec<_> = (0..3)
+            .map(|_| {
+                let wg = Arc::clone(&wg);
+                let mix = mix.clone();
+                thread::spawn(move || -> Result<Vec<String>, ServeError> {
+                    let mut client = Client::connect(addr)?;
+                    let session = client.create_session(&CreateSession::from_weighted(&wg))?;
+                    let n = wg.graph().n();
+                    mix.iter()
+                        .map(|&kind| {
+                            client
+                                .query(&session, &mix_query(kind, n))
+                                .map(|v| v.to_string())
+                        })
+                        .collect()
                 })
-                .collect();
-            for c in clients {
-                let got = c.join().expect("client thread").expect("client request");
-                prop_assert_eq!(&got, &expected);
-            }
-            // All three clients uploaded the same graph + options: one session.
-            prop_assert_eq!(server.sessions(), 1);
-            server.shutdown();
+            })
+            .collect();
+        for c in clients {
+            let got = c.join().expect("client thread").expect("client request");
+            prop_assert_eq!(&got, &expected);
         }
+        // All three clients uploaded the same graph + options: one session.
+        prop_assert_eq!(server.sessions(), 1);
+        server.shutdown();
     }
 }
 
@@ -135,7 +124,9 @@ fn batches_run_back_to_back_and_match_the_reference() {
     let expected = reference_reports(&wg, &mix);
     let server = default_server();
     let mut client = Client::connect(server.addr()).unwrap();
-    let session = client.create_session(&upload(&wg, 1)).unwrap();
+    let session = client
+        .create_session(&CreateSession::from_weighted(&wg))
+        .unwrap();
     let n = wg.graph().n();
     let mut queries: Vec<JsonValue> = mix.iter().map(|&k| mix_query(k, n)).collect();
     // A malformed query mid-batch must not poison its neighbours.
@@ -206,7 +197,7 @@ fn error_codes_map_stably_over_the_wire() {
         builder: None,
         bandwidth: None,
         max_rounds: None,
-        threads: Some(1),
+        threads: None,
         trace: false,
     };
     let session = client.create_session(&disconnected).unwrap();
@@ -277,11 +268,72 @@ fn error_codes_map_stably_over_the_wire() {
 }
 
 #[test]
+fn oversized_min_cut_trees_is_a_bad_query() {
+    // The packing would allocate one spanning tree per requested tree, so
+    // a count above n is refused up front; the session, the connection
+    // slot and the daemon all keep serving.
+    let wg = grid(4, 4, 5);
+    let server = default_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let session = client
+        .create_session(&CreateSession::from_weighted(&wg))
+        .unwrap();
+    for trees in [17u64, 1 << 40, u64::MAX] {
+        let query = obj([
+            ("query", JsonValue::Str("min_cut".into())),
+            ("trees", JsonValue::UInt(trees)),
+        ]);
+        match client.query(&session, &query) {
+            Err(ServeError::Server { status, code, .. }) => {
+                assert_eq!((status, code.as_str()), (400, "BAD_QUERY"), "trees={trees}");
+            }
+            other => panic!("trees={trees}: expected BAD_QUERY, got {other:?}"),
+        }
+    }
+    assert!(client.health().is_ok());
+    let cut = client.min_cut(&session, 16).unwrap();
+    assert_eq!(cut.value.trees, 16);
+    server.shutdown();
+}
+
+#[test]
+fn a_threads_field_in_an_upload_is_ignored() {
+    // Older clients send `threads`; the daemon ignores it like any unknown
+    // field, so the session id and the served bodies do not depend on it.
+    let wg = grid(3, 3, 4);
+    let server = default_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let plain = CreateSession::from_weighted(&wg).to_body();
+    let session = client
+        .create_session(&CreateSession::from_weighted(&wg))
+        .unwrap();
+    for threads in [JsonValue::UInt(4), JsonValue::Str("many".into())] {
+        let JsonValue::Object(mut fields) = plain.clone() else {
+            unreachable!("an upload body is an object");
+        };
+        fields.push(("threads".to_string(), threads));
+        let created = client
+            .request("POST", "/v1/sessions", Some(&JsonValue::Object(fields)))
+            .unwrap();
+        assert_eq!(
+            created.get("session").and_then(JsonValue::as_str),
+            Some(session.as_str())
+        );
+        assert_eq!(
+            created.get("created").and_then(JsonValue::as_bool),
+            Some(false)
+        );
+    }
+    assert_eq!(server.sessions(), 1);
+    server.shutdown();
+}
+
+#[test]
 fn apply_and_trace_work_end_to_end() {
     let wg = grid(4, 4, 11);
     let server = default_server();
     let mut client = Client::connect(server.addr()).unwrap();
-    let mut req = upload(&wg, 1);
+    let mut req = CreateSession::from_weighted(&wg);
     req.trace = true;
     let session = client.create_session(&req).unwrap();
 
@@ -303,7 +355,7 @@ fn apply_and_trace_work_end_to_end() {
     let mut solver = Solver::from_arc(Arc::clone(&wg))
         .parts(PartsStrategy::Singletons)
         .shortcut_builder(AutoCappedBuilder)
-        .config(CongestConfig::for_nodes(wg.graph().n()).with_threads(1))
+        .config(CongestConfig::for_nodes(wg.graph().n()))
         .trace(true)
         .build()
         .unwrap();
@@ -337,7 +389,7 @@ fn lru_evicts_the_coldest_session_over_http() {
     let sessions: Vec<String> = (0..2)
         .map(|seed| {
             client
-                .create_session(&upload(&grid(3, 3, seed), 1))
+                .create_session(&CreateSession::from_weighted(&grid(3, 3, seed)))
                 .unwrap()
         })
         .collect();
@@ -347,7 +399,7 @@ fn lru_evicts_the_coldest_session_over_http() {
         .request(
             "POST",
             "/v1/sessions",
-            Some(&upload(&grid(3, 3, 99), 1).to_body()),
+            Some(&CreateSession::from_weighted(&grid(3, 3, 99)).to_body()),
         )
         .unwrap();
     let evicted = third.get("evicted").and_then(JsonValue::as_array).unwrap();
@@ -359,7 +411,9 @@ fn lru_evicts_the_coldest_session_over_http() {
         other => panic!("expected NOT_FOUND for the evicted session, got {other:?}"),
     }
     // Re-uploading the evicted graph rebuilds it under the same id.
-    let again = client.create_session(&upload(&grid(3, 3, 1), 1)).unwrap();
+    let again = client
+        .create_session(&CreateSession::from_weighted(&grid(3, 3, 1)))
+        .unwrap();
     assert_eq!(again, sessions[1]);
     server.shutdown();
 }

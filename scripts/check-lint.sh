@@ -9,7 +9,7 @@
 # Rules (see README "Static analysis" and `cargo run -p minex-lint -- rules`):
 #   D001 unordered HashMap/HashSet iteration in result-affecting crates
 #   D002 wall-clock reads outside bench/serve
-#   D003 thread-environment probes outside CongestConfig::resolved_threads
+#   D003 thread-environment probes outside bench/serve
 #   D004 floating point in the congest message plane
 #   D005 unseeded randomness
 #   D006 partial_cmp sorts / comparator-free .sort()

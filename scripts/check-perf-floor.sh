@@ -4,8 +4,8 @@
 # committed floors in expected/perf-floor.json.
 #
 # The floors lock the raw-speed pass (bucket-queue SSSP, SoA message
-# plane): E13's engine rounds/sec and E15's million-node CSR iteration
-# speedup must not silently regress. Neither experiment runs a `Solver`
+# plane, active-set round loop): E13's engine rounds/sec per family and
+# E15's million-node CSR iteration speedup must not silently regress. Neither experiment runs a `Solver`
 # session. Ratio
 # floors (`min_iter_speedup`) are the real acceptance bars and are
 # machine-independent; absolute-throughput floors (`min_krounds_per_sec`)
@@ -50,12 +50,11 @@ fi
 failures="$(jq -rn --slurpfile floor "$floor" --slurpfile bench "$json" '
   (
     $floor[0].engine_scaling[] as $f
-    | [ $bench[0].engine_scaling[]?
-        | select(.family == $f.family and .threads == $f.threads) ] as $rows
+    | [ $bench[0].engine_scaling[]? | select(.family == $f.family) ] as $rows
     | if ($rows | length) == 0 then
-        "missing engine_scaling row: \($f.family) threads=\($f.threads)"
+        "missing engine_scaling row: \($f.family)"
       elif $rows[0].krounds_per_sec < $f.min_krounds_per_sec then
-        "engine_scaling \($f.family) threads=\($f.threads): " +
+        "engine_scaling \($f.family): " +
         "\($rows[0].krounds_per_sec) krounds/s under floor \($f.min_krounds_per_sec)"
       else empty end
   ),

@@ -2,8 +2,7 @@
 //! of edge mutations, a repaired [`Solver`] session must produce `Report`s
 //! **byte-identical** to a Solver built from scratch on the mutated
 //! weighted graph — same outputs, same `RunStats`-derived counters, same
-//! round counts — across both execution engines (`threads ∈ {1, 4}`), for
-//! `mst` / `sssp` / `components` / `min_cut`.
+//! round counts — for `mst` / `sssp` / `components` / `min_cut`.
 //!
 //! Also pins the disconnection semantics: deleting a bridge splits the
 //! graph, `components()` reflects the split immediately (no stale memos),
@@ -16,18 +15,15 @@ use minex::graphs::{generators, WeightModel};
 use minex::{AlgoError, EdgeMutation, PartsStrategy, Solver, Tier};
 use rand::{rngs::StdRng, SeedableRng};
 
-const THREADS: &[usize] = &[1, 4];
-
-fn cfg(n: usize, threads: usize) -> CongestConfig {
+fn cfg(n: usize) -> CongestConfig {
     CongestConfig::for_nodes(n)
         .with_bandwidth(192)
         .with_max_rounds(2_000_000)
-        .with_threads(threads)
 }
 
 /// The oracle: a mutated session and a from-scratch session on the mutated
 /// weighted graph must be report-for-report identical.
-fn assert_oracle(mutated: &mut Solver, strategy: PartsStrategy, threads: usize) {
+fn assert_oracle(mutated: &mut Solver, strategy: PartsStrategy, case: &str) {
     let wg = mutated.weighted_graph().clone();
     let mut fresh = Solver::builder(&wg)
         .parts(strategy)
@@ -38,12 +34,12 @@ fn assert_oracle(mutated: &mut Solver, strategy: PartsStrategy, threads: usize) 
     assert_eq!(
         mutated.is_connected(),
         fresh.is_connected(),
-        "threads={threads}: connectivity"
+        "{case}: connectivity"
     );
     assert_eq!(
         mutated.components().unwrap(),
         fresh.components().unwrap(),
-        "threads={threads}: components report"
+        "{case}: components report"
     );
     if !mutated.is_connected() {
         assert!(matches!(mutated.mst(), Err(AlgoError::Disconnected)));
@@ -52,18 +48,18 @@ fn assert_oracle(mutated: &mut Solver, strategy: PartsStrategy, threads: usize) 
     assert_eq!(
         mutated.mst().unwrap(),
         fresh.mst().unwrap(),
-        "threads={threads}: mst report"
+        "{case}: mst report"
     );
     assert_eq!(
         mutated.min_cut_with(2, false).unwrap(),
         fresh.min_cut_with(2, false).unwrap(),
-        "threads={threads}: min-cut report"
+        "{case}: min-cut report"
     );
     for source in [0, wg.graph().n() / 2] {
         assert_eq!(
             mutated.sssp(source, Tier::Exact).unwrap(),
             fresh.sssp(source, Tier::Exact).unwrap(),
-            "threads={threads}: exact sssp from {source}"
+            "{case}: exact sssp from {source}"
         );
         assert_eq!(
             mutated
@@ -84,7 +80,7 @@ fn assert_oracle(mutated: &mut Solver, strategy: PartsStrategy, threads: usize) 
                     },
                 )
                 .unwrap(),
-            "threads={threads}: shortcut sssp from {source}"
+            "{case}: shortcut sssp from {source}"
         );
     }
 }
@@ -95,11 +91,11 @@ fn churned_session_reports_match_fresh_solver_across_engines() {
     let mut rng = StdRng::seed_from_u64(21);
     let wg = WeightModel::DistinctShuffled.apply(&g, &mut rng);
     let strategy = PartsStrategy::Voronoi { parts: 5, seed: 3 };
-    for &threads in THREADS {
+    for churn_seed in [1u64, 4] {
         let mut solver = Solver::builder(&wg)
             .parts(strategy.clone())
             .shortcut_builder(SteinerBuilder)
-            .config(cfg(g.n(), threads))
+            .config(cfg(g.n()))
             .build()
             .unwrap();
         // Warm every cache the mutation must invalidate.
@@ -107,12 +103,16 @@ fn churned_session_reports_match_fresh_solver_across_engines() {
         solver.mst().unwrap();
         solver.sssp(0, Tier::Exact).unwrap();
         solver.components().unwrap();
-        let mut churn_rng = StdRng::seed_from_u64(threads as u64);
+        let mut churn_rng = StdRng::seed_from_u64(churn_seed);
         let stream = workloads::churn_stream(solver.graph(), 24, 500, &mut churn_rng);
         let stats = solver.apply(&stream).unwrap();
         assert_eq!(stats.inserted + stats.deleted, 24);
         assert!(stats.memos_dropped > 0, "warmed memos must be invalidated");
-        assert_oracle(&mut solver, strategy.clone(), threads);
+        assert_oracle(
+            &mut solver,
+            strategy.clone(),
+            &format!("churn seed {churn_seed}"),
+        );
     }
 }
 
@@ -132,7 +132,7 @@ fn repair_applies_incrementally_batch_by_batch() {
     let mut solver = Solver::builder(&wg)
         .parts(strategy.clone())
         .shortcut_builder(SteinerBuilder)
-        .config(cfg(g.n(), 1))
+        .config(cfg(g.n()))
         .build()
         .unwrap();
     solver.plan().unwrap();
@@ -154,7 +154,7 @@ fn repair_applies_incrementally_batch_by_batch() {
                 );
             }
         }
-        assert_oracle(&mut solver, strategy.clone(), 1);
+        assert_oracle(&mut solver, strategy.clone(), &format!("round {round}"));
     }
 }
 
@@ -163,58 +163,56 @@ fn deleting_a_bridge_disconnects_queries_and_reinsert_heals() {
     // A path is all bridges: delete one, the session must immediately
     // report the split (no stale cached results), then heal on re-insert.
     let g = generators::path(12);
-    for &threads in THREADS {
-        let mut solver = Solver::for_graph(&g)
-            .shortcut_builder(AutoCappedBuilder)
-            .config(cfg(g.n(), threads))
-            .build()
-            .unwrap();
-        // Warm the memos that must NOT survive the cut.
-        let connected_components_before = solver.components().unwrap();
-        solver.mst().unwrap();
-        let stats = solver
-            .apply(&[EdgeMutation::Delete { u: 5, v: 6 }])
-            .unwrap();
-        assert!(!stats.connected);
-        assert!(stats.memos_dropped > 0);
-        assert!(!solver.is_connected());
-        let split = solver.components().unwrap();
-        assert_ne!(split, connected_components_before, "stale memo served");
-        let labels: std::collections::HashSet<usize> = split.value.label.iter().copied().collect();
-        assert_eq!(labels.len(), 2, "threads={threads}: split into two");
-        assert!(matches!(solver.mst(), Err(AlgoError::Disconnected)));
-        assert!(matches!(
-            solver.sssp(
-                0,
-                Tier::Shortcut {
-                    epsilon: 0.5,
-                    max_phases: 16
-                }
-            ),
-            Err(AlgoError::Disconnected)
-        ));
-        // Exact SSSP floods per component: the far side must be unreached.
-        let exact = solver.sssp(0, Tier::Exact).unwrap();
-        assert!(
-            exact.value.dist[6] > exact.value.dist[5],
-            "threads={threads}: far side beyond the cut"
-        );
-        // Healing: re-inserting the bridge restores full service.
-        let stats = solver
-            .apply(&[EdgeMutation::Insert {
-                u: 5,
-                v: 6,
-                weight: 1,
-            }])
-            .unwrap();
-        assert!(stats.connected);
-        assert_eq!(
-            solver.components().unwrap(),
-            connected_components_before,
-            "threads={threads}: healed graph equals the original"
-        );
-        solver.mst().unwrap();
-    }
+    let mut solver = Solver::for_graph(&g)
+        .shortcut_builder(AutoCappedBuilder)
+        .config(cfg(g.n()))
+        .build()
+        .unwrap();
+    // Warm the memos that must NOT survive the cut.
+    let connected_components_before = solver.components().unwrap();
+    solver.mst().unwrap();
+    let stats = solver
+        .apply(&[EdgeMutation::Delete { u: 5, v: 6 }])
+        .unwrap();
+    assert!(!stats.connected);
+    assert!(stats.memos_dropped > 0);
+    assert!(!solver.is_connected());
+    let split = solver.components().unwrap();
+    assert_ne!(split, connected_components_before, "stale memo served");
+    let labels: std::collections::HashSet<usize> = split.value.label.iter().copied().collect();
+    assert_eq!(labels.len(), 2, "split into two");
+    assert!(matches!(solver.mst(), Err(AlgoError::Disconnected)));
+    assert!(matches!(
+        solver.sssp(
+            0,
+            Tier::Shortcut {
+                epsilon: 0.5,
+                max_phases: 16
+            }
+        ),
+        Err(AlgoError::Disconnected)
+    ));
+    // Exact SSSP floods per component: the far side must be unreached.
+    let exact = solver.sssp(0, Tier::Exact).unwrap();
+    assert!(
+        exact.value.dist[6] > exact.value.dist[5],
+        "far side beyond the cut"
+    );
+    // Healing: re-inserting the bridge restores full service.
+    let stats = solver
+        .apply(&[EdgeMutation::Insert {
+            u: 5,
+            v: 6,
+            weight: 1,
+        }])
+        .unwrap();
+    assert!(stats.connected);
+    assert_eq!(
+        solver.components().unwrap(),
+        connected_components_before,
+        "healed graph equals the original"
+    );
+    solver.mst().unwrap();
 }
 
 #[test]
@@ -226,7 +224,7 @@ fn explicit_partition_survives_cross_part_churn_and_rejects_part_splits() {
     let mut solver = Solver::for_graph(&g)
         .parts(strategy.clone())
         .shortcut_builder(SteinerBuilder)
-        .config(cfg(g.n(), 1))
+        .config(cfg(g.n()))
         .build()
         .unwrap();
     solver.plan().unwrap();
@@ -240,7 +238,7 @@ fn explicit_partition_survives_cross_part_churn_and_rejects_part_splits() {
         }])
         .unwrap();
     assert!(!stats.partition_changed);
-    assert_oracle(&mut solver, strategy.clone(), 1);
+    assert_oracle(&mut solver, strategy.clone(), "chord");
 }
 
 #[test]
@@ -252,12 +250,12 @@ fn churn_over_ktree_family_matches_fresh_solver() {
     let mut solver = Solver::builder(&wg)
         .parts(strategy.clone())
         .shortcut_builder(SteinerBuilder)
-        .config(cfg(g.n(), 1))
+        .config(cfg(g.n()))
         .build()
         .unwrap();
     solver.plan().unwrap();
     let mut churn_rng = StdRng::seed_from_u64(5);
     let stream = workloads::churn_stream(solver.graph(), 16, 600, &mut churn_rng);
     solver.apply(&stream).unwrap();
-    assert_oracle(&mut solver, strategy, 1);
+    assert_oracle(&mut solver, strategy, "k-tree churn");
 }
