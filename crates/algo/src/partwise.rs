@@ -37,10 +37,14 @@
 //! over. Loops that aggregate repeatedly over one partition compile once: a
 //! shortcut-SSSP query shares one topology between its center-potential
 //! flood and all its phases, and MST's relabel flood of one phase shares
-//! its compile with the next phase's candidate flood. Nothing is cached
-//! across queries.
+//! its compile with the next phase's candidate flood. Every run goes
+//! through a caller-held [`Simulator`], so a query that aggregates once per
+//! phase sets up the round loop's mailboxes once. Nothing is cached across
+//! queries.
 
-use minex_congest::{bits_for, run, CongestConfig, Ctx, NodeProgram, Payload, RunStats, SimError};
+use minex_congest::{
+    bits_for, CongestConfig, Ctx, NodeProgram, Payload, RunStats, SimError, Simulator,
+};
 use minex_core::{Partition, Shortcut};
 use minex_graphs::dist::dist_add;
 use minex_graphs::{Graph, NodeId, WeightedGraph};
@@ -336,12 +340,13 @@ impl AggTopology {
     /// not converge (its nodes are not connected in `G[P_i] + H_i`).
     pub(crate) fn partwise_min(
         &self,
+        sim: &mut Simulator<PartMsg>,
         g: &Graph,
         values: &[u64],
         value_bits: usize,
         config: CongestConfig,
     ) -> Result<AggregationResult, SimError> {
-        let out = self.min_run(g, values, value_bits, config)?;
+        let out = self.min_run(sim, g, values, value_bits, config)?;
         Ok(AggregationResult {
             minima: out.minima(),
             stats: out.stats,
@@ -352,6 +357,7 @@ impl AggTopology {
     /// part starts with its value for the part.
     fn min_run(
         &self,
+        sim: &mut Simulator<PartMsg>,
         g: &Graph,
         values: &[u64],
         value_bits: usize,
@@ -361,7 +367,7 @@ impl AggTopology {
         let seeds = (0..self.n)
             .filter(|&v| self.own_slot[v] != NO_SLOT)
             .map(|v| (v, self.own_slot[v] as usize, values[v]));
-        self.run(g, None, seeds, value_bits, config)
+        self.run(sim, g, None, seeds, value_bits, config)
     }
 
     /// Weighted distance flood: from per-part seeds `(node, part, value)`,
@@ -381,6 +387,7 @@ impl AggTopology {
     /// edges).
     pub(crate) fn distance_flood(
         &self,
+        sim: &mut Simulator<PartMsg>,
         wg: &WeightedGraph,
         seeds: &[(NodeId, u32, u64)],
         value_bits: usize,
@@ -392,13 +399,22 @@ impl AggTopology {
                 .expect("a seed's node hears of its part");
             (v, slot - self.slot_off[v], value)
         });
-        self.run(wg.graph(), Some(wg.weights()), seeds, value_bits, config)
+        self.run(
+            sim,
+            wg.graph(),
+            Some(wg.weights()),
+            seeds,
+            value_bits,
+            config,
+        )
     }
 
-    /// Runs one aggregation from `seeds` (`(node, node-local slot, value)`):
-    /// plain minima without `weights`, weighted distances with them.
+    /// Runs one aggregation from `seeds` (`(node, node-local slot, value)`)
+    /// on `sim`: plain minima without `weights`, weighted distances with
+    /// them.
     fn run(
         &self,
+        sim: &mut Simulator<PartMsg>,
         g: &Graph,
         weights: Option<&[u64]>,
         seeds: impl Iterator<Item = (NodeId, usize, u64)>,
@@ -444,7 +460,7 @@ impl AggTopology {
             for (v, slot, value) in seeds {
                 programs[v].absorb(slot, value, NO_PORT);
             }
-            run(g, &mut programs, config)?
+            sim.run(g, &mut programs, config)?
         };
         Ok(AggRun {
             topo: self,
@@ -647,7 +663,13 @@ pub(crate) fn partwise_min_impl(
     config: CongestConfig,
 ) -> Result<AggregationResult, SimError> {
     assert_eq!(values.len(), g.n(), "one value per node required");
-    AggTopology::compile(g, parts, shortcut).partwise_min(g, values, value_bits, config)
+    AggTopology::compile(g, parts, shortcut).partwise_min(
+        &mut Simulator::new(),
+        g,
+        values,
+        value_bits,
+        config,
+    )
 }
 
 /// Centralized reference for the part-wise MIN aggregation.
@@ -805,7 +827,7 @@ mod tests {
         for &(v, part, value) in seeds {
             programs[v].absorb(part, value, None);
         }
-        let stats = run(g, &mut programs, config)?;
+        let stats = minex_congest::run(g, &mut programs, config)?;
         Ok((programs.into_iter().map(|p| p.best).collect(), stats))
     }
 
@@ -909,7 +931,7 @@ mod tests {
             let reference =
                 run_reference(&wg, &parts, &shortcut, weighted, &seeds, value_bits, config);
             if weighted {
-                let flat = topo.distance_flood(&wg, &seeds, value_bits, config);
+                let flat = topo.distance_flood(&mut Simulator::new(), &wg, &seeds, value_bits, config);
                 match (reference, flat) {
                     (Ok((values, stats)), Ok(flat)) => {
                         proptest::prop_assert_eq!(stats, flat.stats);
@@ -925,7 +947,7 @@ mod tests {
                 for &(v, _, x) in &seeds {
                     values[v] = x;
                 }
-                let flat = topo.min_run(&g, &values, value_bits, config);
+                let flat = topo.min_run(&mut Simulator::new(), &g, &values, value_bits, config);
                 match (reference, flat) {
                     (Ok((per_node, stats)), Ok(flat)) => {
                         proptest::prop_assert_eq!(stats, flat.stats);

@@ -70,7 +70,8 @@ use rand::SeedableRng;
 
 use minex_congest::telemetry;
 use minex_congest::{
-    bits_for, primitives, CongestConfig, CongestionProfile, PhaseLabel, RunStats, SimError, Sink,
+    bits_for, primitives, CongestConfig, CongestionProfile, PhaseLabel, RunStats, SimError,
+    Simulator, Sink,
 };
 use minex_core::construct::ShortcutBuilder;
 use minex_core::{
@@ -1701,6 +1702,8 @@ impl Solver {
         let mut parts = singleton_partition(g);
         let mut shortcut = Shortcut::empty(parts.len());
         let mut topo = AggTopology::compile(g, &parts, &shortcut);
+        // Every flood of the query runs on one engine.
+        let mut sim = Simulator::new();
         let log_n = bits_for(n.max(2));
         // Relabel ids are the identity column every phase.
         let ids: Vec<u64> = (0..n as u64).collect();
@@ -1722,7 +1725,7 @@ impl Solver {
             let agg = ledger.run(
                 PhaseLabel::new("mst", "candidate").with_attempt(phase),
                 1,
-                || topo.partwise_min(g, &values, value_bits, config),
+                || topo.partwise_min(&mut sim, g, &values, value_bits, config),
                 |a| a.stats,
             )?;
             // Merge along the chosen edges.
@@ -1749,7 +1752,7 @@ impl Solver {
             ledger.run(
                 PhaseLabel::new("mst", "relabel").with_attempt(phase),
                 1,
-                || topo.partwise_min(g, &ids, log_n, config),
+                || topo.partwise_min(&mut sim, g, &ids, log_n, config),
                 |a| a.stats,
             )?;
             phases += 1;
@@ -1958,8 +1961,11 @@ impl Solver {
         let tree = RootedTree::bfs(g, source);
         let shortcut = builder.build(g, &tree, parts);
         let quality = measure_quality(g, &tree, parts, &shortcut).quality;
-        // One topology serves the ρ flood and every phase.
+        // One topology serves the ρ flood and every phase, and so does one
+        // engine; the relax rounds, whose messages differ, share another.
         let topo = AggTopology::compile(g, parts, &shortcut);
+        let mut agg_sim = Simulator::new();
+        let mut relax_sim = Simulator::new();
         let scaled = scale_weights(wg, scale);
         let value_bits = dist_value_bits(&scaled) + 1;
         let mut ledger = Ledger::new(trace);
@@ -1973,7 +1979,7 @@ impl Solver {
         let flood = ledger.run(
             PhaseLabel::new("sssp-shortcut", "rho"),
             1,
-            || topo.distance_flood(&scaled, &seeds, value_bits, config),
+            || topo.distance_flood(&mut agg_sim, &scaled, &seeds, value_bits, config),
             |r| r.stats,
         )?;
         let rho: Vec<u64> = (0..n)
@@ -2008,7 +2014,7 @@ impl Solver {
             let agg = ledger.run(
                 PhaseLabel::new("sssp-shortcut", "aggregate").with_attempt(phase),
                 1,
-                || topo.partwise_min(g, &values, value_bits, config),
+                || topo.partwise_min(&mut agg_sim, g, &values, value_bits, config),
                 |a| a.stats,
             )?;
             for (i, part) in parts.parts().iter().enumerate() {
@@ -2030,7 +2036,15 @@ impl Solver {
             (dist, _) = ledger.run(
                 PhaseLabel::new("sssp-shortcut", "relax").with_attempt(phase),
                 1,
-                || primitives::distance_broadcast_round(&scaled, &dist, value_bits, config),
+                || {
+                    primitives::distance_broadcast_round(
+                        &mut relax_sim,
+                        &scaled,
+                        &dist,
+                        value_bits,
+                        config,
+                    )
+                },
                 |r| r.1,
             )?;
             phases += 1;
@@ -2083,12 +2097,15 @@ impl Solver {
         let mut uf = UnionFind::new(n);
         let mut forest: Vec<EdgeId> = Vec::new();
         let mut phases = 0;
+        // Every aggregation of the query runs on one engine.
+        let mut sim = Simulator::new();
         loop {
             // Fragment partition (within components).
             let (labels, _) = uf.labels();
             let options: Vec<Option<usize>> = labels.iter().map(|&l| Some(l)).collect();
             let parts = Partition::from_labels(g, &options).expect("fragments connected");
             let shortcut = build_per_component(g, &comp_of, comp_count, builder, &parts);
+            let topo = AggTopology::compile(g, &parts, &shortcut);
             if parts.len() == comp_count {
                 // One fragment per component: done. Final labels = min node
                 // id, flooded once more for the output.
@@ -2096,7 +2113,7 @@ impl Solver {
                 let agg = ledger.run(
                     PhaseLabel::new("components", "final-labels"),
                     1,
-                    || partwise_min_impl(g, &parts, &shortcut, &ids, bits_for(n.max(2)), config),
+                    || topo.partwise_min(&mut sim, g, &ids, bits_for(n.max(2)), config),
                     |a| a.stats,
                 )?;
                 let mut label = vec![0usize; n];
@@ -2127,7 +2144,7 @@ impl Solver {
             let agg = ledger.run(
                 PhaseLabel::new("components", "candidate").with_attempt(phases - 1),
                 1,
-                || partwise_min_impl(g, &parts, &shortcut, &values, value_bits, config),
+                || topo.partwise_min(&mut sim, g, &values, value_bits, config),
                 |a| a.stats,
             )?;
             for &best in &agg.minima {

@@ -527,7 +527,13 @@ mod tests {
         let shortcut = Shortcut::empty(1);
         let topo = AggTopology::compile(&g, &parts, &shortcut);
         let flood = topo
-            .distance_flood(&wg, &[(4, 0, 0)], 24, cfg(g.n()))
+            .distance_flood(
+                &mut minex_congest::Simulator::new(),
+                &wg,
+                &[(4, 0, 0)],
+                24,
+                cfg(g.n()),
+            )
             .unwrap();
         let d = traversal::dijkstra(&wg, 4);
         for v in 0..g.n() {

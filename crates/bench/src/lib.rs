@@ -1036,8 +1036,12 @@ pub fn e12_sssp_quality(full: bool) -> Table {
 /// k-tree, maze grid, each running exact SSSP), on a long path (exact
 /// SSSP: one active node pair per round for 40,000 rounds), and, with
 /// `--full`, on a BFS-tree flood over a 10⁶-node triangulated grid (a
-/// thin wavefront per round). The last two show that a round costs the
-/// active nodes and messages, not `n`.
+/// thin wavefront per round). Those two show that a round costs the
+/// active nodes and messages, not `n`. A last row runs 1,000 one-round
+/// relaxations on a 14 × 14 triangulated grid through one
+/// [`Simulator`](minex_congest::Simulator): its krounds/s is the rate of
+/// whole short runs, which falls if a run's set-up (the round loop's
+/// mailboxes, per-node link tables) comes back.
 ///
 /// The timing columns are machine-dependent, so E13 is **excluded from the
 /// golden-CSV regression gate** (`expected/` holds E1–E12 and E17); the
@@ -1084,6 +1088,35 @@ pub fn e13_engine_scaling(full: bool) -> Table {
         let secs = start.elapsed().as_secs_f64().max(1e-9);
         row(family, n, "exact sssp", out.stats, secs);
     }
+    // Many short runs through one engine, as the shortcut-SSSP tier makes
+    // them: 1,000 one-round relaxations on a small grid where every node
+    // holds a finite distance, so each run's set-up weighs as much as its
+    // ~1,100 messages. They run as ten batches of 100; interference only
+    // adds time, so the row reports ten times the fastest batch.
+    let wg = WeightModel::DistinctShuffled.apply(&generators::triangulated_grid(14, 14), &mut rng);
+    let n = wg.graph().n();
+    let dist = traversal::dijkstra(&wg, 0).dist;
+    let value_bits = minex_congest::bits_for(wg.total_weight() as usize + 1);
+    let mut sim = minex_congest::Simulator::new();
+    let mut stats = minex_congest::RunStats::default();
+    let mut fastest = f64::INFINITY;
+    for _ in 0..10 {
+        let start = Instant::now();
+        for _ in 0..100 {
+            let (_, run) = minex_congest::primitives::distance_broadcast_round(
+                &mut sim,
+                &wg,
+                &dist,
+                value_bits,
+                config(n),
+            )
+            .expect("relax round");
+            stats.absorb(run);
+        }
+        fastest = fastest.min(start.elapsed().as_secs_f64());
+    }
+    let secs = (10.0 * fastest).max(1e-9);
+    row("tri-grid 14x14".into(), n, "1000 relax rounds", stats, secs);
     if full {
         let g = generators::triangulated_grid(1000, 1000);
         let start = Instant::now();

@@ -20,6 +20,14 @@
 //! runs (see [`run`]) depend only on the graph, the programs and the
 //! config.
 //!
+//! The engine is a value, [`Simulator`], that owns the round loop's
+//! buffers (inboxes, active sets, outbox, send validator) and keeps their
+//! capacity between runs. A driver that runs many short simulations on
+//! one graph holds one `Simulator` and pays the set-up once; each run
+//! still starts from empty mailboxes, so a warm engine returns exactly
+//! what a fresh one does. [`run`] and [`run_with_sink`] are one-shot
+//! engines.
+//!
 //! The round loop is instrumented with the zero-cost-when-off
 //! [`telemetry`] layer: a [`Sink`] receives per-round, per-send,
 //! per-delivery, and rejection events, and the [`CongestionProfile`]
@@ -72,5 +80,5 @@ pub mod telemetry;
 
 pub use message::{bits_for, Payload};
 pub use program::{Ctx, NodeProgram};
-pub use runtime::{run, run_with_sink, CongestConfig, RunStats, SimError};
+pub use runtime::{run, run_with_sink, CongestConfig, RunStats, SimError, Simulator};
 pub use telemetry::{CongestionProfile, NoopSink, PhaseLabel, Sink};

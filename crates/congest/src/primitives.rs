@@ -10,7 +10,7 @@ use minex_graphs::{Graph, NodeId, WeightedGraph};
 
 use crate::message::Payload;
 use crate::program::{Ctx, NodeProgram};
-use crate::runtime::{run, CongestConfig, RunStats, SimError};
+use crate::runtime::{run, CongestConfig, RunStats, SimError, Simulator};
 
 /// Result of the distributed BFS-tree construction.
 ///
@@ -138,17 +138,28 @@ pub struct DistanceFloodResult {
 }
 
 #[derive(Debug, Clone)]
-struct WeightedFloodProgram {
+struct WeightedFloodProgram<'w> {
     root: NodeId,
-    /// `(neighbor, edge weight)` for each incident edge.
-    link_weights: Vec<(NodeId, u64)>,
+    /// The graph's edge weights, indexed by edge id.
+    weights: &'w [u64],
     dist: u64,
     parent: Option<NodeId>,
     announce: bool,
     value_bits: usize,
 }
 
-impl NodeProgram for WeightedFloodProgram {
+/// The weight of the edge a message from `from` arrived over. The node's
+/// CSR row is sorted, so one binary search finds the sender's port, and
+/// the row's edge id at that port indexes the flat weight column.
+fn arrival_weight(ctx: &Ctx<'_, DistMsg>, weights: &[u64], from: NodeId) -> u64 {
+    let port = ctx
+        .neighbor_targets()
+        .binary_search(&(from as u32))
+        .expect("sender is a neighbor");
+    weights[ctx.neighbor_edge_ids()[port] as usize]
+}
+
+impl NodeProgram for WeightedFloodProgram<'_> {
     type Msg = DistMsg;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
@@ -159,12 +170,7 @@ impl NodeProgram for WeightedFloodProgram {
         // Read the inbox by reference — the broadcast below happens after
         // every read, so the hot loop allocates nothing.
         for &(from, ref msg) in ctx.inbox() {
-            let w = self
-                .link_weights
-                .binary_search_by_key(&from, |&(nb, _)| nb)
-                .map(|i| self.link_weights[i].1)
-                .expect("sender is a neighbor");
-            let cand = dist_add(msg.value, w);
+            let cand = dist_add(msg.value, arrival_weight(ctx, self.weights, from));
             if cand < self.dist {
                 self.dist = cand;
                 self.parent = Some(from);
@@ -186,15 +192,6 @@ impl NodeProgram for WeightedFloodProgram {
     }
 }
 
-/// Computes `(neighbor, weight)` link tables, one per node — the node-local
-/// knowledge every weighted program starts from.
-fn link_tables(wg: &WeightedGraph) -> Vec<Vec<(NodeId, u64)>> {
-    let g = wg.graph();
-    (0..g.n())
-        .map(|v| g.neighbors(v).map(|(w, e)| (w, wg.weight(e))).collect())
-        .collect()
-}
-
 /// Floods weighted distances from `root` until quiescence — the distributed
 /// Bellman–Ford that serves as the exact SSSP baseline.
 ///
@@ -206,6 +203,10 @@ fn link_tables(wg: &WeightedGraph) -> Vec<Vec<(NodeId, u64)>> {
 /// `value_bits` declares the honest width of a distance announcement; pick
 /// `bits_for(W + 1)` for a known upper bound `W` on distances (e.g. total
 /// graph weight).
+///
+/// A node relaxes through the weight of the edge each announcement arrived
+/// over, which it reads from `wg`'s weight column through its own CSR row:
+/// no per-node link table is built.
 ///
 /// # Errors
 ///
@@ -224,11 +225,10 @@ pub fn weighted_distance_flood(
 ) -> Result<DistanceFloodResult, SimError> {
     let g = wg.graph();
     assert!(root < g.n(), "root out of range");
-    let mut programs: Vec<WeightedFloodProgram> = link_tables(wg)
-        .into_iter()
-        .map(|link_weights| WeightedFloodProgram {
+    let mut programs: Vec<WeightedFloodProgram<'_>> = (0..g.n())
+        .map(|_| WeightedFloodProgram {
             root,
-            link_weights,
+            weights: wg.weights(),
             dist: u64::MAX,
             parent: None,
             announce: false,
@@ -245,13 +245,14 @@ pub fn weighted_distance_flood(
 }
 
 #[derive(Debug, Clone)]
-struct RelaxOnceProgram {
-    link_weights: Vec<(NodeId, u64)>,
+struct RelaxOnceProgram<'w> {
+    /// The graph's edge weights, indexed by edge id.
+    weights: &'w [u64],
     dist: u64,
     value_bits: usize,
 }
 
-impl NodeProgram for RelaxOnceProgram {
+impl NodeProgram for RelaxOnceProgram<'_> {
     type Msg = DistMsg;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
@@ -265,11 +266,7 @@ impl NodeProgram for RelaxOnceProgram {
         // All sends happened above (round 0 broadcast); reading the inbox
         // by reference keeps the relax round allocation-free.
         for &(from, ref msg) in ctx.inbox() {
-            let w = self
-                .link_weights
-                .binary_search_by_key(&from, |&(nb, _)| nb)
-                .map(|i| self.link_weights[i].1)
-                .expect("sender is a neighbor");
+            let w = arrival_weight(ctx, self.weights, from);
             self.dist = self.dist.min(dist_add(msg.value, w));
         }
     }
@@ -284,7 +281,11 @@ impl NodeProgram for RelaxOnceProgram {
 /// relaxes through the connecting edge. Returns the improved estimates.
 ///
 /// This is the single-round building block the phased shortcut SSSP uses to
-/// stitch part-local floods together.
+/// stitch part-local floods together. It runs on the caller's `sim`, so a
+/// driver that relaxes once per phase reuses one engine's buffers across
+/// the phases; a receiver reads the connecting edge's weight from `wg`'s
+/// weight column through its own CSR row, so a call builds no per-node
+/// link table either.
 ///
 /// # Errors
 ///
@@ -294,6 +295,7 @@ impl NodeProgram for RelaxOnceProgram {
 ///
 /// Panics if `dist.len() != g.n()`.
 pub fn distance_broadcast_round(
+    sim: &mut Simulator<DistMsg>,
     wg: &WeightedGraph,
     dist: &[u64],
     value_bits: usize,
@@ -301,16 +303,15 @@ pub fn distance_broadcast_round(
 ) -> Result<(Vec<u64>, RunStats), SimError> {
     let g = wg.graph();
     assert_eq!(dist.len(), g.n(), "one estimate per node required");
-    let mut programs: Vec<RelaxOnceProgram> = link_tables(wg)
-        .into_iter()
-        .zip(dist.iter())
-        .map(|(link_weights, &d)| RelaxOnceProgram {
-            link_weights,
+    let mut programs: Vec<RelaxOnceProgram<'_>> = dist
+        .iter()
+        .map(|&d| RelaxOnceProgram {
+            weights: wg.weights(),
             dist: d,
             value_bits,
         })
         .collect();
-    let stats = run(g, &mut programs, config)?;
+    let stats = sim.run(g, &mut programs, config)?;
     Ok((programs.iter().map(|p| p.dist).collect(), stats))
 }
 
@@ -544,7 +545,8 @@ mod tests {
         let g = generators::path(5);
         let wg = minex_graphs::WeightedGraph::new(g, vec![2, 3, 4, 5]);
         let dist = vec![0, u64::MAX, 9, u64::MAX, u64::MAX];
-        let (out, stats) = distance_broadcast_round(&wg, &dist, 16, cfg(5)).unwrap();
+        let (out, stats) =
+            distance_broadcast_round(&mut Simulator::new(), &wg, &dist, 16, cfg(5)).unwrap();
         // Node 1 hears 0+2 from node 0 and 9+3 from node 2; node 3 hears
         // 9+4; node 4 hears nothing (its only neighbor was infinite).
         assert_eq!(out, vec![0, 2, 9, 13, u64::MAX]);
@@ -556,7 +558,8 @@ mod tests {
         let g = generators::path(3);
         let wg = minex_graphs::WeightedGraph::unit(g);
         let dist = vec![u64::MAX; 3];
-        let (out, stats) = distance_broadcast_round(&wg, &dist, 8, cfg(3)).unwrap();
+        let (out, stats) =
+            distance_broadcast_round(&mut Simulator::new(), &wg, &dist, 8, cfg(3)).unwrap();
         assert_eq!(out, dist);
         assert_eq!(stats.rounds, 0);
         assert_eq!(stats.messages, 0);

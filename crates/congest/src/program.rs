@@ -68,6 +68,14 @@ impl<'a, M: Payload> Ctx<'a, M> {
         self.graph.neighbor_targets(self.node)
     }
 
+    /// The edge ids of this node's CSR row, aligned with
+    /// [`neighbor_targets`](Self::neighbor_targets): a program that finds a
+    /// neighbor's port there reads the edge id at the same index, and with
+    /// it any per-edge column such as a weight.
+    pub fn neighbor_edge_ids(&self) -> &[u32] {
+        self.graph.neighbor_edge_ids(self.node)
+    }
+
     /// Degree of this node.
     pub fn degree(&self) -> usize {
         self.graph.degree(self.node)

@@ -171,11 +171,16 @@ struct SendValidator {
 }
 
 impl SendValidator {
-    fn new(n: usize) -> Self {
+    fn new() -> Self {
         SendValidator {
-            seen_dest: vec![false; n],
+            seen_dest: Vec::new(),
             used: Vec::new(),
         }
+    }
+
+    /// Sizes the (cleared) validator for destinations `0..n`.
+    fn resize(&mut self, n: usize) {
+        self.seen_dest.resize(n, false);
     }
 
     /// Validates one queued send of `bits` bits from `from` to `to`,
@@ -245,20 +250,18 @@ struct ActiveSet {
 }
 
 impl ActiveSet {
-    fn empty(n: usize) -> Self {
-        let words = n.div_ceil(64);
+    fn new() -> Self {
         ActiveSet {
-            words: vec![0; words],
-            summary: vec![0; words.div_ceil(64)],
+            words: Vec::new(),
+            summary: Vec::new(),
         }
     }
 
-    fn full(n: usize) -> Self {
-        let mut set = ActiveSet::empty(n);
-        for v in 0..n {
-            set.insert(v);
-        }
-        set
+    /// Sizes the (empty) set for ids `0..n`.
+    fn resize(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        self.words.resize(words, 0);
+        self.summary.resize(words.div_ceil(64), 0);
     }
 
     #[inline]
@@ -318,6 +321,10 @@ impl ActiveSet {
 /// [`NodeProgram::is_done`] changes only inside `on_round`; debug builds
 /// check it at the end of every round.
 ///
+/// `run` is a one-shot engine: it sets up a fresh [`Simulator`], runs it
+/// once and drops it. A driver that runs many simulations on one graph
+/// holds one `Simulator` instead and pays the set-up once.
+///
 /// # Errors
 ///
 /// Returns a [`SimError`] if a program violates the CONGEST constraints or
@@ -333,17 +340,7 @@ pub fn run<P: NodeProgram>(
     programs: &mut [P],
     config: CongestConfig,
 ) -> Result<RunStats, SimError> {
-    // One branch per run decides between the recording and the no-op
-    // monomorphization; the no-op leg compiles to the uninstrumented round
-    // loop (every `NoopSink` hook is an empty inline default).
-    match telemetry::take_active() {
-        Some(mut profile) => {
-            let result = run_with_sink(graph, programs, config, &mut profile);
-            telemetry::put_active(profile);
-            result
-        }
-        None => run_with_sink(graph, programs, config, &mut NoopSink),
-    }
+    Simulator::new().run(graph, programs, config)
 }
 
 /// [`run`] with an explicit telemetry [`Sink`] receiving every engine
@@ -360,40 +357,172 @@ pub fn run_with_sink<P: NodeProgram, S: Sink>(
     config: CongestConfig,
     sink: &mut S,
 ) -> Result<RunStats, SimError> {
-    assert_eq!(
-        programs.len(),
-        graph.n(),
-        "one program per node is required"
-    );
-    let result = run_rounds(graph, programs, config, sink);
-    if let Err(ref err) = result {
-        sink.on_reject(err);
+    Simulator::new().run_with_sink(graph, programs, config, sink)
+}
+
+/// The CONGEST engine: the round loop and the buffers it runs on — the two
+/// inbox arrays, the two active sets, the outbox and the send validator.
+///
+/// An engine keeps those buffers, and their capacity, from one run to the
+/// next, so a driver that simulates many short runs on one graph (an
+/// aggregation and a relax round per phase) sets them up once instead of
+/// once per run. Each run sizes them to its graph and starts from empty
+/// mailboxes: nothing a run leaves behind, such as the mail of a run that
+/// stopped on a [`SimError`] mid-round, reaches the next one. A warm
+/// engine therefore returns exactly what [`run`] does. One engine serves
+/// every program whose message type is `M`.
+///
+/// # Examples
+///
+/// ```
+/// use minex_congest::{primitives, CongestConfig, Simulator};
+/// use minex_graphs::{generators, WeightedGraph};
+///
+/// let wg = WeightedGraph::unit(generators::path(4));
+/// let config = CongestConfig::for_nodes(4);
+/// let mut sim = Simulator::new();
+/// let mut dist = vec![0, u64::MAX, u64::MAX, u64::MAX];
+/// for _ in 0..3 {
+///     (dist, _) = primitives::distance_broadcast_round(&mut sim, &wg, &dist, 8, config)?;
+/// }
+/// assert_eq!(dist, [0, 1, 2, 3]);
+/// # Ok::<(), minex_congest::SimError>(())
+/// ```
+#[derive(Debug)]
+pub struct Simulator<M> {
+    /// Batched delivery via double-buffered inboxes: `inboxes[v]` holds the
+    /// messages delivered to `v` this round, `next_inboxes[v]` collects the
+    /// sends for the next one. Each round consumes in place and swaps the
+    /// two, so the steady-state loop performs no allocation.
+    inboxes: Vec<Vec<(NodeId, M)>>,
+    next_inboxes: Vec<Vec<(NodeId, M)>>,
+    /// The nodes this round visits, and the ones the next round will: every
+    /// node still not done after its `on_round`, and every mail recipient.
+    /// Only their inboxes can hold mail.
+    active: ActiveSet,
+    next_active: ActiveSet,
+    outbox: Outbox<M>,
+    validator: SendValidator,
+}
+
+impl<M: Payload> Default for Simulator<M> {
+    fn default() -> Self {
+        Self::new()
     }
-    result
+}
+
+impl<M: Payload> Simulator<M> {
+    /// An engine with no buffers yet; the first run sizes them.
+    pub fn new() -> Self {
+        Simulator {
+            inboxes: Vec::new(),
+            next_inboxes: Vec::new(),
+            active: ActiveSet::new(),
+            next_active: ActiveSet::new(),
+            outbox: Outbox::new(),
+            validator: SendValidator::new(),
+        }
+    }
+
+    /// [`run`] on this engine's buffers.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `programs.len() != graph.n()`.
+    pub fn run<P: NodeProgram<Msg = M>>(
+        &mut self,
+        graph: &Graph,
+        programs: &mut [P],
+        config: CongestConfig,
+    ) -> Result<RunStats, SimError> {
+        // One branch per run decides between the recording and the no-op
+        // monomorphization; the no-op leg compiles to the uninstrumented
+        // round loop (every `NoopSink` hook is an empty inline default).
+        match telemetry::take_active() {
+            Some(mut profile) => {
+                let result = self.run_with_sink(graph, programs, config, &mut profile);
+                telemetry::put_active(profile);
+                result
+            }
+            None => self.run_with_sink(graph, programs, config, &mut NoopSink),
+        }
+    }
+
+    /// [`run_with_sink`] on this engine's buffers.
+    fn run_with_sink<P: NodeProgram<Msg = M>, S: Sink>(
+        &mut self,
+        graph: &Graph,
+        programs: &mut [P],
+        config: CongestConfig,
+        sink: &mut S,
+    ) -> Result<RunStats, SimError> {
+        assert_eq!(
+            programs.len(),
+            graph.n(),
+            "one program per node is required"
+        );
+        self.reset(graph.n());
+        let result = run_rounds(self, graph, programs, config, sink);
+        if let Err(ref err) = result {
+            sink.on_reject(err);
+        }
+        result
+    }
+
+    /// Drops whatever the previous run left behind and sizes the buffers
+    /// for `n` nodes. A run that stopped mid-round (on a [`SimError`], the
+    /// round guard or a panicking program) leaves mail in the inboxes of
+    /// its active sets' members, the offender's outbox and its validator
+    /// marks; a run that quiesced leaves nothing. Either way this touches
+    /// only the sets' members, not every node.
+    fn reset(&mut self, n: usize) {
+        let Simulator {
+            inboxes,
+            next_inboxes,
+            active,
+            next_active,
+            outbox,
+            validator,
+        } = self;
+        for (set, boxes) in [(active, inboxes), (next_active, next_inboxes)] {
+            let _ = set.try_for_each(|v| {
+                boxes[v].clear();
+                Ok::<(), ()>(())
+            });
+            set.clear();
+            set.resize(n);
+            boxes.resize_with(n, Vec::new);
+        }
+        outbox.clear();
+        validator.finish_sender();
+        validator.resize(n);
+    }
 }
 
 /// The round loop.
 fn run_rounds<P: NodeProgram, S: Sink>(
+    sim: &mut Simulator<P::Msg>,
     graph: &Graph,
     programs: &mut [P],
     config: CongestConfig,
     sink: &mut S,
 ) -> Result<RunStats, SimError> {
-    let n = graph.n();
+    let Simulator {
+        inboxes,
+        next_inboxes,
+        active,
+        next_active,
+        outbox,
+        validator,
+    } = sim;
     let mut stats = RunStats::default();
-    // Batched delivery via double-buffered inboxes: `inboxes[v]` holds the
-    // messages delivered to `v` this round, `next_inboxes[v]` collects the
-    // sends for the next one. Both sides (and the scratch buffers below) are
-    // allocated once; each round consumes in place and swaps the buffers, so
-    // the steady-state loop performs no allocation.
-    let mut inboxes: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); n];
-    let mut next_inboxes: Vec<Vec<(NodeId, P::Msg)>> = vec![Vec::new(); n];
-    // The nodes this round visits, and the ones the next round will: every
-    // node still not done after its `on_round`, and every mail recipient.
-    let mut active = ActiveSet::full(n);
-    let mut next_active = ActiveSet::empty(n);
-    let mut outbox: Outbox<P::Msg> = Outbox::new();
-    let mut validator = SendValidator::new(n);
+    for v in 0..graph.n() {
+        active.insert(v);
+    }
     for round in 0..config.max_rounds {
         sink.on_round_start(round);
         let mut any_message = false;
@@ -404,7 +533,7 @@ fn run_rounds<P: NodeProgram, S: Sink>(
             }
             outbox.clear();
             {
-                let mut ctx = Ctx::new(graph, v, round, &inboxes[v], &mut outbox);
+                let mut ctx = Ctx::new(graph, v, round, &inboxes[v], outbox);
                 programs[v].on_round(&mut ctx);
             }
             if !programs[v].is_done() {
@@ -429,8 +558,8 @@ fn run_rounds<P: NodeProgram, S: Sink>(
             validator.finish_sender();
             // Every send validated: move the payload column into the
             // destination inboxes. Deferring the moves past the sweep is
-            // unobservable — an `Err` above returns immediately and all
-            // engine state is discarded. A recipient joins the next round's
+            // unobservable — an `Err` above ends the run, and the next run
+            // drops what it left. A recipient joins the next round's
             // active set with its first message.
             for (&to, msg) in outbox.dsts.iter().zip(outbox.payloads.drain(..)) {
                 let inbox = &mut next_inboxes[to as usize];
@@ -452,12 +581,12 @@ fn run_rounds<P: NodeProgram, S: Sink>(
                 "node {v} turned not done outside on_round (NodeProgram::is_done contract)"
             );
         }
-        // Every visited slot of `inboxes` was cleared above and the others
-        // were already empty, so after the swap `next_inboxes` is all empty
-        // (but warm) for the round after next.
-        std::mem::swap(&mut inboxes, &mut next_inboxes);
+        // Every visited slot of `inboxes` was cleared above and the
+        // others were already empty, so after the swap `next_inboxes` is
+        // all empty (but warm) for the round after next.
+        std::mem::swap(inboxes, next_inboxes);
         active.clear();
-        std::mem::swap(&mut active, &mut next_active);
+        std::mem::swap(active, next_active);
         sink.on_round_end(round);
         if all_done && !any_message {
             stats.rounds = round;
@@ -711,17 +840,18 @@ mod tests {
         })
     }
 
-    /// Runs fresh copies of `fresh` on `run` and on `run_naive` and checks
-    /// they agree on the outcome (stats or the error chosen) and on every
-    /// final program state; returns the outcome.
-    fn assert_matches_naive<P: NodeProgram + Clone + PartialEq + std::fmt::Debug>(
+    /// Runs fresh copies of `fresh` on `engine` and on `run_naive` and
+    /// checks they agree on the outcome (stats or the error chosen) and on
+    /// every final program state; returns the outcome.
+    fn assert_engine_matches_naive<P: NodeProgram + Clone + PartialEq + std::fmt::Debug>(
+        engine: impl FnOnce(&mut [P]) -> Result<RunStats, SimError>,
         graph: &Graph,
         fresh: &[P],
         config: CongestConfig,
     ) -> Result<RunStats, SimError> {
         let mut active = fresh.to_vec();
         let mut naive = fresh.to_vec();
-        let a = run(graph, &mut active, config);
+        let a = engine(&mut active);
         let b = run_naive(graph, &mut naive, config);
         assert_eq!(a, b, "outcomes diverge from the full-scan reference");
         assert_eq!(
@@ -729,6 +859,96 @@ mod tests {
             "program states diverge from the full-scan reference"
         );
         a
+    }
+
+    /// [`assert_engine_matches_naive`] on the one-shot [`run`].
+    fn assert_matches_naive<P: NodeProgram + Clone + PartialEq + std::fmt::Debug>(
+        graph: &Graph,
+        fresh: &[P],
+        config: CongestConfig,
+    ) -> Result<RunStats, SimError> {
+        assert_engine_matches_naive(|p| run(graph, p, config), graph, fresh, config)
+    }
+
+    /// Leaves an engine dirty: every node broadcasts `msg` in rounds 0 and
+    /// 1, and in round 1 node `offender` first sends `extra` to its
+    /// smallest neighbor. An `extra` over the bandwidth budget is rejected
+    /// at once; any other makes the broadcast that follows a second send
+    /// over the same edge. Either way the run stops mid-round, with mail
+    /// still queued for the nodes after the offender and for the next
+    /// round, an outbox half validated, and the validator's marks set.
+    #[derive(Debug, Clone)]
+    struct Spam<M> {
+        msg: M,
+        extra: M,
+        offender: NodeId,
+        rounds_left: usize,
+    }
+
+    impl<M: Payload> NodeProgram for Spam<M> {
+        type Msg = M;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
+            if self.rounds_left == 0 {
+                return;
+            }
+            self.rounds_left -= 1;
+            if ctx.round() == 1 && ctx.node() == self.offender {
+                let to = ctx.neighbor_targets()[0] as NodeId;
+                ctx.send(to, self.extra.clone());
+            }
+            ctx.broadcast(self.msg.clone());
+        }
+        fn is_done(&self) -> bool {
+            self.rounds_left == 0
+        }
+    }
+
+    /// [`assert_matches_naive`], then the same check on one engine reused
+    /// right after two other runs on it: a run that quiesced on a larger
+    /// graph, and a [`Spam`] run on `graph` that stopped mid-round on a
+    /// bandwidth (`extra` oversized for `config`) or duplicate-send error.
+    /// A warm engine must be invisible: its outcome and program states are
+    /// the full-scan reference's.
+    fn assert_warm_matches_naive<P: NodeProgram + Clone + PartialEq + std::fmt::Debug>(
+        graph: &Graph,
+        fresh: &[P],
+        config: CongestConfig,
+        msg: P::Msg,
+        extra: P::Msg,
+        seed: u64,
+    ) -> Result<RunStats, SimError> {
+        let cold = assert_matches_naive(graph, fresh, config);
+        let n = graph.n();
+        let spam = |offender: NodeId, n: usize| {
+            vec![
+                Spam {
+                    msg: msg.clone(),
+                    extra: extra.clone(),
+                    offender,
+                    rounds_left: 2,
+                };
+                n
+            ]
+        };
+        let mut sim = Simulator::new();
+        let other = random_graph(n + 1 + (seed % 16) as usize, n, seed ^ 0x5EED);
+        let other_config = CongestConfig::for_nodes(other.n());
+        sim.run(&other, &mut spam(NodeId::MAX, other.n()), other_config)
+            .expect("the larger graph's run quiesces");
+        let err = sim.run(graph, &mut spam(n / 2, n), config).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::BandwidthExceeded { .. } | SimError::DuplicateSend { .. }
+            ),
+            "{err:?}"
+        );
+        let warm = assert_engine_matches_naive(|p| sim.run(graph, p, config), graph, fresh, config);
+        assert_eq!(
+            warm, cold,
+            "a warm engine's outcome differs from a fresh one's"
+        );
+        warm
     }
 
     #[test]
@@ -948,6 +1168,8 @@ mod tests {
         }
     }
 
+    // Each case runs on a fresh engine and on a warm one that just ran a
+    // larger graph and a run that failed mid-round (`Spam`).
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
@@ -957,7 +1179,8 @@ mod tests {
         ) {
             let g = random_graph(n, extra, seed);
             let fresh = vec![MinFlood { best: usize::MAX, dirty: true }; n];
-            let stats = assert_matches_naive(&g, &fresh, CongestConfig::for_nodes(n)).unwrap();
+            let config = CongestConfig::for_nodes(n);
+            let stats = assert_warm_matches_naive(&g, &fresh, config, 1, 2, seed).unwrap();
             proptest::prop_assert!(stats.messages > 0);
         }
 
@@ -969,19 +1192,23 @@ mod tests {
             let fresh: Vec<Gossip> = (0..n)
                 .map(|v| Gossip { acc: v as u64, bursts_left: 1 + v % 5, echoes_left: v % 3 })
                 .collect();
-            assert_matches_naive(&g, &fresh, CongestConfig::for_nodes(n)).unwrap();
+            let config = CongestConfig::for_nodes(n);
+            assert_warm_matches_naive(&g, &fresh, config, 3, 4, seed).unwrap();
         }
 
         #[test]
         fn error_selection_matches_full_scan_reference(
             n in 4usize..60, extra in 0usize..40, seed in 0u64..1000,
             node_mod in 2usize..5, blast_round in 0usize..3,
+            oversized in proptest::bool::ANY,
         ) {
             let g = random_graph(n, extra, seed);
             let fresh = vec![Offender { node_mod, blast_round, awake: false }; n];
             // 64-bit budget: the 128-bit blast is twice over it.
             let config = CongestConfig::for_nodes(n).with_bandwidth(64);
-            match assert_matches_naive(&g, &fresh, config) {
+            // The dirtying run breaks the budget, or sends twice.
+            let extra = BitsMsg(if oversized { 128 } else { 8 });
+            match assert_warm_matches_naive(&g, &fresh, config, BitsMsg(8), extra, seed) {
                 // In round 0 every node runs, so the reported offender is
                 // the smallest violating node id.
                 Err(SimError::BandwidthExceeded { from, .. }) if blast_round == 0 => {

@@ -418,15 +418,15 @@ impl Sink for CongestionProfile {
 }
 
 thread_local! {
-    /// The profile installed by [`record`], taken by [`crate::run`] for the
-    /// duration of each simulation it scopes.
+    /// The profile installed by [`record`], taken by each run (see
+    /// [`crate::Simulator::run`]) for the duration of the simulation.
     static ACTIVE: RefCell<Option<CongestionProfile>> = const { RefCell::new(None) };
 }
 
-/// Records every [`crate::run`] call made by `f` on this thread into
-/// `profile`, without touching the call sites — `run` checks for an
-/// installed profile once per call and dispatches to its instrumented
-/// monomorphization.
+/// Records every [`crate::run`] and [`Simulator::run`](crate::Simulator::run)
+/// call made by `f` on this thread into `profile`, without touching the
+/// call sites — each run checks for an installed profile once and
+/// dispatches to its instrumented monomorphization.
 ///
 /// Nested `record` scopes shadow the outer profile for their extent. If
 /// `f` panics, events recorded during `f` are lost (the profile is left as

@@ -74,6 +74,11 @@ pub enum GraphError {
     },
     /// An operation required a non-empty graph.
     Empty,
+    /// A constructor was asked for more than [`MAX_NODES`] nodes.
+    TooManyNodes {
+        /// The node-count limit.
+        limit: usize,
+    },
     /// A mutation would push the edge count past the `u32` CSR capacity
     /// ([`MAX_EDGES`]) or a configured lower cap.
     TooManyEdges {
@@ -101,6 +106,9 @@ impl fmt::Display for GraphError {
                 write!(f, "edge {{{u}, {v}}} was streamed twice")
             }
             GraphError::Empty => write!(f, "graph must be non-empty"),
+            GraphError::TooManyNodes { limit } => {
+                write!(f, "node count exceeds the limit of {limit} nodes")
+            }
             GraphError::TooManyEdges { limit } => {
                 write!(f, "edge count would exceed the limit of {limit} edges")
             }
@@ -171,6 +179,15 @@ pub(crate) fn canonical(u: NodeId, v: NodeId, n: usize) -> Result<(u32, u32), Gr
     Ok((u.min(v) as u32, u.max(v) as u32))
 }
 
+/// Rejects a node count past [`MAX_NODES`] before a constructor allocates
+/// its `n + 1` row offsets.
+fn check_nodes(n: usize) -> Result<(), GraphError> {
+    if n > MAX_NODES {
+        return Err(GraphError::TooManyNodes { limit: MAX_NODES });
+    }
+    Ok(())
+}
+
 /// Asserts the `u32` capacity limits documented on [`MAX_NODES`] /
 /// [`MAX_EDGES`].
 fn assert_capacity(n: usize, m: usize) {
@@ -188,11 +205,13 @@ impl Graph {
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`]
-    /// when the edge list is invalid.
+    /// when the edge list is invalid, and [`GraphError::TooManyNodes`] when
+    /// `n > MAX_NODES`.
     pub fn from_edges<I>(n: usize, edges: I) -> Result<Self, GraphError>
     where
         I: IntoIterator<Item = (NodeId, NodeId)>,
     {
+        check_nodes(n)?;
         let mut b = GraphBuilder::new(n);
         for (u, v) in edges {
             b.add_edge(u, v)?;
@@ -254,8 +273,8 @@ impl Graph {
     /// # Errors
     ///
     /// Returns [`GraphError::SelfLoop`] / [`GraphError::NodeOutOfRange`] for
-    /// invalid endpoints and [`GraphError::DuplicateEdge`] if a pair
-    /// repeats.
+    /// invalid endpoints, [`GraphError::DuplicateEdge`] if a pair repeats,
+    /// and [`GraphError::TooManyNodes`] when `n > MAX_NODES`.
     ///
     /// # Panics
     ///
@@ -265,6 +284,7 @@ impl Graph {
         I: IntoIterator<Item = (NodeId, NodeId)>,
         F: Fn() -> I,
     {
+        check_nodes(n)?;
         // Pass 1: validate, count degrees and edges.
         let mut offsets = vec![0u32; n + 1];
         let mut m = 0usize;
@@ -344,8 +364,9 @@ impl Graph {
     /// # Errors
     ///
     /// Returns [`GraphError::SelfLoop`] / [`GraphError::NodeOutOfRange`] for
-    /// invalid endpoints and [`GraphError::DuplicateEdge`] if the same
-    /// undirected edge appears twice.
+    /// invalid endpoints, [`GraphError::DuplicateEdge`] if the same
+    /// undirected edge appears twice, and [`GraphError::TooManyNodes`] when
+    /// `n > MAX_NODES`.
     ///
     /// # Panics
     ///
@@ -355,6 +376,7 @@ impl Graph {
         I: IntoIterator<Item = (NodeId, NodeId)>,
         F: Fn() -> I,
     {
+        check_nodes(n)?;
         // Pass 1: validate, count degrees and edges.
         let mut offsets = vec![0u32; n + 1];
         let mut m = 0usize;
@@ -986,6 +1008,21 @@ mod tests {
     fn weighted_graph_length_mismatch_panics() {
         let g = Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
         let _ = WeightedGraph::new(g, vec![1]);
+    }
+
+    #[test]
+    fn node_counts_past_max_nodes_are_errors_before_any_allocation() {
+        // 2^40 nodes would ask for 4 TiB of row offsets and abort.
+        let too_many = Err(GraphError::TooManyNodes { limit: MAX_NODES });
+        for n in [MAX_NODES + 1, 1 << 40, usize::MAX] {
+            assert_eq!(Graph::from_edges(n, []), too_many);
+            assert_eq!(Graph::from_sorted_edge_stream(n, || []), too_many);
+            assert_eq!(Graph::from_edge_stream(n, || []), too_many);
+        }
+        assert_eq!(
+            GraphError::TooManyNodes { limit: 9 }.to_string(),
+            "node count exceeds the limit of 9 nodes"
+        );
     }
 
     #[test]

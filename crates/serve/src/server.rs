@@ -21,7 +21,7 @@
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -205,28 +205,50 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>
             let _ = refuse(stream, CODE_SHUTTING_DOWN, "server is draining");
             break;
         }
-        {
-            let mut conns = shared.conns.lock().expect("conns lock");
-            if *conns >= shared.max_connections {
-                drop(conns);
-                let _ = refuse(stream, CODE_OVERLOADED, "connection limit reached");
-                continue;
-            }
-            *conns += 1;
-        }
+        let Some(slot) = ConnSlot::claim(&shared) else {
+            let _ = refuse(stream, CODE_OVERLOADED, "connection limit reached");
+            continue;
+        };
         handles.retain(|h| !h.is_finished());
-        let conn_shared = Arc::clone(&shared);
+        // The slot moves into the thread's closure: it comes back when the
+        // connection ends, when its handler panics, and, since a failed
+        // spawn drops the closure, when no thread starts.
         if let Ok(handle) = std::thread::Builder::new()
             .name("minex-serve-conn".to_string())
-            .spawn(move || {
-                connection_loop(stream, &conn_shared);
-                *conn_shared.conns.lock().expect("conns lock") -= 1;
-            })
+            .spawn(move || connection_loop(stream, slot.shared()))
         {
             handles.push(handle);
         }
     }
     handles
+}
+
+/// One connection's claim on `max_connections`, given back on drop.
+struct ConnSlot(Arc<Shared>);
+
+impl ConnSlot {
+    /// Takes a slot, or `None` when all `max_connections` are taken.
+    fn claim(shared: &Arc<Shared>) -> Option<ConnSlot> {
+        let mut conns = shared.conns.lock().expect("conns lock");
+        if *conns >= shared.max_connections {
+            return None;
+        }
+        *conns += 1;
+        Some(ConnSlot(Arc::clone(shared)))
+    }
+
+    fn shared(&self) -> &Shared {
+        &self.0
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        // No code panics while holding `conns`, but a drop that runs during
+        // an unwind must not panic on a poisoned lock either.
+        let mut conns = self.0.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        *conns -= 1;
+    }
 }
 
 fn refuse(mut stream: TcpStream, code: &str, message: &str) -> io::Result<()> {
@@ -620,6 +642,41 @@ mod tests {
 
     fn upload(n: usize) -> CreateSession {
         CreateSession::from_weighted(&WeightedGraph::unit(minex_graphs::generators::cycle(n)))
+    }
+
+    #[test]
+    fn connection_slots_come_back_after_a_panic_or_an_unstarted_thread() {
+        let shared = Arc::new(Shared {
+            fleet: Fleet::new(1),
+            gate: Gate::new(1),
+            draining: AtomicBool::new(false),
+            max_connections: 2,
+            conns: Mutex::new(0),
+        });
+        let taken = || *shared.conns.lock().unwrap();
+
+        // A handler that panics unwinds through the slot its thread owns.
+        let slot = ConnSlot::claim(&shared).expect("a free slot");
+        assert_eq!(taken(), 1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _slot = slot;
+            panic!("a connection handler panics");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(taken(), 0, "an unwound handler leaked its slot");
+
+        // A spawn that fails drops its closure, and the slot in it, unrun.
+        let slot = ConnSlot::claim(&shared).expect("a free slot");
+        let body = move || slot.shared().draining.load(Ordering::SeqCst);
+        drop(body);
+        assert_eq!(taken(), 0, "an unstarted thread leaked its slot");
+
+        // The cap is intact: exactly `max_connections` slots can be held.
+        let held = [ConnSlot::claim(&shared), ConnSlot::claim(&shared)];
+        assert!(held.iter().all(Option::is_some));
+        assert!(ConnSlot::claim(&shared).is_none());
+        drop(held);
+        assert_eq!(taken(), 0);
     }
 
     #[test]

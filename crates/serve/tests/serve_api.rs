@@ -268,6 +268,29 @@ fn error_codes_map_stably_over_the_wire() {
 }
 
 #[test]
+fn a_node_count_past_the_id_range_is_a_bad_request() {
+    // 2^40 nodes would have the CSR constructor allocate 4 TiB of row
+    // offsets, which aborts the process; the constructor refuses it first.
+    let server = default_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let body = JsonValue::parse(r#"{"graph":{"n":1099511627776,"edges":[]}}"#).unwrap();
+    let (status, text) = client
+        .request_raw("POST", "/v1/sessions", Some(&body))
+        .unwrap();
+    assert_eq!(status, 400, "{text}");
+    assert_eq!(
+        JsonValue::parse(&text)
+            .unwrap()
+            .get("code")
+            .and_then(JsonValue::as_str),
+        Some("BAD_REQUEST")
+    );
+    let mut fresh = Client::connect(server.addr()).unwrap();
+    assert!(fresh.health().is_ok(), "the daemon stopped answering");
+    server.shutdown();
+}
+
+#[test]
 fn oversized_min_cut_trees_is_a_bad_query() {
     // The packing would allocate one spanning tree per requested tree, so
     // a count above n is refused up front; the session, the connection
