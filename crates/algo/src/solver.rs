@@ -59,7 +59,7 @@
 //! # Ok::<(), minex_algo::solver::AlgoError>(())
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -1008,28 +1008,6 @@ pub struct RepairStats {
     pub memos_dropped: usize,
 }
 
-/// Whether `part` induces a connected subgraph of `g` — the Definition 9
-/// check of [`Partition::new`], localized to one part so
-/// [`Solver::apply`] can revalidate only the parts a mutation landed in.
-fn induces_connected(g: &Graph, part: &[NodeId]) -> bool {
-    if part.len() <= 1 {
-        return true;
-    }
-    let members: HashSet<NodeId> = part.iter().copied().collect();
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    seen.insert(part[0]);
-    let mut queue = vec![part[0]];
-    while let Some(v) = queue.pop() {
-        for &w in g.neighbor_targets(v) {
-            let w = w as NodeId;
-            if members.contains(&w) && seen.insert(w) {
-                queue.push(w);
-            }
-        }
-    }
-    seen.len() == part.len()
-}
-
 /// A plan-once / query-many session over one network.
 ///
 /// Construct with [`Solver::builder`] (weighted), [`Solver::for_graph`]
@@ -1352,7 +1330,7 @@ impl Solver {
         // below returns before the session is touched.
         let old = self.wg.graph();
         let mut dg = DeltaGraph::new(old.clone());
-        let mut pending: HashMap<(NodeId, NodeId), u64> = HashMap::new();
+        let mut pending: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
         let mut touched: Vec<NodeId> = Vec::with_capacity(2 * mutations.len());
         let mut deleted_pairs: Vec<(NodeId, NodeId)> = Vec::new();
         for mutation in mutations {
@@ -1406,10 +1384,11 @@ impl Solver {
                 new_weights[ne] = self.wg.weight(e);
             }
         }
-        for (ne, u, v) in new_g.edges() {
-            if let Some(&w) = pending.get(&(u, v)) {
-                new_weights[ne] = w;
-            }
+        for (&(u, v), &w) in &pending {
+            let ne = new_g
+                .edge_between(u, v)
+                .expect("a pending insert is an edge of the snapshot");
+            new_weights[ne] = w;
         }
         if new_g == *old && new_weights == self.wg.weights() {
             // The batch cancelled out. Nothing is invalidated — keep the
@@ -1485,7 +1464,7 @@ impl Solver {
                 dirty.sort_unstable();
                 dirty.dedup();
                 for &i in &dirty {
-                    if !induces_connected(new_g, self.parts.part(i)) {
+                    if !traversal::is_connected_subset(new_g, self.parts.part(i)) {
                         // The same error a fresh `resolve_parts` reports.
                         // Untouched parts stay valid, so the first invalid
                         // dirty index is the overall first invalid index.
@@ -2192,6 +2171,7 @@ mod tests {
     use super::*;
     use minex_core::construct::{AutoCappedBuilder, SteinerBuilder};
     use minex_graphs::{generators, WeightModel};
+    use std::collections::HashSet;
 
     fn cfg(n: usize) -> CongestConfig {
         CongestConfig::for_nodes(n)
@@ -2848,7 +2828,7 @@ mod tests {
         let again = traced_session_run();
         assert_eq!(seq, again);
         assert_eq!(seq.to_jsonl(), again.to_jsonl());
-        assert_eq!(seq.profile.render(), again.profile.render());
+        assert_eq!(seq.profile, again.profile);
 
         // Counters: 10 successful calls; the second mst() is the only hit.
         assert_eq!(seq.counters.queries, 10);

@@ -1,5 +1,6 @@
-//! Prints every experiment table (E1–E18). Pass `--full` for the larger
-//! sweeps used in `EXPERIMENTS.md`; name ids (e.g. `E6 E7`) to run a
+//! Prints every experiment table (E1–E18; the README's *Building and
+//! testing* section lists them). Pass `--full` for the larger
+//! sweeps; name ids (e.g. `E6 E7`) to run a
 //! subset (an unknown id exits 2 before anything runs); pass
 //! `--csv <dir>` to also dump each table as `<dir>/<id>.csv`
 //! so bench trajectories can be tracked across PRs;

@@ -2,7 +2,8 @@
 //!
 //! Experiment harness regenerating every experiment of the `minex`
 //! reproduction (the paper is pure theory, so each theorem becomes a
-//! measured table — see `DESIGN.md` §4 for the mapping).
+//! measured table — the README's *Building and testing* section lists
+//! what each table measures).
 //!
 //! Every simulation-backed experiment runs through the plan-once /
 //! query-many [`Solver`] session API (or the [`ShortcutPlan`] type for
@@ -1424,7 +1425,7 @@ fn sweep_checksum_reference(r: &minex_graphs::reference::AdjListGraph) -> u64 {
 /// the scale roadmap names, planar triangulated grids and k-trees, with
 /// `n` growing toward `10⁶` (`--full` includes the million-node rows).
 ///
-/// Per row: generator build time (streamed straight into CSR), exact heap
+/// Per row: generator build time (streamed into CSR), exact heap
 /// bytes per edge of both representations, a full neighbor-iteration sweep
 /// on each (the microbench behind the "≥ 2× faster" acceptance bar), the
 /// engine's measured rounds/sec driving a bounded broadcast storm over the

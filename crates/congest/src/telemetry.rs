@@ -24,9 +24,9 @@
 //! A [`CongestionProfile`] is a function of the graph, the programs and
 //! the config alone: the round loop fires its events in a fixed order
 //! (see [`Sink`]), and every counter is a sum, max, or round-indexed sum
-//! of per-event contributions. [`CongestionProfile::render`] is the
-//! canonical byte-comparable form. A failing run records the events up to
-//! the offending send, then the one deterministically chosen rejection.
+//! of per-event contributions, so two runs of the same inputs yield equal
+//! profiles. A failing run records the events up to the offending send,
+//! then the one deterministically chosen rejection.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -273,85 +273,6 @@ impl CongestionProfile {
         loaded
     }
 
-    /// The canonical byte-comparable rendering: one line per counter, edge,
-    /// round, phase, and rejection, in a fixed order. Two profiles render
-    /// identically iff they are equal, so this is what the determinism
-    /// tests compare.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "totals messages={} bits={} max_bits={} delivered={} rounds_started={}",
-            self.messages,
-            self.total_bits,
-            self.max_message_bits,
-            self.delivered,
-            self.rounds_started
-        );
-        for (e, load) in self.edges.iter().enumerate() {
-            if load.messages > 0 {
-                let _ = writeln!(
-                    out,
-                    "edge {e} messages={} bits={}",
-                    load.messages, load.bits
-                );
-            }
-        }
-        for (r, load) in self.rounds.iter().enumerate() {
-            if load.messages > 0 {
-                let _ = writeln!(
-                    out,
-                    "round {r} messages={} bits={}",
-                    load.messages, load.bits
-                );
-            }
-        }
-        for span in &self.phases {
-            let _ = writeln!(
-                out,
-                "phase {} repeats={} rounds={} messages={} bits={} wire_messages={} wire_bits={}",
-                span.label,
-                span.repeats,
-                span.stats.rounds,
-                span.stats.messages,
-                span.stats.total_bits,
-                span.wire_messages,
-                span.wire_bits
-            );
-        }
-        for r in &self.rejections {
-            let _ = writeln!(out, "reject {r}");
-        }
-        out
-    }
-
-    /// Folds another profile's counters into this one (used by session
-    /// aggregation).
-    pub fn absorb(&mut self, other: &CongestionProfile) {
-        if self.edges.len() < other.edges.len() {
-            self.edges.resize(other.edges.len(), EdgeLoad::default());
-        }
-        for (mine, theirs) in self.edges.iter_mut().zip(&other.edges) {
-            mine.messages += theirs.messages;
-            mine.bits += theirs.bits;
-        }
-        if self.rounds.len() < other.rounds.len() {
-            self.rounds.resize(other.rounds.len(), RoundLoad::default());
-        }
-        for (mine, theirs) in self.rounds.iter_mut().zip(&other.rounds) {
-            mine.messages += theirs.messages;
-            mine.bits += theirs.bits;
-        }
-        self.phases.extend(other.phases.iter().cloned());
-        self.rejections.extend(other.rejections.iter().cloned());
-        self.messages += other.messages;
-        self.total_bits += other.total_bits;
-        self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
-        self.delivered += other.delivered;
-        self.rounds_started += other.rounds_started;
-    }
-
     fn edge_slot(&mut self, edge: EdgeId) -> &mut EdgeLoad {
         if edge >= self.edges.len() {
             self.edges.resize(edge + 1, EdgeLoad::default());
@@ -546,18 +467,6 @@ mod tests {
         assert_eq!(span.repeats, 3);
         assert_eq!(span.wire_messages, 2);
         assert_eq!(span.wire_bits, 16);
-    }
-
-    #[test]
-    fn render_is_canonical() {
-        let mut p = CongestionProfile::new();
-        p.on_round_start(0);
-        p.on_send(0, 0, 1, 1, 8);
-        let mut q = p.clone();
-        assert_eq!(p.render(), q.render());
-        q.on_send(1, 1, 0, 1, 8);
-        assert_ne!(p.render(), q.render());
-        assert!(p.render().starts_with("totals messages=1"));
     }
 
     #[test]

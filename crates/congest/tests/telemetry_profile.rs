@@ -194,7 +194,7 @@ fn rejections_are_recorded_identically_on_both_engines() {
     let mut programs = vec![Blaster; 16];
     let again = run_with_sink(&g, &mut programs, config, &mut explicit).unwrap_err();
     assert_eq!(err, again);
-    assert_eq!(scoped.render(), explicit.render());
+    assert_eq!(scoped, explicit);
 }
 
 #[test]
@@ -210,7 +210,6 @@ fn explicit_sink_matches_scoped_recording() {
     let b = run_with_sink(&g, &mut programs, config, &mut explicit).unwrap();
     assert_eq!(a, b);
     assert_eq!(scoped, explicit);
-    assert_eq!(scoped.render(), explicit.render());
 }
 
 #[test]

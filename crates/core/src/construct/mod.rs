@@ -90,28 +90,7 @@ impl<B: ShortcutBuilder + ?Sized> ShortcutBuilder for &B {
     }
 }
 
-impl ShortcutBuilder for Box<dyn ShortcutBuilder + '_> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn build(&self, g: &Graph, tree: &RootedTree, parts: &Partition) -> Shortcut {
-        (**self).build(g, tree, parts)
-    }
-    fn rebuild_parts(
-        &self,
-        g: &Graph,
-        tree: &RootedTree,
-        parts: &Partition,
-        prev: &Shortcut,
-        dirty: &[usize],
-    ) -> Option<Shortcut> {
-        (**self).rebuild_parts(g, tree, parts, prev, dirty)
-    }
-}
-
-// `Box<dyn ShortcutBuilder + Send>` is what long-lived owned sessions hold
-// (a `Solver` must cross threads); it forwards the same way.
-impl ShortcutBuilder for Box<dyn ShortcutBuilder + Send + '_> {
+impl<B: ShortcutBuilder + ?Sized> ShortcutBuilder for Box<B> {
     fn name(&self) -> &'static str {
         (**self).name()
     }

@@ -109,12 +109,6 @@ impl ShortcutPlan {
         &self.quality
     }
 
-    /// Decomposes the plan into its parts (tree, partition, shortcut,
-    /// quality), for callers that want to own the pieces.
-    pub fn into_parts(self) -> (RootedTree, Partition, Shortcut, QualityReport) {
-        (self.tree, self.parts, self.shortcut, self.quality)
-    }
-
     /// Repairs this plan after edge churn, recomputing only the dirty
     /// region. The result is **byte-identical** to
     /// `ShortcutPlan::build(g, root, parts, builder)` on the mutated graph
@@ -391,18 +385,5 @@ mod tests {
         let fresh = ShortcutPlan::build(&g, 0, parts_b, &SteinerBuilder);
         assert_eq!(repaired.shortcut(), fresh.shortcut());
         assert_eq!(repaired.quality(), fresh.quality());
-    }
-
-    #[test]
-    fn into_parts_round_trips() {
-        let g = generators::path(6);
-        let parts = Partition::new(&g, vec![vec![0, 1, 2]]).unwrap();
-        let plan = ShortcutPlan::build(&g, 0, parts, &SteinerBuilder);
-        let quality = plan.quality().clone();
-        let (tree, parts, shortcut, q) = plan.into_parts();
-        assert_eq!(tree.root(), 0);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(shortcut.len(), 1);
-        assert_eq!(q, quality);
     }
 }

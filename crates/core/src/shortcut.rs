@@ -63,11 +63,6 @@ impl Shortcut {
             .enumerate()
             .flat_map(|(i, h)| h.iter().map(move |&e| (i, e)))
     }
-
-    /// Total number of `(part, edge)` assignments.
-    pub fn assignment_count(&self) -> usize {
-        self.per_part.iter().map(Vec::len).sum()
-    }
 }
 
 /// Violations of the tree-restriction requirement (Definition 10).

@@ -236,10 +236,11 @@ impl DeltaGraph {
 
     /// Freezes the staged edge set into a flat CSR [`Graph`]: one merge of
     /// the (sorted) surviving base edges with the (sorted) insert buffer,
-    /// streamed twice through [`Graph::from_sorted_edge_stream`]. Edge ids
-    /// in the snapshot are dense lexicographic ranks.
+    /// streamed twice through [`Graph::from_edge_stream`], whose sort of an
+    /// already sorted stream is one linear pass. Edge ids in the snapshot
+    /// are dense lexicographic ranks.
     pub fn snapshot(&self) -> Graph {
-        Graph::from_sorted_edge_stream(self.n(), || {
+        Graph::from_edge_stream(self.n(), || {
             let mut live = self
                 .base
                 .edges()

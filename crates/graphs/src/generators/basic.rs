@@ -151,11 +151,12 @@ pub fn spider(legs: usize, leg_len: usize) -> Graph {
 pub fn comb(teeth: usize, tooth_len: usize) -> Graph {
     assert!(teeth >= 1, "comb needs at least one spine node");
     let n = teeth * (1 + tooth_len);
-    // Streamed in sorted canonical order straight into CSR: spine node `i`
-    // links to `i+1` and to its tooth root `teeth + i*tooth_len`; tooth
-    // nodes chain to their successor. Ascending in the lower endpoint, and
-    // `i + 1 < teeth + i*tooth_len` whenever both edges exist.
-    Graph::from_sorted_edge_stream(n, || {
+    // Streamed in sorted canonical order, so the stream constructor's sort
+    // is one linear pass: spine node `i` links to `i+1` and to its tooth
+    // root `teeth + i*tooth_len`; tooth nodes chain to their successor.
+    // Ascending in the lower endpoint, and `i + 1 < teeth + i*tooth_len`
+    // whenever both edges exist.
+    Graph::from_edge_stream(n, || {
         (0..n).flat_map(move |v| {
             let (spine, tooth) = if v < teeth {
                 (

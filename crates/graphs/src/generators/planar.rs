@@ -21,13 +21,13 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
 
 /// `rows × cols` grid together with its lattice embedding (`(x, y) = (c, r)`).
 ///
-/// The edge stream `(v, v+1)` / `(v, v+cols)` in ascending `v` is already
-/// canonical and sorted, so the graph is built straight into CSR with no
-/// intermediate edge list — peak memory is the final graph, which is what
-/// lets the E15 scale experiment reach `10⁶` nodes.
+/// The edge stream `(v, v+1)` / `(v, v+cols)` in ascending `v` goes
+/// through [`Graph::from_edge_stream`]; it is already canonical and sorted,
+/// so the sort is one linear pass, and peak memory is the final graph —
+/// which is what lets the E15 scale experiment reach `10⁶` nodes.
 pub fn grid_embedded(rows: usize, cols: usize) -> (Graph, StraightLineEmbedding) {
     assert!(rows >= 1 && cols >= 1, "grid dimensions must be positive");
-    let g = Graph::from_sorted_edge_stream(rows * cols, || {
+    let g = Graph::from_edge_stream(rows * cols, || {
         (0..rows * cols).flat_map(move |v| {
             let (r, c) = (v / cols, v % cols);
             let right = (c + 1 < cols).then_some((v, v + 1));
@@ -51,13 +51,14 @@ pub fn triangulated_grid(rows: usize, cols: usize) -> Graph {
 
 /// [`triangulated_grid`] together with its embedding.
 ///
-/// Streams straight into CSR like [`grid_embedded`]: per node `v` the
-/// candidate edges `(v, v+1)`, `(v, v+cols)`, `(v, v+cols+1)` are emitted
-/// in increasing order, so the whole stream is sorted and the million-node
-/// instances of the E15 scale experiment never materialize an edge list.
+/// Streams into CSR like [`grid_embedded`]: per node `v` the candidate
+/// edges `(v, v+1)`, `(v, v+cols)`, `(v, v+cols+1)` are emitted in
+/// increasing order, so the whole stream is sorted, and the million-node
+/// instances of the E15 scale experiment hold no edge list beyond the
+/// graph's own.
 pub fn triangulated_grid_embedded(rows: usize, cols: usize) -> (Graph, StraightLineEmbedding) {
     assert!(rows >= 1 && cols >= 1, "grid dimensions must be positive");
-    let g = Graph::from_sorted_edge_stream(rows * cols, || {
+    let g = Graph::from_edge_stream(rows * cols, || {
         (0..rows * cols).flat_map(move |v| {
             let (r, c) = (v / cols, v % cols);
             let right = (c + 1 < cols).then_some((v, v + 1));

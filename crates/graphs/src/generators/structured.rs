@@ -26,10 +26,10 @@ pub struct KTreeRecord {
 /// node to a uniformly random k-clique among those created so far.
 ///
 /// The elimination-order record is drawn first (one RNG pass), then the
-/// graph is streamed straight into CSR from the record via
+/// graph is streamed into CSR from the record via
 /// [`Graph::from_edge_stream`] — a k-tree's edge set is exactly the seed
-/// clique plus one `(u, v)` per attachment entry, so no intermediate edge
-/// list is ever buffered and million-node instances pay only for the final
+/// clique plus one `(u, v)` per attachment entry, so the only edge list is
+/// the graph's own, and million-node instances pay only for the final
 /// arrays (plus the record itself).
 ///
 /// # Panics
@@ -59,7 +59,7 @@ pub fn k_tree<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> (Graph, KTree
 }
 
 /// Materializes the graph a [`KTreeRecord`] describes, streaming the seed
-/// clique and the attachment edges directly into CSR.
+/// clique and the attachment edges into CSR.
 fn graph_of_k_tree(n: usize, rec: &KTreeRecord) -> Graph {
     let k = rec.k;
     Graph::from_edge_stream(n, || {

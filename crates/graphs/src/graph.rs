@@ -32,12 +32,15 @@
 //! and `m ≤ 2³¹` edges (~4.2 billion directed adjacency entries); both
 //! limits are asserted at construction.
 //!
-//! Graphs are built through [`GraphBuilder`], which validates input
-//! (self-loops rejected, duplicate edges deduplicated) so that every
-//! constructed [`Graph`] upholds its invariants for its whole lifetime.
-//! Million-node generators can skip the intermediate edge list entirely via
-//! the two-pass streaming constructors
-//! [`Graph::from_sorted_edge_stream`] / [`Graph::from_edge_stream`].
+//! Every constructor validates its input (self-loops and out-of-range
+//! endpoints rejected), brings the canonical pairs into sorted,
+//! duplicate-free order and hands them to one CSR assembly function, so
+//! every [`Graph`] upholds its invariants for its whole lifetime and every
+//! path assigns the same edge ids. The buffered [`GraphBuilder`] (and
+//! [`Graph::from_edges`]) deduplicates repeated edges. The streaming
+//! [`Graph::from_edge_stream`] rejects them instead, and collects the pairs
+//! into an exactly sized list that becomes the graph's own `edges` array,
+//! so million-node generators peak at the final graph's memory.
 
 use std::error::Error;
 use std::fmt;
@@ -64,7 +67,7 @@ pub enum GraphError {
     },
     /// A self-loop `(v, v)` was supplied; the CONGEST model ignores these.
     SelfLoop(NodeId),
-    /// A streaming constructor received the same undirected edge twice
+    /// [`Graph::from_edge_stream`] received the same undirected edge twice
     /// (the buffered [`GraphBuilder`] path deduplicates instead).
     DuplicateEdge {
         /// Lower endpoint of the duplicated edge.
@@ -261,198 +264,58 @@ impl Graph {
         }
     }
 
-    /// Builds directly into CSR from a **restartable** stream of canonical
-    /// edges in strictly increasing lexicographic order (`u < v`, pairs
-    /// strictly ascending). The stream is consumed twice — once to count
-    /// degrees, once to fill the arrays — so no intermediate edge list is
-    /// ever materialized beyond the graph's own storage.
-    ///
-    /// This is the fast path for the deterministic large-`n` generators
-    /// (grids, triangulated grids, combs): peak memory is the final graph.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::SelfLoop`] / [`GraphError::NodeOutOfRange`] for
-    /// invalid endpoints, [`GraphError::DuplicateEdge`] if a pair repeats,
-    /// and [`GraphError::TooManyNodes`] when `n > MAX_NODES`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is not sorted, or if the two passes disagree.
-    pub fn from_sorted_edge_stream<I, F>(n: usize, stream: F) -> Result<Self, GraphError>
-    where
-        I: IntoIterator<Item = (NodeId, NodeId)>,
-        F: Fn() -> I,
-    {
-        check_nodes(n)?;
-        // Pass 1: validate, count degrees and edges.
-        let mut offsets = vec![0u32; n + 1];
-        let mut m = 0usize;
-        let mut prev: Option<(u32, u32)> = None;
-        for (u, v) in stream() {
-            let (cu, cv) = canonical(u, v, n)?;
-            // Canonical order is part of the sortedness contract.
-            assert!(
-                u < v,
-                "stream edge ({u}, {v}) is not in canonical u < v form"
-            );
-            match prev {
-                Some(p) if p == (cu, cv) => {
-                    return Err(GraphError::DuplicateEdge {
-                        u: cu as NodeId,
-                        v: cv as NodeId,
-                    })
-                }
-                Some(p) => assert!(
-                    p < (cu, cv),
-                    "stream must be strictly increasing: ({}, {}) after ({}, {})",
-                    cu,
-                    cv,
-                    p.0,
-                    p.1
-                ),
-                None => {}
-            }
-            prev = Some((cu, cv));
-            offsets[cu as usize + 1] += 1;
-            offsets[cv as usize + 1] += 1;
-            m += 1;
-        }
-        assert_capacity(n, m);
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        // Pass 2: scatter (sortedness per row follows exactly as in
-        // `from_canonical_sorted`).
-        let mut targets = vec![0u32; 2 * m];
-        let mut edge_ids = vec![0u32; 2 * m];
-        let mut edges = Vec::with_capacity(m);
-        let mut cursor = offsets.clone();
-        for (u, v) in stream() {
-            let (u, v) = (u as u32, v as u32);
-            let e = edges.len();
-            assert!(e < m, "stream yielded more edges on the second pass");
-            edges.push((u, v));
-            let cu = cursor[u as usize] as usize;
-            targets[cu] = v;
-            edge_ids[cu] = e as u32;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize] as usize;
-            targets[cv] = u;
-            edge_ids[cv] = e as u32;
-            cursor[v as usize] += 1;
-        }
-        assert_eq!(edges.len(), m, "stream yielded fewer edges on pass two");
-        Ok(Graph {
-            offsets,
-            targets,
-            edge_ids,
-            edges,
-        })
-    }
-
-    /// Builds directly into CSR from a **restartable** stream of unique
-    /// edges in *any* order (endpoints need not be canonical). Two counting
-    /// passes plus one per-row sort replace the intermediate edge list;
-    /// edge ids still come out as the lexicographic rank of the canonical
-    /// pair, identical to every other construction path.
-    ///
-    /// This is the fast path for generators whose natural emission order is
-    /// not sorted (e.g. random k-trees, whose attachment edges `(u, v)` run
-    /// backwards in `u`).
+    /// Builds a graph from a **restartable** stream of unique edges in any
+    /// order (endpoints need not be canonical). The stream is consumed
+    /// twice: pass one validates every edge in stream order and counts
+    /// them, pass two collects the canonical pairs into an exactly sized
+    /// list. That list is sorted and becomes the graph's own `edges` array,
+    /// so peak memory is the final graph's. A stream that arrives sorted
+    /// (the grid generators, [`DeltaGraph::snapshot`](crate::DeltaGraph::snapshot))
+    /// sorts in linear time.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::SelfLoop`] / [`GraphError::NodeOutOfRange`] for
-    /// invalid endpoints, [`GraphError::DuplicateEdge`] if the same
-    /// undirected edge appears twice, and [`GraphError::TooManyNodes`] when
-    /// `n > MAX_NODES`.
+    /// Returns [`GraphError::TooManyNodes`] when `n > MAX_NODES`, then
+    /// [`GraphError::SelfLoop`] / [`GraphError::NodeOutOfRange`] for the
+    /// first invalid edge in stream order, and otherwise
+    /// [`GraphError::DuplicateEdge`] for the smallest canonical pair that
+    /// appears more than once.
     ///
     /// # Panics
     ///
-    /// Panics if the two passes disagree on the edge multiset.
+    /// Panics if the two passes yield different edge counts, or if the
+    /// stream holds more than [`MAX_EDGES`] edges.
     pub fn from_edge_stream<I, F>(n: usize, stream: F) -> Result<Self, GraphError>
     where
         I: IntoIterator<Item = (NodeId, NodeId)>,
         F: Fn() -> I,
     {
         check_nodes(n)?;
-        // Pass 1: validate, count degrees and edges.
-        let mut offsets = vec![0u32; n + 1];
+        // Pass 1: validate in stream order and count the edges.
         let mut m = 0usize;
         for (u, v) in stream() {
-            let (cu, cv) = canonical(u, v, n)?;
-            offsets[cu as usize + 1] += 1;
-            offsets[cv as usize + 1] += 1;
+            canonical(u, v, n)?;
             m += 1;
         }
         assert_capacity(n, m);
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
+        // Pass 2: collect the canonical pairs; sorted, a repeated edge
+        // shows up as two equal neighbours.
+        let mut edges = Vec::with_capacity(m);
+        edges.extend(
+            stream()
+                .into_iter()
+                .map(|(u, v)| canonical(u, v, n).expect("pass one validated this edge")),
+        );
+        assert_eq!(edges.len(), m, "the stream's two passes disagree");
+        edges.sort_unstable();
+        if let Some(w) = edges.windows(2).find(|w| w[0] == w[1]) {
+            let (u, v) = w[0];
+            return Err(GraphError::DuplicateEdge {
+                u: u as NodeId,
+                v: v as NodeId,
+            });
         }
-        // Pass 2: scatter neighbors only (ids are unknown until sorted).
-        let mut targets = vec![0u32; 2 * m];
-        let mut cursor = offsets.clone();
-        let mut seen = 0usize;
-        for (u, v) in stream() {
-            let (cu, cv) = canonical(u, v, n).expect("pass one validated this edge");
-            seen += 1;
-            assert!(seen <= m, "stream yielded more edges on the second pass");
-            let pu = cursor[cu as usize] as usize;
-            targets[pu] = cv;
-            cursor[cu as usize] += 1;
-            let pv = cursor[cv as usize] as usize;
-            targets[pv] = cu;
-            cursor[cv as usize] += 1;
-        }
-        assert_eq!(seen, m, "stream yielded fewer edges on pass two");
-        // Sort each row; a duplicate edge shows up as equal adjacent targets.
-        let mut lower = vec![0u32; n];
-        for v in 0..n {
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            let row = &mut targets[lo..hi];
-            row.sort_unstable();
-            if let Some(w) = row.windows(2).find(|w| w[0] == w[1]) {
-                let (a, b) = (v.min(w[0] as usize), v.max(w[0] as usize));
-                return Err(GraphError::DuplicateEdge { u: a, v: b });
-            }
-            lower[v] = row.partition_point(|&t| (t as usize) < v) as u32;
-        }
-        // Edge ids are lexicographic ranks: node u owns the id range
-        // `base[u] ..` for its higher neighbors, in ascending target order.
-        let mut base = vec![0u32; n + 1];
-        for v in 0..n {
-            let hi_deg = (offsets[v + 1] - offsets[v]) - lower[v];
-            base[v + 1] = base[v] + hi_deg;
-        }
-        let mut edge_ids = vec![0u32; 2 * m];
-        let mut edges = vec![(0u32, 0u32); m];
-        for v in 0..n {
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            let split = lo + lower[v] as usize;
-            // Higher neighbors: ids are consecutive from base[v].
-            for (rank, i) in (split..hi).enumerate() {
-                let e = base[v] + rank as u32;
-                edge_ids[i] = e;
-                edges[e as usize] = (v as u32, targets[i]);
-            }
-            // Lower neighbors: locate this node in the neighbor's row.
-            for i in lo..split {
-                let w = targets[i] as usize;
-                let (wlo, whi) = (offsets[w] as usize, offsets[w + 1] as usize);
-                let wsplit = wlo + lower[w] as usize;
-                let rank = targets[wsplit..whi]
-                    .binary_search(&(v as u32))
-                    .expect("symmetric entry exists");
-                edge_ids[i] = base[w] + rank as u32;
-            }
-        }
-        Ok(Graph {
-            offsets,
-            targets,
-            edge_ids,
-            edges,
-        })
+        Ok(Graph::from_canonical_sorted(n, edges))
     }
 
     /// Number of nodes.
@@ -658,11 +521,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Grows the node count to at least `n`.
-    pub fn ensure_nodes(&mut self, n: usize) {
-        self.n = self.n.max(n);
-    }
-
     /// Adds a fresh node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
         self.n += 1;
@@ -760,11 +618,6 @@ impl WeightedGraph {
         self.weights
             .iter()
             .fold(0u64, |acc, &w| acc.saturating_add(w))
-    }
-
-    /// Consumes the pair back into `(graph, weights)`.
-    pub fn into_parts(self) -> (Graph, Vec<u64>) {
-        (self.graph, self.weights)
     }
 }
 
@@ -904,7 +757,7 @@ mod tests {
     #[test]
     fn sorted_stream_matches_builder() {
         let edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)];
-        let a = Graph::from_sorted_edge_stream(5, || edges.iter().copied()).unwrap();
+        let a = Graph::from_edge_stream(5, || edges.iter().copied()).unwrap();
         let b = Graph::from_edges(5, edges).unwrap();
         assert_eq!(a, b);
     }
@@ -913,16 +766,9 @@ mod tests {
     fn sorted_stream_rejects_duplicates() {
         let edges = [(0, 1), (0, 1)];
         assert_eq!(
-            Graph::from_sorted_edge_stream(2, || edges.iter().copied()),
+            Graph::from_edge_stream(2, || edges.iter().copied()),
             Err(GraphError::DuplicateEdge { u: 0, v: 1 })
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn sorted_stream_rejects_disorder() {
-        let edges = [(1, 2), (0, 1)];
-        let _ = Graph::from_sorted_edge_stream(3, || edges.iter().copied());
     }
 
     #[test]
@@ -1016,7 +862,6 @@ mod tests {
         let too_many = Err(GraphError::TooManyNodes { limit: MAX_NODES });
         for n in [MAX_NODES + 1, 1 << 40, usize::MAX] {
             assert_eq!(Graph::from_edges(n, []), too_many);
-            assert_eq!(Graph::from_sorted_edge_stream(n, || []), too_many);
             assert_eq!(Graph::from_edge_stream(n, || []), too_many);
         }
         assert_eq!(

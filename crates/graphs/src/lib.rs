@@ -75,10 +75,11 @@
 //! # Ok::<(), minex_graphs::GraphError>(())
 //! ```
 //!
-//! Large deterministic generators build straight into CSR through
-//! [`Graph::from_sorted_edge_stream`] (two passes over a restartable edge
-//! stream, no intermediate edge list); RNG-driven families use
-//! [`Graph::from_edge_stream`], which accepts any emission order.
+//! Large generators build through [`Graph::from_edge_stream`]: two passes
+//! over a restartable edge stream in any order, collecting the canonical
+//! pairs into the graph's own `edges` array, so peak memory is the final
+//! graph's. Deterministic families (grids, combs) emit sorted streams,
+//! whose sort is one linear pass; RNG-driven ones (k-trees) need not.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

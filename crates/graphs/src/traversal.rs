@@ -158,9 +158,13 @@ pub fn is_connected_subset(g: &Graph, set: &[NodeId]) -> bool {
         return true;
     }
     let mut member = vec![false; g.n()];
+    let mut distinct = 0;
     for &v in set {
         assert!(v < g.n(), "node {v} out of range");
-        member[v] = true;
+        if !member[v] {
+            member[v] = true;
+            distinct += 1;
+        }
     }
     let mut seen = vec![false; g.n()];
     let mut queue = VecDeque::from([set[0]]);
@@ -176,7 +180,7 @@ pub fn is_connected_subset(g: &Graph, set: &[NodeId]) -> bool {
             }
         }
     }
-    reached == set.iter().collect::<std::collections::HashSet<_>>().len()
+    reached == distinct
 }
 
 /// Exact diameter by running a BFS from every node. `O(n·m)` — fine up to a
@@ -491,6 +495,9 @@ mod tests {
         assert!(!is_connected_subset(&g, &[0, 2]));
         assert!(is_connected_subset(&g, &[]));
         assert!(is_connected_subset(&g, &[4]));
+        // Repeated members count once.
+        assert!(is_connected_subset(&g, &[3, 2, 3]));
+        assert!(!is_connected_subset(&g, &[0, 0, 2]));
     }
 
     #[test]

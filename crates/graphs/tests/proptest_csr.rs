@@ -6,8 +6,11 @@
 //! specification. Every accessor the rest of the workspace consumes —
 //! `n`/`m`/`degree`/`neighbors`/`edge_between`/`has_edge`/`endpoints`/
 //! `induced_subgraph` — must agree between the two on arbitrary inputs,
-//! including duplicate-heavy and out-of-order edge lists, and the two
-//! streaming constructors must agree with the buffered builder.
+//! including duplicate-heavy and out-of-order edge lists, and the streaming
+//! constructor must agree with the buffered builder in every input order
+//! and report the same errors.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
@@ -40,6 +43,44 @@ fn random_edges(n: usize, raw: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
             let (a, b) = edges[i];
             edges.push(if rng.random_bool(0.5) { (a, b) } else { (b, a) });
         }
+    }
+    edges
+}
+
+/// The canonical, sorted, duplicate-free form of `edges`.
+fn unique_canonical(edges: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)> {
+    let mut unique: Vec<(NodeId, NodeId)> =
+        edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+    unique.sort_unstable();
+    unique.dedup();
+    unique
+}
+
+/// `edges` in a random order, each pair flipped with probability ½.
+fn shuffled_and_flipped(edges: &[(NodeId, NodeId)], rng: &mut StdRng) -> Vec<(NodeId, NodeId)> {
+    let mut out = edges.to_vec();
+    for i in (1..out.len()).rev() {
+        let j = rng.random_range(0..=i);
+        out.swap(i, j);
+    }
+    for e in &mut out {
+        if rng.random_bool(0.5) {
+            *e = (e.1, e.0);
+        }
+    }
+    out
+}
+
+/// Unique edges in a random order and orientation, with `dups` extra copies
+/// of random members (each flipped or not) planted at random positions.
+fn with_planted_duplicates(n: usize, raw: usize, seed: u64, dups: usize) -> Vec<(NodeId, NodeId)> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xD0B1E);
+    let mut edges = shuffled_and_flipped(&unique_canonical(&random_edges(n, raw, seed)), &mut rng);
+    for _ in 0..dups {
+        let (u, v) = edges[rng.random_range(0..edges.len())];
+        let copy = if rng.random_bool(0.5) { (v, u) } else { (u, v) };
+        let at = rng.random_range(0..=edges.len());
+        edges.insert(at, copy);
     }
     edges
 }
@@ -154,30 +195,62 @@ proptest! {
     ) {
         let edges = random_edges(n, raw, seed);
         let buffered = Graph::from_edges(n, edges.iter().copied()).expect("valid edges");
-        // Deduplicate for the streaming paths (they reject duplicates).
-        let mut unique: Vec<(NodeId, NodeId)> = edges
-            .iter()
-            .map(|&(u, v)| (u.min(v), u.max(v)))
-            .collect();
-        unique.sort_unstable();
-        unique.dedup();
-        let sorted = Graph::from_sorted_edge_stream(n, || unique.iter().copied())
-            .expect("sorted unique edges");
-        prop_assert_eq!(&buffered, &sorted);
-        // Any-order streaming: shuffle and randomly flip endpoints.
+        // The stream rejects duplicates, so it gets the unique edges: sorted
+        // (the generators' and snapshots' order), reversed, and shuffled
+        // with random endpoint flips.
+        let sorted = unique_canonical(&edges);
+        let reversed: Vec<(NodeId, NodeId)> = sorted.iter().rev().copied().collect();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-        let mut shuffled = unique.clone();
-        for i in (1..shuffled.len()).rev() {
-            let j = rng.random_range(0..=i);
-            shuffled.swap(i, j);
-            if rng.random_bool(0.5) {
-                let (u, v) = shuffled[i];
-                shuffled[i] = (v, u);
-            }
+        let shuffled = shuffled_and_flipped(&sorted, &mut rng);
+        for order in [&sorted, &reversed, &shuffled] {
+            let streamed = Graph::from_edge_stream(n, || order.iter().copied())
+                .expect("unique edges in any order");
+            prop_assert_eq!(&buffered, &streamed);
         }
-        let streamed = Graph::from_edge_stream(n, || shuffled.iter().copied())
-            .expect("unique edges in any order");
-        prop_assert_eq!(&buffered, &streamed);
+    }
+
+    #[test]
+    fn stream_reports_the_smallest_duplicate(
+        n in 2usize..60,
+        raw in 1usize..200,
+        seed in 0u64..10_000,
+        dups in 1usize..=3,
+    ) {
+        let edges = with_planted_duplicates(n, raw, seed, dups);
+        // Reference: an ordered count of the canonical pairs.
+        let mut count: BTreeMap<(NodeId, NodeId), usize> = BTreeMap::new();
+        for &(u, v) in &edges {
+            *count.entry((u.min(v), u.max(v))).or_default() += 1;
+        }
+        let (&(u, v), _) = count.iter().find(|&(_, &c)| c > 1).expect("a planted duplicate");
+        let err = Graph::from_edge_stream(n, || edges.iter().copied()).unwrap_err();
+        prop_assert_eq!(err, GraphError::DuplicateEdge { u, v });
+    }
+
+    #[test]
+    fn stream_reports_an_invalid_edge_before_duplicates(
+        n in 2usize..40,
+        raw in 1usize..80,
+        seed in 0u64..10_000,
+        dups in 0usize..=3,
+    ) {
+        // Whatever the duplicates, the first invalid edge in stream order
+        // wins, exactly as in the buffered builder.
+        let mut edges = with_planted_duplicates(n, raw, seed, dups);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xBAD);
+        for _ in 0..rng.random_range(1..=2) {
+            let bad = if rng.random_bool(0.5) {
+                let v = rng.random_range(0..n);
+                (v, v)
+            } else {
+                (rng.random_range(0..n), n + rng.random_range(0..5))
+            };
+            let at = rng.random_range(0..=edges.len());
+            edges.insert(at, bad);
+        }
+        let streamed = Graph::from_edge_stream(n, || edges.iter().copied()).unwrap_err();
+        let buffered = Graph::from_edges(n, edges.iter().copied()).unwrap_err();
+        prop_assert_eq!(streamed, buffered);
     }
 
     #[test]
