@@ -13,7 +13,9 @@ use minex_graphs::{EdgeId, Graph, NodeId};
 /// Nodes and parts are bucketed by component in one pass, and each
 /// component's induced subgraph is read off its nodes' own adjacency rows,
 /// so a call costs `O(n + m)` plus the builder's work, however many
-/// components there are.
+/// components there are. When one component holds every node, its induced
+/// subgraph is `g` itself (local ids are global ids, and edge ids are
+/// lexicographic ranks either way), so the builder runs on `g` directly.
 pub(crate) fn build_per_component(
     g: &Graph,
     comp_of: &[usize],
@@ -21,6 +23,9 @@ pub(crate) fn build_per_component(
     builder: &dyn ShortcutBuilder,
     parts: &Partition,
 ) -> Shortcut {
+    if comp_count == 1 && g.n() > 1 {
+        return builder.build(g, &RootedTree::bfs(g, 0), parts);
+    }
     // `local[v]`: v's index among its component's nodes in increasing id
     // order — the node map of the component's induced subgraph.
     let mut nodes_of: Vec<Vec<NodeId>> = vec![Vec::new(); comp_count];
@@ -223,6 +228,27 @@ mod tests {
         let (labels, _) = uf.labels();
         let labels: Vec<Option<usize>> = labels.into_iter().map(Some).collect();
         Partition::from_labels(g, &labels).unwrap()
+    }
+
+    #[test]
+    fn connected_build_matches_reference() {
+        // One component holding every node: the builder runs on `g` itself.
+        let g = generators::triangulated_grid(9, 7);
+        let (comp_of, comp_count) = minex_graphs::traversal::components(&g);
+        assert_eq!(comp_count, 1);
+        let mut rng = StdRng::seed_from_u64(11);
+        let singletons = Partition::new(&g, (0..g.n()).map(|v| vec![v]).collect()).unwrap();
+        let fragments = random_fragments(&g, 600, &mut rng);
+        for parts in [&singletons, &fragments] {
+            for builder in [&SteinerBuilder as &dyn ShortcutBuilder, &AutoCappedBuilder] {
+                assert_eq!(
+                    build_per_component(&g, &comp_of, comp_count, builder, parts),
+                    build_per_component_reference(&g, &comp_of, comp_count, builder, parts),
+                    "{}",
+                    builder.name()
+                );
+            }
+        }
     }
 
     proptest::proptest! {

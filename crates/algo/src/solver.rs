@@ -1677,9 +1677,12 @@ impl Solver {
         let mut charged = 0usize;
         // Shortcut for the current partition; singleton fragments need none.
         // A phase's relabel flood and the next phase's candidate flood run
-        // on the same partition, so they share one compiled topology.
-        let mut parts = singleton_partition(g);
-        let mut shortcut = Shortcut::empty(parts.len());
+        // on the same partition, so they share one compiled topology. Each
+        // phase is charged the quality of the shortcut the phase before it
+        // built, which the builder hands back with the shortcut.
+        let parts = singleton_partition(g);
+        let shortcut = Shortcut::empty(parts.len());
+        let mut quality = measure_quality(g, tree, &parts, &shortcut).quality;
         let mut topo = AggTopology::compile(g, &parts, &shortcut);
         // Every flood of the query runs on one engine.
         let mut sim = Simulator::new();
@@ -1688,7 +1691,7 @@ impl Solver {
         let ids: Vec<u64> = (0..n as u64).collect();
         while uf.count() > 1 {
             let phase = phases;
-            charged += measure_quality(g, tree, &parts, &shortcut).quality * log_n;
+            charged += quality * log_n;
             // Per-node candidate: lightest incident edge leaving the fragment.
             let mut values = vec![u64::MAX; n];
             for (v, value) in values.iter_mut().enumerate() {
@@ -1726,7 +1729,7 @@ impl Solver {
             let label_options: Vec<Option<usize>> = labels.iter().map(|&l| Some(l)).collect();
             let new_parts = Partition::from_labels(g, &label_options)
                 .expect("fragments are connected by construction");
-            let new_shortcut = builder.build(g, tree, &new_parts);
+            let (new_shortcut, report) = builder.build_measured(g, tree, &new_parts);
             topo = AggTopology::compile(g, &new_parts, &new_shortcut);
             ledger.run(
                 PhaseLabel::new("mst", "relabel").with_attempt(phase),
@@ -1735,8 +1738,7 @@ impl Solver {
                 |a| a.stats,
             )?;
             phases += 1;
-            parts = new_parts;
-            shortcut = new_shortcut;
+            quality = report.quality;
         }
         chosen.sort_unstable();
         chosen.dedup();
@@ -1938,8 +1940,8 @@ impl Solver {
         let g = wg.graph();
         let n = g.n();
         let tree = RootedTree::bfs(g, source);
-        let shortcut = builder.build(g, &tree, parts);
-        let quality = measure_quality(g, &tree, parts, &shortcut).quality;
+        let (shortcut, report) = builder.build_measured(g, &tree, parts);
+        let quality = report.quality;
         // One topology serves the ρ flood and every phase, and so does one
         // engine; the relax rounds, whose messages differ, share another.
         let topo = AggTopology::compile(g, parts, &shortcut);

@@ -1307,21 +1307,17 @@ impl minex_congest::NodeProgram for BoundedStorm {
     }
 }
 
-/// Peak resident set size in megabytes (`VmHWM`), or `None` off Linux.
-fn peak_rss_mb() -> Option<f64> {
+/// Resident set size in megabytes (`VmRSS`), or `None` off Linux.
+fn rss_mb() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb / 1024.0)
+    status_kb(&status, "VmRSS:").map(|kb| kb / 1024.0)
 }
 
-/// Best-effort reset of the `VmHWM` high-water mark (Linux: writing `5` to
-/// `/proc/self/clear_refs`), so each E15 row's "peak rss" reflects *that
-/// row's* build + measurement instead of the whole sweep's monotone
-/// maximum. Failure is fine — the column then degrades to the process-wide
-/// high-water mark.
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
+/// The kB figure of the `/proc/<pid>/status` line that starts with `key`
+/// (`"VmRSS:     1234 kB"`).
+fn status_kb(status: &str, key: &str) -> Option<f64> {
+    let line = status.lines().find(|l| l.starts_with(key))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// How many back-to-back sweeps to run inside one timed block so the
@@ -1429,7 +1425,12 @@ fn sweep_checksum_reference(r: &minex_graphs::reference::AdjListGraph) -> u64 {
 /// bytes per edge of both representations, a full neighbor-iteration sweep
 /// on each (the microbench behind the "≥ 2× faster" acceptance bar), the
 /// engine's measured rounds/sec driving a bounded broadcast storm over the
-/// CSR graph, and the process's peak RSS.
+/// CSR graph, and the row's RSS growth: `VmRSS` after the engine run minus
+/// `VmRSS` before the build. The growth covers the CSR graph, the storm's
+/// programs and the engine's buffers; the nested-Vec baseline is dropped
+/// before the engine run, so it shows only where the allocator kept its
+/// pages. (`VmHWM` cannot describe one row: the process-wide high-water
+/// mark only rises across the sweep.)
 ///
 /// Wall-clock columns are machine-dependent, so E15 is **excluded from the
 /// golden-CSV gate** (like E13/E14); its rows also feed the `scale`
@@ -1455,7 +1456,7 @@ pub fn e15_scale(full: bool) -> Table {
     // Each case is built, measured, and dropped before the next starts —
     // the sweep's real peak memory is one graph plus its transient
     // baseline, matching the streaming-constructor story, and the per-row
-    // RSS column (high-water mark reset at row start) describes that row.
+    // RSS growth describes that row.
     type CaseBuilder = Box<dyn Fn() -> Graph>;
     let mut cases: Vec<(String, CaseBuilder)> = Vec::new();
     for &side in sides {
@@ -1474,7 +1475,7 @@ pub fn e15_scale(full: bool) -> Table {
         ));
     }
     for (family, build) in cases {
-        reset_peak_rss();
+        let rss_before = rss_mb();
         let start = Instant::now();
         let g = build();
         let build_secs = start.elapsed().as_secs_f64();
@@ -1492,9 +1493,6 @@ pub fn e15_scale(full: bool) -> Table {
             );
             (r.heap_bytes() as f64 / m as f64, sweep_reference(&r, reps))
         };
-        // The baseline is gone; from here the high-water mark tracks the
-        // CSR graph plus the engine's own buffers.
-        reset_peak_rss();
         let mut programs = vec![
             BoundedStorm {
                 rounds_left: storm_rounds,
@@ -1505,6 +1503,9 @@ pub fn e15_scale(full: bool) -> Table {
         let stats = minex_congest::run(&g, &mut programs, config(n)).expect("storm quiesces");
         let engine_secs = start.elapsed().as_secs_f64().max(1e-9);
         assert_eq!(stats.rounds, storm_rounds, "{family}: storm rounds");
+        let rss_growth = rss_before
+            .zip(rss_mb())
+            .map(|(before, after)| after - before);
         rows.push(vec![
             family,
             n.to_string(),
@@ -1517,7 +1518,7 @@ pub fn e15_scale(full: bool) -> Table {
             format!("{:.2}", adj_secs * 1e3),
             format!("{:.2}", adj_secs / csr_secs),
             format!("{:.1}", stats.rounds as f64 / engine_secs / 1e3),
-            peak_rss_mb().map_or("-".into(), |mb| format!("{mb:.0}")),
+            rss_growth.map_or("-".into(), |mb| format!("{mb:.0}")),
         ]);
     }
     Table {
@@ -1535,7 +1536,7 @@ pub fn e15_scale(full: bool) -> Table {
             "sweep adj ms",
             "iter x",
             "krounds/s",
-            "peak rss MB",
+            "rss growth MB",
         ]
         .map(String::from)
         .to_vec(),
@@ -2141,6 +2142,15 @@ mod tests {
             attempt() || attempt() || attempt(),
             "8 concurrent clients never reached 2x the 1-client qps in three runs"
         );
+    }
+
+    #[test]
+    fn status_lines_parse_to_kb() {
+        let status = "Name:\texperiments\nVmHWM:\t  412000 kB\nVmRSS:\t   20480 kB\nThreads:\t1\n";
+        assert_eq!(status_kb(status, "VmRSS:"), Some(20480.0));
+        assert_eq!(status_kb(status, "VmHWM:"), Some(412000.0));
+        assert_eq!(status_kb(status, "VmSwap:"), None);
+        assert_eq!(status_kb("VmRSS:\n", "VmRSS:"), None);
     }
 
     #[test]

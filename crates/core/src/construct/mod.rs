@@ -27,7 +27,7 @@ pub use treewidth::TreewidthBuilder;
 use minex_graphs::Graph;
 
 use crate::parts::Partition;
-use crate::shortcut::Shortcut;
+use crate::shortcut::{measure_quality, QualityReport, Shortcut};
 use crate::spanning::RootedTree;
 
 /// A tree-restricted shortcut construction: given the network, a spanning
@@ -38,6 +38,14 @@ use crate::spanning::RootedTree;
 /// the trait themselves, so session types like `minex::Solver` and plan
 /// types like [`crate::ShortcutPlan`] can hold heterogeneous builders
 /// behind one pointer without generics.
+///
+/// Callers that need the shortcut's quality as well (plans, the MST
+/// charge, the shortcut SSSP tier) call
+/// [`build_measured`](Self::build_measured). Its default builds and then
+/// runs [`measure_quality`]; a builder that already knows its output's
+/// quality — one that picks among candidates by quality, like
+/// [`AutoCappedBuilder`] — overrides it to hand that report back instead
+/// of having it measured twice.
 pub trait ShortcutBuilder: std::fmt::Debug {
     /// Short identifier for reports.
     fn name(&self) -> &'static str;
@@ -45,6 +53,20 @@ pub trait ShortcutBuilder: std::fmt::Debug {
     /// Builds the shortcut. Implementations must return tree-restricted
     /// assignments covering exactly `parts.len()` parts.
     fn build(&self, g: &Graph, tree: &RootedTree, parts: &Partition) -> Shortcut;
+
+    /// Builds the shortcut together with its [`QualityReport`]. An override
+    /// must return what [`build`](Self::build) returns, paired with exactly
+    /// `measure_quality(g, tree, parts, &shortcut)`.
+    fn build_measured(
+        &self,
+        g: &Graph,
+        tree: &RootedTree,
+        parts: &Partition,
+    ) -> (Shortcut, QualityReport) {
+        let shortcut = self.build(g, tree, parts);
+        let quality = measure_quality(g, tree, parts, &shortcut);
+        (shortcut, quality)
+    }
 
     /// Incrementally rebuilds only the `dirty` parts of `prev`, reusing
     /// every other part's edges unchanged — the hook
@@ -78,6 +100,14 @@ impl<B: ShortcutBuilder + ?Sized> ShortcutBuilder for &B {
     fn build(&self, g: &Graph, tree: &RootedTree, parts: &Partition) -> Shortcut {
         (**self).build(g, tree, parts)
     }
+    fn build_measured(
+        &self,
+        g: &Graph,
+        tree: &RootedTree,
+        parts: &Partition,
+    ) -> (Shortcut, QualityReport) {
+        (**self).build_measured(g, tree, parts)
+    }
     fn rebuild_parts(
         &self,
         g: &Graph,
@@ -96,6 +126,14 @@ impl<B: ShortcutBuilder + ?Sized> ShortcutBuilder for Box<B> {
     }
     fn build(&self, g: &Graph, tree: &RootedTree, parts: &Partition) -> Shortcut {
         (**self).build(g, tree, parts)
+    }
+    fn build_measured(
+        &self,
+        g: &Graph,
+        tree: &RootedTree,
+        parts: &Partition,
+    ) -> (Shortcut, QualityReport) {
+        (**self).build_measured(g, tree, parts)
     }
     fn rebuild_parts(
         &self,

@@ -45,7 +45,10 @@ impl SteinerBuilder {
 /// Computes Steiner edges using a caller-provided stamp array (so repeated
 /// calls avoid reallocation). `stamp` must hold values `!= stamp_value` on
 /// entry for all nodes.
-fn steiner_edges_stamped(
+///
+/// The edges come in climbs: from each node of `nodes` in turn, up the
+/// tree until an earlier climb or the LCA, each climb from its bottom.
+pub(crate) fn steiner_edges_stamped(
     tree: &RootedTree,
     nodes: &[NodeId],
     stamp: &mut [usize],

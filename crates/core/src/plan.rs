@@ -60,7 +60,9 @@ pub struct ShortcutPlan {
 
 impl ShortcutPlan {
     /// Builds the plan for `g` with a BFS spanning tree rooted at `root`:
-    /// runs `builder` once and measures the resulting shortcut's quality.
+    /// runs `builder` once, through
+    /// [`ShortcutBuilder::build_measured`], for the shortcut and its
+    /// quality.
     ///
     /// # Panics
     ///
@@ -79,8 +81,7 @@ impl ShortcutPlan {
         parts: Partition,
         builder: &dyn ShortcutBuilder,
     ) -> Self {
-        let shortcut = builder.build(g, &tree, &parts);
-        let quality = measure_quality(g, &tree, &parts, &shortcut);
+        let (shortcut, quality) = builder.build_measured(g, &tree, &parts);
         ShortcutPlan {
             tree,
             parts,
@@ -131,8 +132,9 @@ impl ShortcutPlan {
     /// ids; dirty parts go through
     /// [`ShortcutBuilder::rebuild_parts`], and builders that decline (the
     /// default — required for builders with cross-part coupling) fall back
-    /// to a full [`ShortcutBuilder::build`]. Quality is always re-measured
-    /// on the mutated graph.
+    /// to a full [`ShortcutBuilder::build_measured`]. Quality always
+    /// describes the mutated graph: measured after a partial rebuild,
+    /// handed back by the builder after a full one.
     ///
     /// # Panics
     ///
@@ -216,13 +218,18 @@ impl ShortcutPlan {
             stats.parts_reused = parts.len() - dirty.len();
             builder.rebuild_parts(g, &tree, &parts, &Shortcut::new(per_part), &dirty)
         };
-        let shortcut = shortcut.unwrap_or_else(|| {
-            stats.full_rebuild = true;
-            stats.parts_rebuilt = parts.len();
-            stats.parts_reused = 0;
-            builder.build(g, &tree, &parts)
-        });
-        let quality = measure_quality(g, &tree, &parts, &shortcut);
+        let (shortcut, quality) = match shortcut {
+            Some(shortcut) => {
+                let quality = measure_quality(g, &tree, &parts, &shortcut);
+                (shortcut, quality)
+            }
+            None => {
+                stats.full_rebuild = true;
+                stats.parts_rebuilt = parts.len();
+                stats.parts_reused = 0;
+                builder.build_measured(g, &tree, &parts)
+            }
+        };
         (
             ShortcutPlan {
                 tree,

@@ -6,13 +6,15 @@
 //! No chunked encoding, no TLS, no multipart — clients are
 //! [`crate::client::Client`], `minex-loadgen`, and `curl` in CI.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Header block size cap (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Body size cap — graph uploads are the big payload; 64 MiB bounds a
 /// ~2M-edge upload with slack while keeping a misbehaving client finite.
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
+/// The most a body reserves before its bytes arrive.
+const BODY_RESERVE_BYTES: usize = 64 * 1024;
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,8 +84,16 @@ pub fn read_request(reader: &mut impl BufRead, first_line: &str) -> io::Result<R
             }
         }
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    // Grow the body as bytes arrive: a declared length alone must not
+    // make the daemon allocate it.
+    let mut body = Vec::with_capacity(content_length.min(BODY_RESERVE_BYTES));
+    reader.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "body shorter than Content-Length",
+        ));
+    }
     Ok(Request {
         method: method.to_string(),
         path: path.to_string(),
@@ -200,6 +210,40 @@ mod tests {
         )
         .is_err());
         assert!(parse("GET / HTTP/1.1\r\n", b"Content-Length: 9\r\n\r\nxx").is_err());
+    }
+
+    #[test]
+    fn a_declared_length_without_its_bytes_is_unexpected_eof() {
+        let head = format!("Content-Length: {MAX_BODY_BYTES}\r\n\r\nab");
+        let err = parse("POST /v1/sessions HTTP/1.1\r\n", head.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// Hands out one byte per `read`.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some((&first, rest)) = self.0.split_first() else {
+                return Ok(0);
+            };
+            let Some(slot) = buf.first_mut() else {
+                return Ok(0);
+            };
+            *slot = first;
+            self.0 = rest;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn a_body_trickling_in_one_byte_per_read_comes_back_whole() {
+        let body: Vec<u8> = (0..=255u8).cycle().take(70_000).collect();
+        let mut rest = format!("Content-Length: {}\r\n\r\n", body.len()).into_bytes();
+        rest.extend_from_slice(&body);
+        let mut reader = BufReader::with_capacity(1, Trickle(&rest));
+        let req = read_request(&mut reader, "POST /v1/sessions HTTP/1.1\r\n").unwrap();
+        assert_eq!(req.body, body);
     }
 
     #[test]

@@ -297,6 +297,62 @@ fn million_node_tri_grid_sssp_is_sound() {
     assert_eq!(mst.value.edges.len(), g2.n() - 1);
 }
 
+/// Nightly guard (`#[ignore]`; the scheduled scale job runs it with
+/// `cargo test --release -q -- --ignored`): the default builder's sweep
+/// must stay cheap next to a plain Steiner build. A fresh-session MST on a
+/// 64 × 64 tri-grid (uniform weights 1–1,000, 16 Voronoi parts) with
+/// `AutoCappedBuilder` returns the same MST as with `SteinerBuilder` and
+/// takes at most 1.5× its time: best of 3 each, up to three attempts.
+/// Rebuilding the Steiner shortcut, load table and quality for every cap
+/// of the sweep took 1.7–2.0× on a 2-vCPU host. The timing is skipped on
+/// debug builds and under `MINEX_SKIP_TIMING_ASSERTS`.
+#[test]
+#[ignore = "nightly timing guard (~1 s in release); run with cargo test --release -- --ignored"]
+fn fresh_auto_capped_mst_stays_within_1_5x_of_steiner() {
+    use minex::core::construct::ShortcutBuilder;
+    use minex::Mst;
+    use std::time::Instant;
+
+    fn fresh_mst<B: ShortcutBuilder + Send + 'static>(
+        wg: &WeightedGraph,
+        builder: B,
+    ) -> (Mst, f64) {
+        // minex-lint: allow(D002) timing the two builders is this guard's purpose
+        let start = Instant::now();
+        let mst = Solver::builder(wg)
+            .parts(PartsStrategy::Voronoi { parts: 16, seed: 4 })
+            .shortcut_builder(builder)
+            .config(cfg(wg.graph().n()))
+            .build()
+            .unwrap()
+            .mst()
+            .unwrap();
+        (mst.value, start.elapsed().as_secs_f64())
+    }
+
+    let g = generators::triangulated_grid(64, 64);
+    let mut rng = StdRng::seed_from_u64(4);
+    let wg = WeightModel::Uniform { lo: 1, hi: 1_000 }.apply(&g, &mut rng);
+    let (auto, _) = fresh_mst(&wg, AutoCappedBuilder);
+    let (steiner, _) = fresh_mst(&wg, SteinerBuilder);
+    assert_eq!(auto, steiner, "the builder must not change the MST");
+    assert_eq!(auto.edges.len(), g.n() - 1);
+    if std::env::var_os("MINEX_SKIP_TIMING_ASSERTS").is_some() || cfg!(debug_assertions) {
+        return;
+    }
+    let best_of_3 = |time: &dyn Fn() -> f64| (0..3).map(|_| time()).fold(f64::INFINITY, f64::min);
+    let attempt = || {
+        let auto = best_of_3(&|| fresh_mst(&wg, AutoCappedBuilder).1);
+        let steiner = best_of_3(&|| fresh_mst(&wg, SteinerBuilder).1);
+        eprintln!("fresh MST: auto-capped {auto:.3} s, steiner {steiner:.3} s");
+        auto <= 1.5 * steiner
+    };
+    assert!(
+        attempt() || attempt() || attempt(),
+        "AutoCapped MST over 1.5x the Steiner MST in three attempts"
+    );
+}
+
 #[test]
 fn components_are_byte_identical_to_a_fresh_session_across_engines_and_repeats() {
     // Two cycles + an isolated node: the disconnected case the session
