@@ -637,13 +637,13 @@ pub struct AggregationResult {
 ///
 /// Crate-private on purpose: the public surface is
 /// [`crate::solver::Solver::partwise_min`], which builds the shortcut
-/// **once** per session plan and serves repeated aggregations from it.
-/// This seam stays because it accepts an arbitrary caller-supplied
-/// shortcut (sessions always build their own) and tolerates disconnected
-/// inputs — `Solver::components` aggregates with hand-made per-component
-/// shortcuts through exactly this entry point, and the tests below inject
-/// hand-built or empty shortcuts to pin the machinery itself. Loops that
-/// aggregate repeatedly over one partition compile an `AggTopology` once
+/// **once** per session plan and runs each query's single aggregation
+/// through this entry point on the plan's partition and shortcut. This
+/// seam stays because it accepts an arbitrary caller-supplied shortcut
+/// and tolerates disconnected inputs: the tests below inject hand-built
+/// or empty shortcuts to pin the machinery itself. Loops that aggregate
+/// repeatedly over one partition (`Solver::components`, MST's Borůvka
+/// phases, the shortcut-SSSP overlay) compile an `AggTopology` once
 /// instead.
 ///
 /// # Errors

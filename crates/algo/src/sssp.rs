@@ -31,7 +31,7 @@
 //! The shortcut construction itself is charged analytically at
 //! `quality · ⌈log₂ n⌉` rounds per \[HIZ16a\], mirroring [`crate::mst`].
 
-use minex_congest::primitives::{build_bfs_tree, weighted_distance_flood};
+use minex_congest::primitives::{build_bfs_tree, weighted_distance_flood, DistanceFloodResult};
 use minex_congest::{bits_for, CongestConfig, RunStats, SimError};
 use minex_core::construct::ShortcutBuilder;
 use minex_core::Partition;
@@ -156,19 +156,11 @@ pub fn max_stretch(est: &[u64], exact: &[u64]) -> f64 {
     worst
 }
 
-/// Outcome of the exact Bellman–Ford tier.
-#[derive(Debug, Clone)]
-pub struct SsspOutcome {
-    /// Exact weighted distances (`u64::MAX` unreached).
-    pub dist: Vec<u64>,
-    /// Shortest-path-tree parents.
-    pub parent: Vec<Option<NodeId>>,
-    /// Simulation statistics; `stats.rounds` is the baseline round count.
-    pub stats: RunStats,
-}
-
 /// Exact SSSP by distributed Bellman–Ford flooding — the shortcut-free
-/// baseline every other tier is measured against (E11).
+/// baseline every other tier is measured against (E11). The flood's
+/// `dist` are the exact distances (`u64::MAX` unreached), its `parent`
+/// the shortest-path tree, and its `stats.rounds` the baseline round
+/// count.
 ///
 /// # Errors
 ///
@@ -181,13 +173,8 @@ pub fn bellman_ford_sssp(
     wg: &WeightedGraph,
     source: NodeId,
     config: CongestConfig,
-) -> Result<SsspOutcome, SimError> {
-    let flood = weighted_distance_flood(wg, source, dist_value_bits(wg), config)?;
-    Ok(SsspOutcome {
-        dist: flood.dist,
-        parent: flood.parent,
-        stats: flood.stats,
-    })
+) -> Result<DistanceFloodResult, SimError> {
+    weighted_distance_flood(wg, source, dist_value_bits(wg), config)
 }
 
 /// Outcome of the BFS-tree-scaled approximate tier.

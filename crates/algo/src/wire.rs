@@ -15,6 +15,20 @@
 //! run no longer carries the display `label` — its structured `tags` are
 //! the run's identity.
 //!
+//! * **Session upload** — the `POST /v1/sessions` body:
+//!   `{"graph":{"n":n,"edges":[[u,v,w],…]},"parts":P,"builder":B,
+//!   "bandwidth":b,"max_rounds":r,"trace":t}`. Only `graph` is required.
+//!   Each edge is a `[u, v, weight]` triple of integers; edges must be
+//!   unique and loop-free, and their ids are their rank in sorted
+//!   `(min(u,v), max(u,v))` order, not their upload order. `parts` is a
+//!   `PartsStrategy` (default `singletons`; `explicit` is allowed here),
+//!   `builder` one of `steiner`, `whole-tree`, `auto-capped` (the
+//!   default), `bandwidth` and `max_rounds` override the CONGEST
+//!   configuration, and `trace: true` records a session trace. Unknown
+//!   fields, such as the `threads` older clients send, are ignored. The
+//!   answer is `{"session":id,"created":b,"nodes":n,"edges":m,
+//!   "evicted":[id,…]}`; `created` is `false` when the same graph and
+//!   options already have a session.
 //! * **`Query`** — the `POST /v1/sessions/{id}/query` body, tagged by
 //!   `query`: `{"query":"mst"}`,
 //!   `{"query":"min_cut","trees":k,"two_respecting":b}` (a missing
@@ -61,12 +75,15 @@
 //!   `Sssp.dist`, `PartwiseMin.minima` and part-wise query `values`)
 //!   serializes as JSON `null` and parses back to `u64::MAX`; `parent`
 //!   entries are node ids or `null`.
-//! * **Errors** — [`AlgoError`] maps to
-//!   `{"code":CODE,"message":…}` via [`error_to_wire`], with the stable
-//!   codes [`CODE_EMPTY_GRAPH`], [`CODE_DISCONNECTED`], [`CODE_BAD_QUERY`],
-//!   [`CODE_SIM_FAILED`]; the serving layer adds [`CODE_BAD_REQUEST`],
-//!   [`CODE_NOT_FOUND`], [`CODE_OVERLOADED`], [`CODE_SHUTTING_DOWN`].
-//!   [`http_status`] fixes one HTTP status per code.
+//! * **Errors** — every error body is `{"code":CODE,"message":…}`,
+//!   written by [`error_to_wire`]. [`error_code`] maps an [`AlgoError`] to
+//!   its stable code: [`CODE_EMPTY_GRAPH`], [`CODE_DISCONNECTED`],
+//!   [`CODE_BAD_QUERY`], [`CODE_SIM_FAILED`]; the serving layer adds
+//!   [`CODE_BAD_REQUEST`], [`CODE_NOT_FOUND`], [`CODE_OVERLOADED`],
+//!   [`CODE_SHUTTING_DOWN`]. [`http_status`] fixes one HTTP status per
+//!   code. A `POST /v1/sessions/{id}/batch` body `{"queries":[…]}`
+//!   answers `{"results":[…]}`: one `{"ok":…}` or `{"error":…}` entry per
+//!   query.
 //!
 //! Session traces keep their line-oriented JSONL schema (documented on
 //! [`SessionTrace::to_jsonl`](crate::solver::SessionTrace::to_jsonl)); the
@@ -91,7 +108,7 @@ use std::fmt;
 
 use minex_congest::{PhaseLabel, RunStats};
 use minex_core::{Partition, PlanRepairStats};
-use minex_graphs::{EdgeMutation, Graph, NodeId};
+use minex_graphs::{EdgeMutation, Graph};
 
 use crate::solver::{
     AlgoError, Answer, Components, MinCut, Mst, PartsStrategy, PartwiseMin, PhaseRun, Query,
@@ -563,7 +580,7 @@ impl Parser<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Codec traits
+// Codec traits and field rules
 // ---------------------------------------------------------------------------
 
 /// Serializes a query-surface type into the v2 wire schema.
@@ -589,109 +606,223 @@ pub trait FromWire: Sized {
     }
 }
 
+/// The encode/decode rule of one field type. Every wire object reads and
+/// writes its fields through these rules, so each type's form, its `null`
+/// rule and its error message are written once.
+pub(crate) trait Field: Sized {
+    /// The field's wire value.
+    fn encode(&self) -> JsonValue;
+
+    /// Decodes `v`, the value found under `key` (which errors name).
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, WireError>;
+}
+
 fn want<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, WireError> {
     v.get(key)
         .ok_or_else(|| WireError::new(format!("missing field {key:?}")))
 }
 
-fn want_u64(v: &JsonValue, key: &str) -> Result<u64, WireError> {
-    want(v, key)?
-        .as_u64()
-        .ok_or_else(|| WireError::new(format!("field {key:?} must be a non-negative integer")))
+/// Decodes field `key` of the object `v` through its type's rule.
+fn field<T: Field>(v: &JsonValue, key: &str) -> Result<T, WireError> {
+    T::decode(want(v, key)?, key)
 }
 
-fn want_usize(v: &JsonValue, key: &str) -> Result<usize, WireError> {
-    want(v, key)?
-        .as_usize()
-        .ok_or_else(|| WireError::new(format!("field {key:?} must be a non-negative integer")))
+fn mistyped(key: &str, shape: &str) -> WireError {
+    WireError::new(format!("field {key:?} must be {shape}"))
 }
 
-fn want_f64(v: &JsonValue, key: &str) -> Result<f64, WireError> {
-    want(v, key)?
-        .as_f64()
-        .ok_or_else(|| WireError::new(format!("field {key:?} must be a number")))
+/// The tag field that names a tagged enum's variant.
+fn tag(key: &'static str, variant: &str) -> (&'static str, JsonValue) {
+    (key, JsonValue::Str(variant.to_string()))
 }
 
-fn want_bool(v: &JsonValue, key: &str) -> Result<bool, WireError> {
-    want(v, key)?
-        .as_bool()
-        .ok_or_else(|| WireError::new(format!("field {key:?} must be a boolean")))
+impl Field for u64 {
+    fn encode(&self) -> JsonValue {
+        JsonValue::UInt(*self)
+    }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, WireError> {
+        v.as_u64()
+            .ok_or_else(|| mistyped(key, "a non-negative integer"))
+    }
 }
 
-fn want_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, WireError> {
-    want(v, key)?
-        .as_str()
-        .ok_or_else(|| WireError::new(format!("field {key:?} must be a string")))
+impl Field for usize {
+    fn encode(&self) -> JsonValue {
+        JsonValue::UInt(*self as u64)
+    }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, WireError> {
+        v.as_usize()
+            .ok_or_else(|| mistyped(key, "a non-negative integer"))
+    }
 }
 
-fn want_array<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], WireError> {
-    want(v, key)?
-        .as_array()
-        .ok_or_else(|| WireError::new(format!("field {key:?} must be an array")))
+impl Field for f64 {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Float(*self)
+    }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, WireError> {
+        v.as_f64().ok_or_else(|| mistyped(key, "a number"))
+    }
 }
 
-fn usize_array(v: &JsonValue, key: &str) -> Result<Vec<usize>, WireError> {
-    want_array(v, key)?
-        .iter()
-        .map(|x| {
-            x.as_usize().ok_or_else(|| {
-                WireError::new(format!("field {key:?} must hold non-negative integers"))
-            })
-        })
-        .collect()
+impl Field for bool {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, WireError> {
+        v.as_bool().ok_or_else(|| mistyped(key, "a boolean"))
+    }
 }
 
-/// Serializes a `u64` slice where `u64::MAX` is the "unreached" sentinel:
-/// sentinels become JSON `null`.
-fn sentinel_array(values: &[u64]) -> JsonValue {
-    JsonValue::Array(
-        values
+impl Field for String {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Str(self.clone())
+    }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, WireError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| mistyped(key, "a string"))
+    }
+}
+
+/// `None` travels as `null`.
+impl<T: Field> Field for Option<T> {
+    fn encode(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, Field::encode)
+    }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, WireError> {
+        if v.is_null() {
+            Ok(None)
+        } else {
+            T::decode(v, key).map(Some)
+        }
+    }
+}
+
+/// Nested objects travel as their own wire form.
+impl<T: ToWire + FromWire> Field for T {
+    fn encode(&self) -> JsonValue {
+        self.to_wire()
+    }
+
+    fn decode(v: &JsonValue, _key: &str) -> Result<Self, WireError> {
+        T::from_wire(v)
+    }
+}
+
+fn elements<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], WireError> {
+    v.as_array().ok_or_else(|| mistyped(key, "an array"))
+}
+
+/// Arrays travel element by element through the element type's rule.
+macro_rules! array_rule {
+    ($($elem:ty),+) => {$(
+        impl Field for Vec<$elem> {
+            fn encode(&self) -> JsonValue {
+                JsonValue::Array(self.iter().map(Field::encode).collect())
+            }
+
+            fn decode(v: &JsonValue, key: &str) -> Result<Self, WireError> {
+                elements(v, key)?
+                    .iter()
+                    .map(|x| <$elem>::decode(x, key))
+                    .collect()
+            }
+        }
+    )+};
+}
+
+array_rule!(usize, Option<usize>, Vec<usize>, PhaseRun);
+
+/// A `u64` column's unreached sentinel `u64::MAX` travels as `null`: the
+/// `None` rule, with `u64::MAX` standing for `None`.
+impl Field for Vec<u64> {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Array(
+            self.iter()
+                .map(|&x| (x != u64::MAX).then_some(x).encode())
+                .collect(),
+        )
+    }
+
+    fn decode(v: &JsonValue, key: &str) -> Result<Self, WireError> {
+        elements(v, key)?
             .iter()
-            .map(|&x| {
-                if x == u64::MAX {
-                    JsonValue::Null
-                } else {
-                    JsonValue::UInt(x)
-                }
+            .map(|x| {
+                Option::<u64>::decode(x, key)
+                    .map(|x| x.unwrap_or(u64::MAX))
+                    .map_err(|_| WireError::new(format!("{key} must be u64 or null")))
             })
-            .collect(),
-    )
+            .collect()
+    }
 }
 
-fn sentinel_array_from(v: &JsonValue, key: &str) -> Result<Vec<u64>, WireError> {
-    want_array(v, key)?
-        .iter()
-        .map(|x| {
-            if x.is_null() {
-                Ok(u64::MAX)
-            } else {
-                x.as_u64().ok_or_else(|| {
-                    WireError::new(format!("field {key:?} must hold integers or null"))
+/// Declares plain wire objects: each one's fields in wire order, under
+/// their Rust names. The one list drives both `ToWire` and `FromWire`,
+/// each field through its type's `Field` rule.
+macro_rules! wire_objects {
+    ($($ty:ident { $($field:ident),+ $(,)? })+) => {$(
+        impl ToWire for $ty {
+            fn to_wire(&self) -> JsonValue {
+                obj([$((stringify!($field), self.$field.encode())),+])
+            }
+        }
+
+        impl FromWire for $ty {
+            fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
+                Ok($ty {
+                    $($field: field(v, stringify!($field))?),+
                 })
             }
-        })
-        .collect()
+        }
+    )+};
+}
+
+wire_objects! {
+    RunStats { rounds, messages, max_message_bits, total_bits }
+    PhaseLabel { phase, subphase, attempt }
+    PhaseRun { tags, stats, repeats }
+    ReportStats { simulated_rounds, charged_construction_rounds, runs }
+    SessionCounters {
+        queries, memo_hits, memo_misses, plans_built, plan_repairs, parts_rebuilt, parts_reused,
+        memos_dropped,
+    }
+    Mst { edges, total_weight, boruvka_phases }
+    MinCut { approx_value, exact_value, ratio, trees }
+    Sssp { dist, detail }
+    Components { label, forest_edges, boruvka_phases }
+    PartwiseMin { minima }
+    PlanRepairStats {
+        partition_changed, full_rebuild, parts_total, parts_rebuilt, parts_reused,
+        tree_changed_nodes,
+    }
+    RepairStats {
+        inserted, deleted, noop, connected, partition_changed, plan_repaired, plan, memos_dropped,
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Tier
+// Tagged enums
 // ---------------------------------------------------------------------------
 
 impl ToWire for Tier {
     fn to_wire(&self) -> JsonValue {
         match *self {
-            Tier::Exact => obj([("tier", JsonValue::Str("exact".into()))]),
-            Tier::Scaled { epsilon } => obj([
-                ("tier", JsonValue::Str("scaled".into())),
-                ("epsilon", JsonValue::Float(epsilon)),
-            ]),
+            Tier::Exact => obj([tag("tier", "exact")]),
+            Tier::Scaled { epsilon } => obj([tag("tier", "scaled"), ("epsilon", epsilon.encode())]),
             Tier::Shortcut {
                 epsilon,
                 max_phases,
             } => obj([
-                ("tier", JsonValue::Str("shortcut".into())),
-                ("epsilon", JsonValue::Float(epsilon)),
-                ("max_phases", JsonValue::UInt(max_phases as u64)),
+                tag("tier", "shortcut"),
+                ("epsilon", epsilon.encode()),
+                ("max_phases", max_phases.encode()),
             ]),
         }
     }
@@ -699,14 +830,14 @@ impl ToWire for Tier {
 
 impl FromWire for Tier {
     fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        match want_str(v, "tier")? {
+        match field::<String>(v, "tier")?.as_str() {
             "exact" => Ok(Tier::Exact),
             "scaled" => Ok(Tier::Scaled {
-                epsilon: want_f64(v, "epsilon")?,
+                epsilon: field(v, "epsilon")?,
             }),
             "shortcut" => Ok(Tier::Shortcut {
-                epsilon: want_f64(v, "epsilon")?,
-                max_phases: want_usize(v, "max_phases")?,
+                epsilon: field(v, "epsilon")?,
+                max_phases: field(v, "max_phases")?,
             }),
             other => Err(WireError::new(format!("unknown tier {other:?}"))),
         }
@@ -727,35 +858,21 @@ impl fmt::Display for Tier {
     }
 }
 
-// ---------------------------------------------------------------------------
-// PartsStrategy
-// ---------------------------------------------------------------------------
-
 impl ToWire for PartsStrategy {
     fn to_wire(&self) -> JsonValue {
         match self {
-            PartsStrategy::Singletons => obj([("strategy", JsonValue::Str("singletons".into()))]),
-            PartsStrategy::Whole => obj([("strategy", JsonValue::Str("whole".into()))]),
+            PartsStrategy::Singletons => obj([tag("strategy", "singletons")]),
+            PartsStrategy::Whole => obj([tag("strategy", "whole")]),
             PartsStrategy::Voronoi { parts, seed } => obj([
-                ("strategy", JsonValue::Str("voronoi".into())),
-                ("parts", JsonValue::UInt(*parts as u64)),
-                ("seed", JsonValue::UInt(*seed)),
+                tag("strategy", "voronoi"),
+                ("parts", parts.encode()),
+                ("seed", seed.encode()),
             ]),
             PartsStrategy::Explicit(partition) => obj([
-                ("strategy", JsonValue::Str("explicit".into())),
+                tag("strategy", "explicit"),
                 (
                     "parts",
-                    JsonValue::Array(
-                        partition
-                            .parts()
-                            .iter()
-                            .map(|part| {
-                                JsonValue::Array(
-                                    part.iter().map(|&v| JsonValue::UInt(v as u64)).collect(),
-                                )
-                            })
-                            .collect(),
-                    ),
+                    JsonValue::Array(partition.parts().iter().map(Field::encode).collect()),
                 ),
             ]),
         }
@@ -766,12 +883,12 @@ impl FromWire for PartsStrategy {
     /// Graph-free variants only; `"explicit"` needs the session graph to
     /// validate, so servers call [`parts_strategy_from_wire`] instead.
     fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        match want_str(v, "strategy")? {
+        match field::<String>(v, "strategy")?.as_str() {
             "singletons" => Ok(PartsStrategy::Singletons),
             "whole" => Ok(PartsStrategy::Whole),
             "voronoi" => Ok(PartsStrategy::Voronoi {
-                parts: want_usize(v, "parts")?,
-                seed: want_u64(v, "seed")?,
+                parts: field(v, "parts")?,
+                seed: field(v, "seed")?,
             }),
             "explicit" => Err(WireError::new(
                 "explicit partitions validate against a graph: use parts_strategy_from_wire",
@@ -786,23 +903,10 @@ impl FromWire for PartsStrategy {
 /// `{"strategy":"explicit","parts":[[…],…]}` can be validated into a
 /// [`Partition`] (Definition 9: parts disjoint, connected, covering).
 pub fn parts_strategy_from_wire(g: &Graph, v: &JsonValue) -> Result<PartsStrategy, WireError> {
-    if want_str(v, "strategy")? != "explicit" {
+    if field::<String>(v, "strategy")? != "explicit" {
         return PartsStrategy::from_wire(v);
     }
-    let parts: Vec<Vec<NodeId>> = want_array(v, "parts")?
-        .iter()
-        .map(|part| {
-            part.as_array()
-                .ok_or_else(|| WireError::new("field \"parts\" must be an array of arrays"))?
-                .iter()
-                .map(|x| {
-                    x.as_usize()
-                        .ok_or_else(|| WireError::new("part entries must be node ids"))
-                })
-                .collect()
-        })
-        .collect::<Result<_, WireError>>()?;
-    let partition = Partition::new(g, parts)
+    let partition = Partition::new(g, field(v, "parts")?)
         .map_err(|e| WireError::new(format!("invalid explicit partition: {e}")))?;
     Ok(PartsStrategy::Explicit(partition))
 }
@@ -821,163 +925,155 @@ impl fmt::Display for PartsStrategy {
     }
 }
 
-// ---------------------------------------------------------------------------
-// EdgeMutation
-// ---------------------------------------------------------------------------
-
 impl ToWire for EdgeMutation {
     fn to_wire(&self) -> JsonValue {
         match *self {
             EdgeMutation::Insert { u, v, weight } => obj([
-                ("op", JsonValue::Str("insert".into())),
-                ("u", JsonValue::UInt(u as u64)),
-                ("v", JsonValue::UInt(v as u64)),
-                ("weight", JsonValue::UInt(weight)),
+                tag("op", "insert"),
+                ("u", u.encode()),
+                ("v", v.encode()),
+                ("weight", weight.encode()),
             ]),
-            EdgeMutation::Delete { u, v } => obj([
-                ("op", JsonValue::Str("delete".into())),
-                ("u", JsonValue::UInt(u as u64)),
-                ("v", JsonValue::UInt(v as u64)),
-            ]),
+            EdgeMutation::Delete { u, v } => {
+                obj([tag("op", "delete"), ("u", u.encode()), ("v", v.encode())])
+            }
         }
     }
 }
 
 impl FromWire for EdgeMutation {
     fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        match want_str(v, "op")? {
+        match field::<String>(v, "op")?.as_str() {
             "insert" => Ok(EdgeMutation::Insert {
-                u: want_usize(v, "u")?,
-                v: want_usize(v, "v")?,
-                weight: want_u64(v, "weight")?,
+                u: field(v, "u")?,
+                v: field(v, "v")?,
+                weight: field(v, "weight")?,
             }),
             "delete" => Ok(EdgeMutation::Delete {
-                u: want_usize(v, "u")?,
-                v: want_usize(v, "v")?,
+                u: field(v, "u")?,
+                v: field(v, "v")?,
             }),
             other => Err(WireError::new(format!("unknown mutation op {other:?}"))),
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Stats and reports
-// ---------------------------------------------------------------------------
-
-impl ToWire for RunStats {
+impl ToWire for SsspDetail {
     fn to_wire(&self) -> JsonValue {
-        obj([
-            ("rounds", JsonValue::UInt(self.rounds as u64)),
-            ("messages", JsonValue::UInt(self.messages)),
-            (
-                "max_message_bits",
-                JsonValue::UInt(self.max_message_bits as u64),
-            ),
-            ("total_bits", JsonValue::UInt(self.total_bits)),
-        ])
+        match self {
+            SsspDetail::Exact { parent } => {
+                obj([tag("tier", "exact"), ("parent", parent.encode())])
+            }
+            SsspDetail::Scaled { scale, hop_budget } => obj([
+                tag("tier", "scaled"),
+                ("scale", scale.encode()),
+                ("hop_budget", hop_budget.encode()),
+            ]),
+            SsspDetail::Shortcut {
+                scale,
+                phases,
+                converged,
+                shortcut_quality,
+            } => obj([
+                tag("tier", "shortcut"),
+                ("scale", scale.encode()),
+                ("phases", phases.encode()),
+                ("converged", converged.encode()),
+                ("shortcut_quality", shortcut_quality.encode()),
+            ]),
+        }
     }
 }
 
-impl FromWire for RunStats {
+impl FromWire for SsspDetail {
     fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(RunStats {
-            rounds: want_usize(v, "rounds")?,
-            messages: want_u64(v, "messages")?,
-            max_message_bits: want_usize(v, "max_message_bits")?,
-            total_bits: want_u64(v, "total_bits")?,
-        })
+        match field::<String>(v, "tier")?.as_str() {
+            "exact" => Ok(SsspDetail::Exact {
+                parent: field(v, "parent")?,
+            }),
+            "scaled" => Ok(SsspDetail::Scaled {
+                scale: field(v, "scale")?,
+                hop_budget: field(v, "hop_budget")?,
+            }),
+            "shortcut" => Ok(SsspDetail::Shortcut {
+                scale: field(v, "scale")?,
+                phases: field(v, "phases")?,
+                converged: field(v, "converged")?,
+                shortcut_quality: field(v, "shortcut_quality")?,
+            }),
+            other => Err(WireError::new(format!("unknown sssp detail {other:?}"))),
+        }
     }
 }
 
-impl ToWire for PhaseLabel {
+impl ToWire for Query {
     fn to_wire(&self) -> JsonValue {
-        obj([
-            ("phase", JsonValue::Str(self.phase.clone())),
-            ("subphase", JsonValue::Str(self.subphase.clone())),
-            (
-                "attempt",
-                match self.attempt {
-                    Some(a) => JsonValue::UInt(a as u64),
-                    None => JsonValue::Null,
+        let kind = tag("query", self.kind());
+        match self {
+            Query::Mst | Query::Components => obj([kind]),
+            Query::MinCut {
+                trees,
+                two_respecting,
+            } => obj([
+                kind,
+                ("trees", trees.encode()),
+                ("two_respecting", two_respecting.encode()),
+            ]),
+            Query::Sssp { source, tier } => {
+                obj([kind, ("source", source.encode()), ("tier", tier.encode())])
+            }
+            Query::PartwiseMin { values, value_bits } => obj([
+                kind,
+                ("values", values.encode()),
+                ("value_bits", value_bits.encode()),
+            ]),
+        }
+    }
+}
+
+impl FromWire for Query {
+    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
+        /// Decodes argument `key` of a `kind` query: a missing one names
+        /// the query that needs it.
+        fn arg<T: Field>(v: &JsonValue, kind: &str, key: &str) -> Result<T, WireError> {
+            let x = v
+                .get(key)
+                .ok_or_else(|| WireError::new(format!("{kind} needs {key:?}")))?;
+            T::decode(x, key)
+        }
+        let kind: String = field(v, "query")?;
+        match kind.as_str() {
+            "mst" => Ok(Query::Mst),
+            "min_cut" => Ok(Query::MinCut {
+                trees: arg(v, &kind, "trees")?,
+                two_respecting: match v.get("two_respecting") {
+                    None => true,
+                    Some(x) => Field::decode(x, "two_respecting")?,
                 },
-            ),
-        ])
+            }),
+            "sssp" => Ok(Query::Sssp {
+                source: arg(v, &kind, "source")?,
+                tier: arg(v, &kind, "tier")?,
+            }),
+            "components" => Ok(Query::Components),
+            "partwise_min" => Ok(Query::PartwiseMin {
+                values: arg(v, &kind, "values")?,
+                value_bits: arg(v, &kind, "value_bits")?,
+            }),
+            other => Err(WireError::new(format!("unknown query {other:?}"))),
+        }
     }
 }
 
-impl FromWire for PhaseLabel {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        let attempt = match want(v, "attempt")? {
-            JsonValue::Null => None,
-            x => Some(x.as_usize().ok_or_else(|| {
-                WireError::new("field \"attempt\" must be a non-negative integer or null")
-            })?),
-        };
-        Ok(PhaseLabel {
-            phase: want_str(v, "phase")?.to_string(),
-            subphase: want_str(v, "subphase")?.to_string(),
-            attempt,
-        })
-    }
-}
-
-impl ToWire for PhaseRun {
-    fn to_wire(&self) -> JsonValue {
-        obj([
-            ("tags", self.tags.to_wire()),
-            ("stats", self.stats.to_wire()),
-            ("repeats", JsonValue::UInt(self.repeats as u64)),
-        ])
-    }
-}
-
-impl FromWire for PhaseRun {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(PhaseRun {
-            tags: PhaseLabel::from_wire(want(v, "tags")?)?,
-            stats: RunStats::from_wire(want(v, "stats")?)?,
-            repeats: want_usize(v, "repeats")?,
-        })
-    }
-}
-
-impl ToWire for ReportStats {
-    fn to_wire(&self) -> JsonValue {
-        obj([
-            (
-                "simulated_rounds",
-                JsonValue::UInt(self.simulated_rounds as u64),
-            ),
-            (
-                "charged_construction_rounds",
-                JsonValue::UInt(self.charged_construction_rounds as u64),
-            ),
-            (
-                "runs",
-                JsonValue::Array(self.runs.iter().map(ToWire::to_wire).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromWire for ReportStats {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(ReportStats {
-            simulated_rounds: want_usize(v, "simulated_rounds")?,
-            charged_construction_rounds: want_usize(v, "charged_construction_rounds")?,
-            runs: want_array(v, "runs")?
-                .iter()
-                .map(PhaseRun::from_wire)
-                .collect::<Result<_, _>>()?,
-        })
-    }
-}
+// ---------------------------------------------------------------------------
+// Reports
+// ---------------------------------------------------------------------------
 
 impl<T: ToWire> ToWire for Report<T> {
     fn to_wire(&self) -> JsonValue {
         obj([
             ("value", self.value.to_wire()),
-            ("stats", self.stats.to_wire()),
+            ("stats", self.stats.encode()),
         ])
     }
 }
@@ -986,7 +1082,7 @@ impl<T: FromWire> FromWire for Report<T> {
     fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
         Ok(Report {
             value: T::from_wire(want(v, "value")?)?,
-            stats: ReportStats::from_wire(want(v, "stats")?)?,
+            stats: field(v, "stats")?,
         })
     }
 }
@@ -996,238 +1092,6 @@ impl<T: ToWire> fmt::Display for Report<T> {
     /// back.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.to_wire().fmt(f)
-    }
-}
-
-impl ToWire for SessionCounters {
-    fn to_wire(&self) -> JsonValue {
-        obj([
-            ("queries", JsonValue::UInt(self.queries as u64)),
-            ("memo_hits", JsonValue::UInt(self.memo_hits as u64)),
-            ("memo_misses", JsonValue::UInt(self.memo_misses as u64)),
-            ("plans_built", JsonValue::UInt(self.plans_built as u64)),
-            ("plan_repairs", JsonValue::UInt(self.plan_repairs as u64)),
-            ("parts_rebuilt", JsonValue::UInt(self.parts_rebuilt as u64)),
-            ("parts_reused", JsonValue::UInt(self.parts_reused as u64)),
-            ("memos_dropped", JsonValue::UInt(self.memos_dropped as u64)),
-        ])
-    }
-}
-
-impl FromWire for SessionCounters {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(SessionCounters {
-            queries: want_usize(v, "queries")?,
-            memo_hits: want_usize(v, "memo_hits")?,
-            memo_misses: want_usize(v, "memo_misses")?,
-            plans_built: want_usize(v, "plans_built")?,
-            plan_repairs: want_usize(v, "plan_repairs")?,
-            parts_rebuilt: want_usize(v, "parts_rebuilt")?,
-            parts_reused: want_usize(v, "parts_reused")?,
-            memos_dropped: want_usize(v, "memos_dropped")?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Query values
-// ---------------------------------------------------------------------------
-
-impl ToWire for Mst {
-    fn to_wire(&self) -> JsonValue {
-        obj([
-            (
-                "edges",
-                JsonValue::Array(
-                    self.edges
-                        .iter()
-                        .map(|&e| JsonValue::UInt(e as u64))
-                        .collect(),
-                ),
-            ),
-            ("total_weight", JsonValue::UInt(self.total_weight)),
-            (
-                "boruvka_phases",
-                JsonValue::UInt(self.boruvka_phases as u64),
-            ),
-        ])
-    }
-}
-
-impl FromWire for Mst {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(Mst {
-            edges: usize_array(v, "edges")?,
-            total_weight: want_u64(v, "total_weight")?,
-            boruvka_phases: want_usize(v, "boruvka_phases")?,
-        })
-    }
-}
-
-impl ToWire for MinCut {
-    fn to_wire(&self) -> JsonValue {
-        obj([
-            ("approx_value", JsonValue::UInt(self.approx_value)),
-            ("exact_value", JsonValue::UInt(self.exact_value)),
-            ("ratio", JsonValue::Float(self.ratio)),
-            ("trees", JsonValue::UInt(self.trees as u64)),
-        ])
-    }
-}
-
-impl FromWire for MinCut {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(MinCut {
-            approx_value: want_u64(v, "approx_value")?,
-            exact_value: want_u64(v, "exact_value")?,
-            ratio: want_f64(v, "ratio")?,
-            trees: want_usize(v, "trees")?,
-        })
-    }
-}
-
-impl ToWire for SsspDetail {
-    fn to_wire(&self) -> JsonValue {
-        match self {
-            SsspDetail::Exact { parent } => obj([
-                ("tier", JsonValue::Str("exact".into())),
-                (
-                    "parent",
-                    JsonValue::Array(
-                        parent
-                            .iter()
-                            .map(|p| match p {
-                                Some(v) => JsonValue::UInt(*v as u64),
-                                None => JsonValue::Null,
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            SsspDetail::Scaled { scale, hop_budget } => obj([
-                ("tier", JsonValue::Str("scaled".into())),
-                ("scale", JsonValue::UInt(*scale)),
-                ("hop_budget", JsonValue::UInt(*hop_budget as u64)),
-            ]),
-            SsspDetail::Shortcut {
-                scale,
-                phases,
-                converged,
-                shortcut_quality,
-            } => obj([
-                ("tier", JsonValue::Str("shortcut".into())),
-                ("scale", JsonValue::UInt(*scale)),
-                ("phases", JsonValue::UInt(*phases as u64)),
-                ("converged", JsonValue::Bool(*converged)),
-                (
-                    "shortcut_quality",
-                    JsonValue::UInt(*shortcut_quality as u64),
-                ),
-            ]),
-        }
-    }
-}
-
-impl FromWire for SsspDetail {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        match want_str(v, "tier")? {
-            "exact" => Ok(SsspDetail::Exact {
-                parent: want_array(v, "parent")?
-                    .iter()
-                    .map(|p| {
-                        if p.is_null() {
-                            Ok(None)
-                        } else {
-                            p.as_usize().map(Some).ok_or_else(|| {
-                                WireError::new("parent entries must be node ids or null")
-                            })
-                        }
-                    })
-                    .collect::<Result<_, WireError>>()?,
-            }),
-            "scaled" => Ok(SsspDetail::Scaled {
-                scale: want_u64(v, "scale")?,
-                hop_budget: want_usize(v, "hop_budget")?,
-            }),
-            "shortcut" => Ok(SsspDetail::Shortcut {
-                scale: want_u64(v, "scale")?,
-                phases: want_usize(v, "phases")?,
-                converged: want_bool(v, "converged")?,
-                shortcut_quality: want_usize(v, "shortcut_quality")?,
-            }),
-            other => Err(WireError::new(format!("unknown sssp detail {other:?}"))),
-        }
-    }
-}
-
-impl ToWire for Sssp {
-    fn to_wire(&self) -> JsonValue {
-        obj([
-            ("dist", sentinel_array(&self.dist)),
-            ("detail", self.detail.to_wire()),
-        ])
-    }
-}
-
-impl FromWire for Sssp {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(Sssp {
-            dist: sentinel_array_from(v, "dist")?,
-            detail: SsspDetail::from_wire(want(v, "detail")?)?,
-        })
-    }
-}
-
-impl ToWire for Components {
-    fn to_wire(&self) -> JsonValue {
-        obj([
-            (
-                "label",
-                JsonValue::Array(
-                    self.label
-                        .iter()
-                        .map(|&l| JsonValue::UInt(l as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "forest_edges",
-                JsonValue::Array(
-                    self.forest_edges
-                        .iter()
-                        .map(|&e| JsonValue::UInt(e as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "boruvka_phases",
-                JsonValue::UInt(self.boruvka_phases as u64),
-            ),
-        ])
-    }
-}
-
-impl FromWire for Components {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(Components {
-            label: usize_array(v, "label")?,
-            forest_edges: usize_array(v, "forest_edges")?,
-            boruvka_phases: want_usize(v, "boruvka_phases")?,
-        })
-    }
-}
-
-impl ToWire for PartwiseMin {
-    fn to_wire(&self) -> JsonValue {
-        obj([("minima", sentinel_array(&self.minima))])
-    }
-}
-
-impl FromWire for PartwiseMin {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(PartwiseMin {
-            minima: sentinel_array_from(v, "minima")?,
-        })
     }
 }
 
@@ -1245,146 +1109,7 @@ impl ToWire for Answer {
 }
 
 // ---------------------------------------------------------------------------
-// Queries
-// ---------------------------------------------------------------------------
-
-impl ToWire for Query {
-    fn to_wire(&self) -> JsonValue {
-        let kind = ("query", JsonValue::Str(self.kind().into()));
-        match self {
-            Query::Mst | Query::Components => obj([kind]),
-            Query::MinCut {
-                trees,
-                two_respecting,
-            } => obj([
-                kind,
-                ("trees", JsonValue::UInt(*trees as u64)),
-                ("two_respecting", JsonValue::Bool(*two_respecting)),
-            ]),
-            Query::Sssp { source, tier } => obj([
-                kind,
-                ("source", JsonValue::UInt(*source as u64)),
-                ("tier", tier.to_wire()),
-            ]),
-            Query::PartwiseMin { values, value_bits } => obj([
-                kind,
-                ("values", sentinel_array(values)),
-                ("value_bits", JsonValue::UInt(*value_bits as u64)),
-            ]),
-        }
-    }
-}
-
-impl FromWire for Query {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        let kind = v
-            .get("query")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| WireError::new("missing field \"query\""))?;
-        // A missing or mistyped argument names the query that needs it.
-        let needs = |key: &str| WireError::new(format!("{kind} needs {key:?}"));
-        let usize_arg = |key: &str| {
-            v.get(key)
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| needs(key))
-        };
-        match kind {
-            "mst" => Ok(Query::Mst),
-            "min_cut" => Ok(Query::MinCut {
-                trees: usize_arg("trees")?,
-                two_respecting: match v.get("two_respecting") {
-                    None => true,
-                    Some(_) => want_bool(v, "two_respecting")?,
-                },
-            }),
-            "sssp" => Ok(Query::Sssp {
-                source: usize_arg("source")?,
-                tier: Tier::from_wire(v.get("tier").ok_or_else(|| needs("tier"))?)?,
-            }),
-            "components" => Ok(Query::Components),
-            "partwise_min" => Ok(Query::PartwiseMin {
-                values: v
-                    .get("values")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| needs("values"))?
-                    .iter()
-                    .map(|x| {
-                        if x.is_null() {
-                            Some(u64::MAX)
-                        } else {
-                            x.as_u64()
-                        }
-                    })
-                    .collect::<Option<_>>()
-                    .ok_or_else(|| WireError::new("values must be u64 or null"))?,
-                value_bits: usize_arg("value_bits")?,
-            }),
-            other => Err(WireError::new(format!("unknown query {other:?}"))),
-        }
-    }
-}
-
-impl ToWire for PlanRepairStats {
-    fn to_wire(&self) -> JsonValue {
-        obj([
-            ("partition_changed", JsonValue::Bool(self.partition_changed)),
-            ("full_rebuild", JsonValue::Bool(self.full_rebuild)),
-            ("parts_total", JsonValue::UInt(self.parts_total as u64)),
-            ("parts_rebuilt", JsonValue::UInt(self.parts_rebuilt as u64)),
-            ("parts_reused", JsonValue::UInt(self.parts_reused as u64)),
-            (
-                "tree_changed_nodes",
-                JsonValue::UInt(self.tree_changed_nodes as u64),
-            ),
-        ])
-    }
-}
-
-impl FromWire for PlanRepairStats {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(PlanRepairStats {
-            partition_changed: want_bool(v, "partition_changed")?,
-            full_rebuild: want_bool(v, "full_rebuild")?,
-            parts_total: want_usize(v, "parts_total")?,
-            parts_rebuilt: want_usize(v, "parts_rebuilt")?,
-            parts_reused: want_usize(v, "parts_reused")?,
-            tree_changed_nodes: want_usize(v, "tree_changed_nodes")?,
-        })
-    }
-}
-
-impl ToWire for RepairStats {
-    fn to_wire(&self) -> JsonValue {
-        obj([
-            ("inserted", JsonValue::UInt(self.inserted as u64)),
-            ("deleted", JsonValue::UInt(self.deleted as u64)),
-            ("noop", JsonValue::Bool(self.noop)),
-            ("connected", JsonValue::Bool(self.connected)),
-            ("partition_changed", JsonValue::Bool(self.partition_changed)),
-            ("plan_repaired", JsonValue::Bool(self.plan_repaired)),
-            ("plan", self.plan.to_wire()),
-            ("memos_dropped", JsonValue::UInt(self.memos_dropped as u64)),
-        ])
-    }
-}
-
-impl FromWire for RepairStats {
-    fn from_wire(v: &JsonValue) -> Result<Self, WireError> {
-        Ok(RepairStats {
-            inserted: want_usize(v, "inserted")?,
-            deleted: want_usize(v, "deleted")?,
-            noop: want_bool(v, "noop")?,
-            connected: want_bool(v, "connected")?,
-            partition_changed: want_bool(v, "partition_changed")?,
-            plan_repaired: want_bool(v, "plan_repaired")?,
-            plan: PlanRepairStats::from_wire(want(v, "plan")?)?,
-            memos_dropped: want_usize(v, "memos_dropped")?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Error codes
+// Errors
 // ---------------------------------------------------------------------------
 
 /// Stable code for [`AlgoError::EmptyGraph`].
@@ -1426,11 +1151,12 @@ pub fn http_status(code: &str) -> u16 {
     }
 }
 
-/// The `{"code":…,"message":…}` error body of the wire schema.
-pub fn error_to_wire(e: &AlgoError) -> JsonValue {
+/// The `{"code":…,"message":…}` error body of the wire schema: every
+/// error the daemon answers, solver or serving-layer, is one.
+pub fn error_to_wire(code: &str, message: &str) -> JsonValue {
     obj([
-        ("code", JsonValue::Str(error_code(e).into())),
-        ("message", JsonValue::Str(e.to_string())),
+        ("code", JsonValue::Str(code.to_string())),
+        ("message", JsonValue::Str(message.to_string())),
     ])
 }
 
@@ -1713,6 +1439,48 @@ mod tests {
     }
 
     #[test]
+    fn field_rules_name_the_field_they_reject() {
+        let mst = |text: &str| Mst::from_wire_str(text).unwrap_err().to_string();
+        assert_eq!(
+            mst(r#"{"edges":[],"total_weight":1}"#),
+            "missing field \"boruvka_phases\""
+        );
+        assert_eq!(
+            mst(r#"{"edges":[],"total_weight":-1,"boruvka_phases":0}"#),
+            "field \"total_weight\" must be a non-negative integer"
+        );
+        assert_eq!(
+            mst(r#"{"edges":{},"total_weight":1,"boruvka_phases":0}"#),
+            "field \"edges\" must be an array"
+        );
+        // The sentinel rule's message is the one `partwise_min` values pin.
+        assert_eq!(
+            PartwiseMin::from_wire_str(r#"{"minima":[1,null,"x"]}"#)
+                .unwrap_err()
+                .to_string(),
+            "minima must be u64 or null"
+        );
+        // `None` decodes from `null` only; anything else goes to the
+        // inner rule, and a nested object reports its own field.
+        let label = |attempt: &str| {
+            PhaseLabel::from_wire_str(&format!(
+                r#"{{"phase":"p","subphase":"s","attempt":{attempt}}}"#
+            ))
+        };
+        assert_eq!(label("null").unwrap().attempt, None);
+        assert_eq!(
+            label("true").unwrap_err().to_string(),
+            "field \"attempt\" must be a non-negative integer"
+        );
+        assert_eq!(
+            Query::from_wire_str(r#"{"query":"sssp","source":0,"tier":{"tier":"scaled"}}"#)
+                .unwrap_err()
+                .to_string(),
+            "missing field \"epsilon\""
+        );
+    }
+
+    #[test]
     fn parsers_accept_reordered_and_extra_fields() {
         let m = EdgeMutation::from_wire_str(
             r#"{"weight":7,"v":2,"u":1,"op":"insert","future_field":[1,2]}"#,
@@ -1742,7 +1510,8 @@ mod tests {
         assert_eq!(http_status(CODE_OVERLOADED), 503);
         assert_eq!(http_status(CODE_SHUTTING_DOWN), 503);
         assert_eq!(http_status(CODE_SIM_FAILED), 500);
-        let body = error_to_wire(&AlgoError::Disconnected).to_string();
+        let e = AlgoError::Disconnected;
+        let body = error_to_wire(error_code(&e), &e.to_string()).to_string();
         assert_eq!(
             body,
             r#"{"code":"DISCONNECTED","message":"graph must be connected"}"#

@@ -207,6 +207,20 @@ fn diameter(g: &Graph) -> usize {
     traversal::diameter_double_sweep(g).expect("connected")
 }
 
+/// Engine throughput in krounds/s to at least three significant digits
+/// (`2598`, `41.3`, `1.21`, `0.0123`): E15's storms over 10⁵ nodes or
+/// more run below 0.1 krounds/s, which one decimal place prints as `0.0`
+/// or `0.1`.
+fn krounds_per_sec(rounds: usize, secs: f64) -> String {
+    let x = rounds as f64 / secs / 1e3;
+    let decimals = if x >= 100.0 || x <= 0.0 {
+        0
+    } else {
+        (2.0 - x.log10().floor()) as usize
+    };
+    format!("{x:.decimals$}")
+}
+
 /// E1 — planar shortcut quality (Theorem 4 shape: `b=O(log d)`,
 /// `c=O(d log d)`).
 pub fn e1_planar_quality(full: bool) -> Table {
@@ -1079,7 +1093,7 @@ pub fn e13_engine_scaling(full: bool) -> Table {
                 stats.rounds.to_string(),
                 stats.messages.to_string(),
                 format!("{:.1}", secs * 1e3),
-                format!("{:.1}", stats.rounds as f64 / secs / 1e3),
+                krounds_per_sec(stats.rounds, secs),
             ]);
         };
     for (family, wg) in cases {
@@ -1517,7 +1531,7 @@ pub fn e15_scale(full: bool) -> Table {
             format!("{:.2}", csr_secs * 1e3),
             format!("{:.2}", adj_secs * 1e3),
             format!("{:.2}", adj_secs / csr_secs),
-            format!("{:.1}", stats.rounds as f64 / engine_secs / 1e3),
+            krounds_per_sec(stats.rounds, engine_secs),
             rss_growth.map_or("-".into(), |mb| format!("{mb:.0}")),
         ]);
     }
@@ -2051,6 +2065,14 @@ pub fn experiments() -> Vec<(&'static str, ExperimentFn)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn krounds_keep_three_significant_digits() {
+        assert_eq!(krounds_per_sec(2_598_300, 1.0), "2598");
+        assert_eq!(krounds_per_sec(41_300, 1.0), "41.3");
+        assert_eq!(krounds_per_sec(1_210, 1.0), "1.21");
+        assert_eq!(krounds_per_sec(123, 10.0), "0.0123");
+    }
 
     #[test]
     fn tables_render() {

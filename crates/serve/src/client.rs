@@ -192,23 +192,10 @@ impl Client {
         body: Option<&JsonValue>,
     ) -> Result<JsonValue, ServeError> {
         let (status, text) = self.request_raw(method, path, body)?;
-        let v = JsonValue::parse(&text)?;
-        if status == 200 {
-            return Ok(v);
+        if status != 200 {
+            return Err(server_error(status, &text));
         }
-        Err(ServeError::Server {
-            status,
-            code: v
-                .get("code")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("UNKNOWN")
-                .to_string(),
-            message: v
-                .get("message")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("")
-                .to_string(),
-        })
+        Ok(JsonValue::parse(&text)?)
     }
 
     /// Like [`request`](Client::request) but returns the raw status and
@@ -408,22 +395,28 @@ impl Client {
     pub fn trace_jsonl(&mut self, session: &str) -> Result<String, ServeError> {
         let (status, text) =
             self.request_raw("GET", &format!("/v1/sessions/{session}/trace"), None)?;
-        if status == 200 {
-            return Ok(text);
+        if status != 200 {
+            return Err(server_error(status, &text));
         }
-        let v = JsonValue::parse(&text)?;
-        Err(ServeError::Server {
-            status,
-            code: v
-                .get("code")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("UNKNOWN")
-                .to_string(),
-            message: v
-                .get("message")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("")
-                .to_string(),
-        })
+        Ok(text)
+    }
+}
+
+/// Decodes the `{"code":…,"message":…}` body of a non-200 answer.
+fn server_error(status: u16, text: &str) -> ServeError {
+    let v = match JsonValue::parse(text) {
+        Ok(v) => v,
+        Err(e) => return ServeError::Wire(e),
+    };
+    let text_of = |key: &str, default: &str| {
+        v.get(key)
+            .and_then(JsonValue::as_str)
+            .unwrap_or(default)
+            .to_string()
+    };
+    ServeError::Server {
+        status,
+        code: text_of("code", "UNKNOWN"),
+        message: text_of("message", ""),
     }
 }

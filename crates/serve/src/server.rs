@@ -27,8 +27,9 @@ use std::time::Duration;
 
 use minex_algo::solver::{AlgoError, Query, Solver};
 use minex_algo::wire::{
-    self, error_to_wire, http_status, obj, parts_strategy_from_wire, FromWire, JsonValue, ToWire,
-    WireError, CODE_BAD_REQUEST, CODE_NOT_FOUND, CODE_OVERLOADED, CODE_SHUTTING_DOWN, WIRE_VERSION,
+    error_code, error_to_wire, http_status, obj, parts_strategy_from_wire, FromWire, JsonValue,
+    ToWire, WireError, CODE_BAD_REQUEST, CODE_NOT_FOUND, CODE_OVERLOADED, CODE_SHUTTING_DOWN,
+    WIRE_VERSION,
 };
 use minex_congest::CongestConfig;
 use minex_graphs::{EdgeMutation, Graph, NodeId, WeightedGraph};
@@ -196,17 +197,17 @@ impl ServerHandle {
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>> {
     let mut handles: Vec<JoinHandle<()>> = Vec::new();
     loop {
-        let stream = match listener.accept() {
+        let mut stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(_) => continue,
         };
         if shared.draining.load(Ordering::SeqCst) {
             // The wake-up connection (or a late client) during drain.
-            let _ = refuse(stream, CODE_SHUTTING_DOWN, "server is draining");
+            let _ = refuse(&mut stream, CODE_SHUTTING_DOWN, "server is draining");
             break;
         }
         let Some(slot) = ConnSlot::claim(&shared) else {
-            let _ = refuse(stream, CODE_OVERLOADED, "connection limit reached");
+            let _ = refuse(&mut stream, CODE_OVERLOADED, "connection limit reached");
             continue;
         };
         handles.retain(|h| !h.is_finished());
@@ -251,23 +252,23 @@ impl Drop for ConnSlot {
     }
 }
 
-fn refuse(mut stream: TcpStream, code: &str, message: &str) -> io::Result<()> {
-    let body = error_body(code, message);
-    write_response(
-        &mut stream,
-        http_status(code),
-        "application/json",
-        body.as_bytes(),
-        false,
-    )
+/// A failed request: its stable wire code and message.
+type Failure = (&'static str, String);
+
+fn bad_request(e: WireError) -> Failure {
+    (CODE_BAD_REQUEST, e.to_string())
 }
 
-fn error_body(code: &str, message: &str) -> String {
-    obj([
-        ("code", JsonValue::Str(code.to_string())),
-        ("message", JsonValue::Str(message.to_string())),
-    ])
-    .to_string()
+/// An error response: the code's fixed status and its wire error body.
+fn fail(code: &str, message: &str) -> (u16, &'static str, String) {
+    let body = error_to_wire(code, message).to_string();
+    (http_status(code), "application/json", body)
+}
+
+/// Answers an error and closes the connection.
+fn refuse(stream: &mut TcpStream, code: &str, message: &str) -> io::Result<()> {
+    let (status, content_type, body) = fail(code, message);
+    write_response(stream, status, content_type, body.as_bytes(), false)
 }
 
 /// Reads one request line, polling the shutdown flag while the connection
@@ -333,14 +334,7 @@ fn connection_loop(stream: TcpStream, shared: &Shared) {
         let request = match read_request(&mut reader, &first_line) {
             Ok(r) => r,
             Err(_) => {
-                let body = error_body(CODE_BAD_REQUEST, "malformed request");
-                let _ = write_response(
-                    &mut writer,
-                    http_status(CODE_BAD_REQUEST),
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                );
+                let _ = refuse(&mut writer, CODE_BAD_REQUEST, "malformed request");
                 return;
             }
         };
@@ -366,7 +360,6 @@ fn connection_loop(stream: TcpStream, shared: &Shared) {
 /// triple; errors are wire error bodies with their fixed status.
 fn respond(shared: &Shared, req: &Request) -> (u16, &'static str, String) {
     let json = |status: u16, body: String| (status, "application/json", body);
-    let fail = |code: &str, message: &str| json(http_status(code), error_body(code, message));
     if shared.draining.load(Ordering::SeqCst) {
         return fail(CODE_SHUTTING_DOWN, "server is draining");
     }
@@ -439,11 +432,7 @@ fn respond(shared: &Shared, req: &Request) -> (u16, &'static str, String) {
             let mut solver = slot.solver.lock().expect("session lock");
             match run_query(&mut solver, &query) {
                 Ok(body) => json(200, body.to_string()),
-                Err(QueryError::Algo(e)) => json(
-                    http_status(wire::error_code(&e)),
-                    error_to_wire(&e).to_string(),
-                ),
-                Err(QueryError::Bad(msg)) => fail(CODE_BAD_REQUEST, &msg),
+                Err((code, message)) => fail(code, &message),
             }
         }
         ("POST", ["v1", "sessions", id, "batch"]) => {
@@ -470,14 +459,7 @@ fn respond(shared: &Shared, req: &Request) -> (u16, &'static str, String) {
                 .iter()
                 .map(|q| match run_query(&mut solver, q) {
                     Ok(body) => obj([("ok", body)]),
-                    Err(QueryError::Algo(e)) => obj([("error", error_to_wire(&e))]),
-                    Err(QueryError::Bad(msg)) => obj([(
-                        "error",
-                        obj([
-                            ("code", JsonValue::Str(CODE_BAD_REQUEST.into())),
-                            ("message", JsonValue::Str(msg)),
-                        ]),
-                    )]),
+                    Err((code, message)) => obj([("error", error_to_wire(code, &message))]),
                 })
                 .collect();
             json(
@@ -501,41 +483,42 @@ fn parse_body(body: &[u8]) -> Result<JsonValue, WireError> {
 
 /// Parses a `POST /v1/sessions` body into a [`SessionSpec`], builds the
 /// session, and registers it with the fleet.
-fn create_session(shared: &Shared, body: &[u8]) -> Result<String, (&'static str, String)> {
-    let bad = |e: WireError| (CODE_BAD_REQUEST, e.to_string());
-    let v = parse_body(body).map_err(bad)?;
+fn create_session(shared: &Shared, body: &[u8]) -> Result<String, Failure> {
+    let bad = |message: &str| (CODE_BAD_REQUEST, message.to_string());
+    let v = parse_body(body).map_err(bad_request)?;
     let graph = v
         .get("graph")
-        .ok_or_else(|| bad(WireError::new("missing field \"graph\"")))?;
+        .ok_or_else(|| bad("missing field \"graph\""))?;
     let n = graph
         .get("n")
         .and_then(JsonValue::as_usize)
-        .ok_or_else(|| bad(WireError::new("graph.n must be a non-negative integer")))?;
+        .ok_or_else(|| bad("graph.n must be a non-negative integer"))?;
     let edges_json = graph
         .get("edges")
         .and_then(JsonValue::as_array)
-        .ok_or_else(|| bad(WireError::new("graph.edges must be an array")))?;
+        .ok_or_else(|| bad("graph.edges must be an array"))?;
     let mut edges: Vec<(NodeId, NodeId, u64)> = Vec::with_capacity(edges_json.len());
     for e in edges_json {
         let triple = e
             .as_array()
             .filter(|t| t.len() == 3)
-            .ok_or_else(|| bad(WireError::new("each edge must be [u, v, weight]")))?;
+            .ok_or_else(|| bad("each edge must be [u, v, weight]"))?;
         let u = triple[0]
             .as_usize()
-            .ok_or_else(|| bad(WireError::new("edge endpoints must be node ids")))?;
+            .ok_or_else(|| bad("edge endpoints must be node ids"))?;
         let w_v = triple[1]
             .as_usize()
-            .ok_or_else(|| bad(WireError::new("edge endpoints must be node ids")))?;
+            .ok_or_else(|| bad("edge endpoints must be node ids"))?;
         let w = triple[2]
             .as_u64()
-            .ok_or_else(|| bad(WireError::new("edge weights must be u64")))?;
+            .ok_or_else(|| bad("edge weights must be u64"))?;
         edges.push((u, w_v, w));
     }
-    // Streaming CSR construction: the edge list is consumed in place, no
-    // intermediate adjacency list.
+    // The body is already a whole `JsonValue` tree; its edges are copied
+    // into a list, built into the CSR graph, and each weight is placed by
+    // an `edge_between` lookup, since the build assigns its own edge ids.
     let g = Graph::from_edge_stream(n, || edges.iter().map(|&(u, v, _)| (u, v)))
-        .map_err(|e| bad(WireError::new(format!("bad graph: {e}"))))?;
+        .map_err(|e| bad(&format!("bad graph: {e}")))?;
     let mut weights = vec![0u64; g.m()];
     for &(u, v, w) in &edges {
         let eid = g.edge_between(u, v).expect("edge was just inserted");
@@ -545,41 +528,39 @@ fn create_session(shared: &Shared, body: &[u8]) -> Result<String, (&'static str,
 
     let mut spec = SessionSpec::new(Arc::clone(&wg));
     if let Some(parts) = v.get("parts") {
-        spec.parts = parts_strategy_from_wire(wg.graph(), parts).map_err(bad)?;
+        spec.parts = parts_strategy_from_wire(wg.graph(), parts).map_err(bad_request)?;
     }
     if let Some(builder) = v.get("builder") {
         spec.builder = builder
             .as_str()
-            .ok_or_else(|| bad(WireError::new("builder must be a string")))?
+            .ok_or_else(|| bad("builder must be a string"))?
             .to_string();
     }
     let mut config = CongestConfig::for_nodes(n);
     if let Some(b) = v.get("bandwidth") {
         config = config.with_bandwidth(
             b.as_usize()
-                .ok_or_else(|| bad(WireError::new("bandwidth must be a positive integer")))?,
+                .ok_or_else(|| bad("bandwidth must be a positive integer"))?,
         );
     }
     if let Some(r) = v.get("max_rounds") {
         config = config.with_max_rounds(
             r.as_usize()
-                .ok_or_else(|| bad(WireError::new("max_rounds must be a positive integer")))?,
+                .ok_or_else(|| bad("max_rounds must be a positive integer"))?,
         );
     }
     // A `threads` field, which older clients send, is ignored like any
     // unknown field: one engine runs every query on its connection thread.
     spec.config = config;
     if let Some(t) = v.get("trace") {
-        spec.trace = t
-            .as_bool()
-            .ok_or_else(|| bad(WireError::new("trace must be a boolean")))?;
+        spec.trace = t.as_bool().ok_or_else(|| bad("trace must be a boolean"))?;
     }
 
     let id = spec.session_id();
     let (_, created, evicted) = shared
         .fleet
         .get_or_insert(id, || spec.build())
-        .map_err(bad)?;
+        .map_err(bad_request)?;
     Ok(obj([
         ("session", JsonValue::Str(format_session_id(id))),
         ("created", JsonValue::Bool(created)),
@@ -598,39 +579,28 @@ fn create_session(shared: &Shared, body: &[u8]) -> Result<String, (&'static str,
     .to_string())
 }
 
-enum QueryError {
-    /// A structured solver error — maps to its stable wire code.
-    Algo(AlgoError),
-    /// A malformed query body — maps to `BAD_REQUEST`.
-    Bad(String),
-}
-
-impl From<WireError> for QueryError {
-    fn from(e: WireError) -> Self {
-        QueryError::Bad(e.to_string())
-    }
-}
-
-impl From<AlgoError> for QueryError {
-    fn from(e: AlgoError) -> Self {
-        QueryError::Algo(e)
-    }
-}
-
 /// Executes one wire query against a locked session: an `apply` body
-/// mutates the session, every other body decodes to a [`Query`].
-fn run_query(solver: &mut Solver, q: &JsonValue) -> Result<JsonValue, QueryError> {
+/// mutates the session, every other body decodes to a [`Query`]. A body
+/// that does not decode is a `BAD_REQUEST`; a solver error keeps its code.
+fn run_query(solver: &mut Solver, q: &JsonValue) -> Result<JsonValue, Failure> {
+    let solver_error = |e: AlgoError| (error_code(&e), e.to_string());
     if q.get("query").and_then(JsonValue::as_str) != Some("apply") {
-        return Ok(solver.run(&Query::from_wire(q)?)?.to_wire());
+        let query = Query::from_wire(q).map_err(bad_request)?;
+        return solver
+            .run(&query)
+            .map(|r| r.to_wire())
+            .map_err(solver_error);
     }
-    let mutations = q
+    let mutations: Vec<EdgeMutation> = q
         .get("mutations")
         .and_then(JsonValue::as_array)
-        .ok_or_else(|| QueryError::Bad("apply needs \"mutations\"".to_string()))?
-        .iter()
-        .map(EdgeMutation::from_wire)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(solver.apply(&mutations)?.to_wire())
+        .ok_or_else(|| WireError::new("apply needs \"mutations\""))
+        .and_then(|ms| ms.iter().map(EdgeMutation::from_wire).collect())
+        .map_err(bad_request)?;
+    solver
+        .apply(&mutations)
+        .map(|s| s.to_wire())
+        .map_err(solver_error)
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@
 #      `two_respecting` still answers; a batch keeps per-query ok/error
 #      envelopes;
 #   4. error-code mapping: DISCONNECTED/422, BAD_QUERY/400,
-#      BAD_REQUEST/400, NOT_FOUND/404 — codes and HTTP statuses both;
+#      BAD_REQUEST/400, NOT_FOUND/404 — codes and HTTP statuses both —
+#      and the `null` sentinels: an exact SSSP on the disconnected session
+#      answers `null` for each unreached distance and parent;
 #   5. transport latency: the median of 20 keep-alive health requests on
 #      one connection stays under 20 ms. A response split over small
 #      writes without TCP_NODELAY stalls ~40 ms on the client's delayed
@@ -92,6 +94,14 @@ split="$(jq -r .session "$tmp/body")"
 req 422 POST "/v1/sessions/$split/query" '{"query":"mst"}'
 jq -e '.code == "DISCONNECTED"' "$tmp/body" >/dev/null \
     || fail "disconnected mst must map to DISCONNECTED"
+
+# Exact SSSP still answers on the split graph; the far component's
+# distances (u64::MAX in process) and parents (None) travel as null.
+req 200 POST "/v1/sessions/$split/query" \
+    '{"query":"sssp","source":0,"tier":{"tier":"exact"}}'
+jq -e '.value.dist == [0,1,null,null]
+       and .value.detail.parent == [null,0,null,null]' \
+    "$tmp/body" >/dev/null || fail "unreached nodes must answer null"
 
 req 400 POST "/v1/sessions/$session/query" \
     '{"query":"sssp","source":999,"tier":{"tier":"exact"}}'
