@@ -998,11 +998,16 @@ pub struct RepairStats {
     pub connected: bool,
     /// The session partition changed under the batch.
     pub partition_changed: bool,
-    /// A plan was already cached and was carried through
-    /// [`ShortcutPlan::repair`]; when `false` the session simply stays
-    /// lazy and builds a fresh plan on the next query that needs one.
+    /// A plan was already cached, the graph stayed connected and the
+    /// partition held, so the plan was carried through
+    /// [`ShortcutPlan::repair`]. Otherwise a `noop` batch keeps the plan
+    /// as it was, and any other batch leaves the session without one,
+    /// to be built on the next query that needs it: a moved partition
+    /// drops the cached plan instead of rebuilding it.
     pub plan_repaired: bool,
     /// Plan-level repair statistics (all zero unless `plan_repaired`).
+    /// Its `partition_changed` is always `false`: a changed partition
+    /// drops the plan instead of repairing it.
     pub plan: PlanRepairStats,
     /// Memoized reports dropped.
     pub memos_dropped: usize,
@@ -1216,8 +1221,11 @@ impl Solver {
     }
 
     /// The analytic construction charge of the session plan:
-    /// `quality · ⌈log₂ n⌉` rounds per \[HIZ16a\]. Charged once per session,
-    /// not per query.
+    /// `quality · ⌈log₂ n⌉` rounds per \[HIZ16a\]. No report includes it:
+    /// `partwise_min`, the one query that reads the plan, charges 0. The
+    /// plan is built once per graph and partition, so a session whose
+    /// `apply` batches move its partition builds it again on the first
+    /// plan read after each such batch.
     ///
     /// # Errors
     ///
@@ -1277,10 +1285,16 @@ impl Solver {
     /// [`AlgoError::BadQuery`] and leaves the session **unchanged**. On
     /// success the session commits atomically: graph and weights swap,
     /// connectivity and partition are refreshed (the configured
-    /// [`PartsStrategy`] is re-resolved against the mutated graph), a
-    /// cached plan is repaired through [`ShortcutPlan::repair`], and the
-    /// memo is dropped. A repaired session answers every query
-    /// byte-identically to a fresh session built on the mutated graph.
+    /// [`PartsStrategy`] is re-resolved against the mutated graph), and the
+    /// memo is dropped. A cached plan is repaired through
+    /// [`ShortcutPlan::repair`] only while the partition holds. When the
+    /// partition changed (Voronoi cells moved), repairing means a full
+    /// build, so the plan and its tree are dropped instead, and the first
+    /// query that reads the plan ([`Solver::partwise_min`],
+    /// [`Solver::plan`], [`Solver::plan_charge`]) builds them again. The
+    /// answer then says `plan_repaired: false` with an all-zero `plan`.
+    /// A mutated session answers every query byte-identically to a fresh
+    /// session built on the mutated graph.
     ///
     /// Surviving edges keep their weights (edge ids are renumbered
     /// internally); inserted edges take the weight from their
@@ -1403,11 +1417,13 @@ impl Solver {
         stats.connected = connected;
         touched.sort_unstable();
         touched.dedup();
-        // Repair the cached plan only if one exists; a planless session
-        // stays lazy and builds fresh on first use — deterministically
-        // identical either way.
+        // Repair the cached plan only if one exists and its partition held.
+        // A moved partition makes `repair` a full build, and only plan
+        // readers need one, so the plan is dropped and `ensure_plan`
+        // builds it on first use, as in a planless session. The result is
+        // deterministically identical either way.
         let (tree, plan) = match (&self.plan, connected) {
-            (Some(prev), true) => {
+            (Some(prev), true) if !stats.partition_changed => {
                 let (plan, pstats) = prev.repair(
                     &new_g,
                     self.root,
@@ -2666,16 +2682,97 @@ mod tests {
             .unwrap();
         solver.plan().unwrap(); // materialize the session plan
         solver.mst().unwrap(); // populate the memo
+
+        // A new weight keeps the edge set, so the cells hold and the cached
+        // plan is repaired.
+        let (e, a, b) = g.edges().next().unwrap();
+        let heavy = wg.weights().iter().max().unwrap() + 1;
+        let stats = solver
+            .apply(&[
+                EdgeMutation::Delete { u: a, v: b },
+                EdgeMutation::Insert {
+                    u: a,
+                    v: b,
+                    weight: heavy,
+                },
+            ])
+            .unwrap();
+        assert!(!stats.noop && stats.connected);
+        assert!(!stats.partition_changed);
+        assert!(stats.plan_repaired);
+        assert!(!stats.plan.partition_changed && !stats.plan.full_rebuild);
+        assert_eq!(stats.plan.parts_total, solver.parts().len());
+        assert!(stats.memos_dropped > 0);
+        assert!(solver.plan.is_some() && solver.tree.is_some());
+        assert_eq!(solver.weighted_graph().weight(e), heavy);
+        assert_matches_fresh(&mut solver, strategy.clone(), SteinerBuilder);
+        // A long chord moves the cells: the cached plan is dropped, not
+        // rebuilt, and the next plan read builds it.
         let (u, v) = (0, (g.n() - 1) as NodeId);
         assert!(!g.has_edge(u, v));
+        assert!(solver.plan.is_some());
         let stats = solver
             .apply(&[EdgeMutation::Insert { u, v, weight: 1 }])
             .unwrap();
-        assert!(!stats.noop);
-        assert!(stats.plan_repaired);
+        assert!(!stats.noop && stats.connected);
+        assert!(stats.partition_changed);
+        assert!(!stats.plan_repaired);
+        assert_eq!(stats.plan, PlanRepairStats::default());
         assert!(stats.memos_dropped > 0);
+        assert!(solver.plan.is_none() && solver.tree.is_none());
         assert!(solver.graph().has_edge(u, v));
         assert_matches_fresh(&mut solver, strategy, SteinerBuilder);
+    }
+
+    #[test]
+    fn a_moved_partition_defers_the_plan_build_to_the_first_plan_read() {
+        let wg = weighted(13);
+        let n = wg.graph().n();
+        let build = |strategy: PartsStrategy| {
+            let mut solver = Solver::builder(&wg)
+                .parts(strategy)
+                .shortcut_builder(SteinerBuilder)
+                .config(cfg(n))
+                .trace(true)
+                .build()
+                .unwrap();
+            solver.plan().unwrap();
+            solver
+        };
+        let builds = |solver: &Solver| {
+            let c = solver.trace().unwrap().counters;
+            (c.plans_built, c.plan_repairs)
+        };
+        let chord = [EdgeMutation::Insert {
+            u: 0,
+            v: (n - 1) as NodeId,
+            weight: 1,
+        }];
+        let mut solver = build(PartsStrategy::Voronoi { parts: 5, seed: 4 });
+        let cells = solver.parts().clone();
+        assert_eq!(builds(&solver), (1, 0));
+        let stats = solver.apply(&chord).unwrap();
+        assert!(stats.partition_changed && !stats.plan_repaired);
+        assert_eq!(builds(&solver), (1, 0), "apply built or repaired a plan");
+        // Reads that do not use the plan build nothing.
+        solver.components().unwrap();
+        solver.sssp(0, Tier::Exact).unwrap();
+        solver.sssp(0, Tier::Scaled { epsilon: 0.25 }).unwrap();
+        assert_eq!(builds(&solver), (1, 0), "a planless read built a plan");
+        // The first plan read builds it once; later ones reuse it.
+        let values: Vec<u64> = (0..n as u64).collect();
+        solver.partwise_min(&values, 16).unwrap();
+        assert_eq!(builds(&solver), (2, 0));
+        let reversed: Vec<u64> = values.iter().rev().copied().collect();
+        solver.partwise_min(&reversed, 16).unwrap();
+        assert_eq!(builds(&solver), (2, 0));
+        // The same batch on the same cells, held explicitly: the partition
+        // holds, so the plan is repaired in place.
+        let mut explicit = build(PartsStrategy::Explicit(cells));
+        let stats = explicit.apply(&chord).unwrap();
+        assert!(!stats.partition_changed);
+        assert!(stats.plan_repaired && !stats.plan.full_rebuild);
+        assert_eq!(builds(&explicit), (1, 1));
     }
 
     #[test]

@@ -12,10 +12,13 @@
 //! (dyn-erased, so sessions can carry heterogeneous builders behind one
 //! pointer) and hand out cheap references to its pieces.
 //!
-//! The `minex-algo` crate's `Solver` session API caches `ShortcutPlan`s —
-//! one per session anchor, plus per-fragmentation re-plans for Borůvka-style
-//! drivers — so repeated queries never rebuild trees, partitions, or
-//! shortcuts.
+//! The `minex-algo` crate's `Solver` session API caches one `ShortcutPlan`
+//! per session, built on the first query that reads it (`partwise_min`).
+//! Queries that need shortcuts over other partitions (the Borůvka
+//! fragments of MST and `components`, the source-rooted clusters of
+//! shortcut SSSP) build their own per query. An edge batch that keeps the
+//! session partition goes through [`ShortcutPlan::repair`]; one that
+//! moves it drops the cached plan for a lazy rebuild.
 
 use minex_graphs::{EdgeId, Graph, NodeId};
 

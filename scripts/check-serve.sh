@@ -16,7 +16,12 @@
 #      BAD_REQUEST/400, NOT_FOUND/404 — codes and HTTP statuses both —
 #      and the `null` sentinels: an exact SSSP on the disconnected session
 #      answers `null` for each unreached distance and parent;
-#   5. transport latency: the median of 20 keep-alive health requests on
+#   5. apply: on a Voronoi session with a warmed plan, a batch that moves
+#      the cells drops the plan (partition_changed, no plan_repaired, no
+#      full_rebuild), and the next partwise_min answers the minima of the
+#      new cells; on a default session (singletons, auto-capped) an apply
+#      still repairs the warmed plan;
+#   6. transport latency: the median of 20 keep-alive health requests on
 #      one connection stays under 20 ms. A response split over small
 #      writes without TCP_NODELAY stalls ~40 ms on the client's delayed
 #      ACK; a served health check takes well under 1 ms.
@@ -133,7 +138,35 @@ req 200 DELETE "/v1/sessions/$split"
 jq -e '.deleted == true' "$tmp/body" >/dev/null || fail "delete shape"
 req 404 DELETE "/v1/sessions/$split"
 
-# 5. Transport latency: one curl invocation, so every request after the
+# 5. apply. voronoi(2,0) splits the path 0-7 into the cells 0-3 and 4-7;
+# the chord {0,7} moves node 7 into the first cell.
+path='{"n":8,"edges":[[0,1,1],[1,2,1],[2,3,1],[3,4,1],[4,5,1],[5,6,1],[6,7,1]]}'
+chord='{"query":"apply","mutations":[{"op":"insert","u":0,"v":7,"weight":1}]}'
+minima='{"query":"partwise_min","values":[80,70,60,50,40,30,20,10],"value_bits":8}'
+req 200 POST /v1/sessions \
+    "{\"graph\":$path,\"parts\":{\"strategy\":\"voronoi\",\"parts\":2,\"seed\":0},\"builder\":\"steiner\"}"
+cells="$(jq -r .session "$tmp/body")"
+req 200 POST "/v1/sessions/$cells/query" "$minima"
+jq -e '.value.minima == [50,10]' "$tmp/body" >/dev/null \
+    || fail "partwise_min on the cells 0-3 and 4-7"
+req 200 POST "/v1/sessions/$cells/query" "$chord"
+jq -e '.partition_changed == true and .plan_repaired == false
+       and .plan.full_rebuild == false' "$tmp/body" >/dev/null \
+    || fail "an apply that moves the cells must drop the plan, not rebuild it"
+req 200 POST "/v1/sessions/$cells/query" "$minima"
+jq -e '.value.minima == [10,20]' "$tmp/body" >/dev/null \
+    || fail "partwise_min after the apply must read the moved cells"
+req 200 DELETE "/v1/sessions/$cells"
+
+req 200 POST /v1/sessions "{\"graph\":$path}"
+singletons="$(jq -r .session "$tmp/body")"
+req 200 POST "/v1/sessions/$singletons/query" "$minima"
+req 200 POST "/v1/sessions/$singletons/query" "$chord"
+jq -e '.partition_changed == false and .plan_repaired == true' \
+    "$tmp/body" >/dev/null || fail "an apply on singletons must repair the plan"
+req 200 DELETE "/v1/sessions/$singletons"
+
+# 6. Transport latency: one curl invocation, so every request after the
 # first rides the same keep-alive connection.
 rm -f "$tmp/body"
 health=()
@@ -144,4 +177,4 @@ median="$(sort -n "$tmp/times" | awk '{ t[NR] = $1 } END { print (t[10] + t[11])
 awk -v m="$median" 'BEGIN { exit !(m < 0.020) }' \
     || fail "keep-alive health median ${median}s is not under 20 ms (transport stall?)"
 
-echo "serve OK: health, lifecycle, report shapes, error-code mapping, and transport latency (median ${median}s) pass against $addr"
+echo "serve OK: health, lifecycle, report shapes, error-code mapping, apply, and transport latency (median ${median}s) pass against $addr"

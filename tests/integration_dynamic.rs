@@ -2,7 +2,9 @@
 //! of edge mutations, a repaired [`Solver`] session must produce `Report`s
 //! **byte-identical** to a Solver built from scratch on the mutated
 //! weighted graph — same outputs, same `RunStats`-derived counters, same
-//! round counts — for `mst` / `sssp` / `components` / `min_cut`.
+//! round counts — for `mst` / `sssp` / `components` / `min_cut` /
+//! `partwise_min`, and the same session plan, whether `apply` repaired it
+//! or dropped it for a lazy rebuild.
 //!
 //! Also pins the disconnection semantics: deleting a bridge splits the
 //! graph, `components()` reflects the split immediately (no stale memos),
@@ -45,6 +47,24 @@ fn assert_oracle(mutated: &mut Solver, strategy: PartsStrategy, case: &str) {
         assert!(matches!(mutated.mst(), Err(AlgoError::Disconnected)));
         return;
     }
+    {
+        let a = mutated.plan().unwrap();
+        let b = fresh.plan().unwrap();
+        assert_eq!(a.shortcut(), b.shortcut(), "{case}: plan shortcut");
+        assert_eq!(a.quality(), b.quality(), "{case}: plan quality");
+        assert_eq!(a.parts().parts(), b.parts().parts(), "{case}: plan parts");
+        for v in 0..wg.graph().n() {
+            assert_eq!(a.tree().parent(v), b.tree().parent(v), "{case}: plan tree");
+        }
+    }
+    let values: Vec<u64> = (0..wg.graph().n() as u64)
+        .map(|v| v * 7919 % 1000)
+        .collect();
+    assert_eq!(
+        mutated.partwise_min(&values, 16).unwrap(),
+        fresh.partwise_min(&values, 16).unwrap(),
+        "{case}: partwise_min report"
+    );
     assert_eq!(
         mutated.mst().unwrap(),
         fresh.mst().unwrap(),
@@ -119,7 +139,10 @@ fn churned_session_reports_match_fresh_solver_across_engines() {
 #[test]
 fn repair_applies_incrementally_batch_by_batch() {
     // Many small batches through one long-lived session: after each batch
-    // the session must still match a fresh build (repair composes).
+    // the session must still match a fresh build (repair composes). The
+    // Voronoi pass re-resolves its cells, which most batches move;
+    // the explicit pass keeps the session's initial cells, so its plan
+    // goes through the incremental repair.
     let g = generators::grid(9, 9);
     let mut rng = StdRng::seed_from_u64(8);
     let wg = WeightModel::Bimodal {
@@ -128,33 +151,67 @@ fn repair_applies_incrementally_batch_by_batch() {
         heavy_permille: 450,
     }
     .apply(&g, &mut rng);
-    let strategy = PartsStrategy::Voronoi { parts: 6, seed: 1 };
-    let mut solver = Solver::builder(&wg)
-        .parts(strategy.clone())
-        .shortcut_builder(SteinerBuilder)
-        .config(cfg(g.n()))
+    let voronoi = PartsStrategy::Voronoi { parts: 6, seed: 1 };
+    let cells = Solver::builder(&wg)
+        .parts(voronoi.clone())
         .build()
-        .unwrap();
-    solver.plan().unwrap();
-    let mut churn_rng = StdRng::seed_from_u64(99);
-    for round in 0..6 {
-        let stream = workloads::churn_stream(solver.graph(), 4, 500, &mut churn_rng);
-        let stats = solver.apply(&stream).unwrap();
-        assert!(
-            stats.noop || stats.plan_repaired || !stats.connected,
-            "round {round}: a cached plan must be repaired, not silently dropped"
-        );
-        if solver.is_connected() {
-            // Steiner repair should mostly reuse parts on sparse churn.
-            if stats.plan_repaired && !stats.plan.full_rebuild {
+        .unwrap()
+        .parts()
+        .clone();
+    for strategy in [voronoi, PartsStrategy::Explicit(cells)] {
+        let mut solver = Solver::builder(&wg)
+            .parts(strategy.clone())
+            .shortcut_builder(SteinerBuilder)
+            .config(cfg(g.n()))
+            .build()
+            .unwrap();
+        solver.plan().unwrap();
+        let mut churn_rng = StdRng::seed_from_u64(99);
+        let (mut dropped, mut incremental) = (0, 0);
+        for round in 0..6 {
+            let case = format!("{strategy}, round {round}");
+            // `assert_oracle` reads the plan, so a connected session enters
+            // every batch with its plan cached.
+            let plan_cached = solver.is_connected();
+            let stats = loop {
+                let stream = workloads::churn_stream(solver.graph(), 4, 500, &mut churn_rng);
+                match solver.apply(&stream) {
+                    Ok(stats) => break stats,
+                    // A deletion split an explicit part: the batch is
+                    // rejected and the session untouched, so draw again.
+                    Err(AlgoError::BadQuery(_))
+                        if matches!(strategy, PartsStrategy::Explicit(_)) => {}
+                    Err(e) => panic!("{case}: {e:?}"),
+                }
+            };
+            // A cached plan is repaired exactly when the graph stays
+            // connected and the partition holds; a moved partition drops
+            // it, to be rebuilt by the first plan read.
+            assert_eq!(
+                stats.plan_repaired,
+                plan_cached && stats.connected && !stats.noop && !stats.partition_changed,
+                "{case}: {stats:?}"
+            );
+            assert!(!stats.plan.partition_changed, "{case}: {stats:?}");
+            if !stats.plan_repaired {
+                assert_eq!(stats.plan, Default::default(), "{case}: {stats:?}");
+                dropped += usize::from(plan_cached && stats.partition_changed);
+            } else if !stats.plan.full_rebuild {
+                // Steiner repair should mostly reuse parts on sparse churn.
                 assert_eq!(
                     stats.plan.parts_rebuilt + stats.plan.parts_reused,
                     stats.plan.parts_total,
-                    "round {round}: every part is either rebuilt or reused"
+                    "{case}: every part is either rebuilt or reused"
                 );
+                incremental += 1;
             }
+            assert_oracle(&mut solver, strategy.clone(), &case);
         }
-        assert_oracle(&mut solver, strategy.clone(), &format!("round {round}"));
+        // Each pass exercises the repair; the Voronoi one also drops.
+        assert!(incremental > 0, "{strategy}: no incremental repair");
+        if !matches!(strategy, PartsStrategy::Explicit(_)) {
+            assert!(dropped > 0, "{strategy}: no plan dropped");
+        }
     }
 }
 
