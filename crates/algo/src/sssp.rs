@@ -31,6 +31,8 @@
 //! The shortcut construction itself is charged analytically at
 //! `quality · ⌈log₂ n⌉` rounds per \[HIZ16a\], mirroring [`crate::mst`].
 
+use std::collections::VecDeque;
+
 use minex_congest::primitives::{build_bfs_tree, weighted_distance_flood, DistanceFloodResult};
 use minex_congest::{bits_for, CongestConfig, RunStats, SimError};
 use minex_core::construct::ShortcutBuilder;
@@ -254,24 +256,44 @@ pub fn scaled_sssp(
 /// induced part subgraph (ties to the smallest id), except that the part
 /// containing `source` is centered at `source` itself so near-source
 /// potentials are exact.
+///
+/// Each eccentricity is one BFS over `g`'s own rows that stays inside the
+/// part through [`Partition::part_of`], on one distance array reset over
+/// the part's nodes, so a part `P` costs O(|P|·vol(P)) and singleton parts
+/// cost O(n) in all.
 pub(crate) fn part_centers(g: &Graph, parts: &Partition, source: NodeId) -> Vec<NodeId> {
+    let mut dist = vec![usize::MAX; g.n()];
+    let mut queue = VecDeque::new();
+    let source_part = parts.part_of(source);
     parts
         .parts()
         .iter()
-        .map(|part| {
-            if part.contains(&source) {
+        .enumerate()
+        .map(|(i, part)| {
+            if source_part == Some(i) {
                 return source;
             }
-            let (sub, map) = g.induced_subgraph(part);
-            let mut sorted: Vec<NodeId> = part.clone();
-            sorted.sort_unstable();
             let mut best = (usize::MAX, usize::MAX);
-            for (local, &global) in sorted.iter().enumerate() {
-                let ecc = traversal::bfs(&sub, local).eccentricity();
-                if (ecc, global) < best {
-                    best = (ecc, global);
+            for &root in part {
+                for &v in part {
+                    dist[v] = usize::MAX;
                 }
-                debug_assert_eq!(map[global], Some(local));
+                dist[root] = 0;
+                queue.push_back(root);
+                let mut ecc = 0;
+                // FIFO order pops distances in ascending order, so the
+                // last node popped is the farthest.
+                while let Some(v) = queue.pop_front() {
+                    ecc = dist[v];
+                    for &w in g.neighbor_targets(v) {
+                        let w = w as NodeId;
+                        if dist[w] == usize::MAX && parts.part_of(w) == Some(i) {
+                            dist[w] = ecc + 1;
+                            queue.push_back(w);
+                        }
+                    }
+                }
+                best = best.min((ecc, root));
             }
             best.1
         })
@@ -537,6 +559,90 @@ mod tests {
         // Source part centered at the source, the other at its midpoint.
         assert_eq!(centers[0], 0);
         assert_eq!(centers[1], 6);
+    }
+
+    /// The per-part induced-subgraph construction `part_centers` replaced:
+    /// one `induced_subgraph` copy (an n-entry map and an m-edge scan) and
+    /// one BFS per node of each part.
+    fn part_centers_induced(g: &Graph, parts: &Partition, source: NodeId) -> Vec<NodeId> {
+        parts
+            .parts()
+            .iter()
+            .map(|part| {
+                if part.contains(&source) {
+                    return source;
+                }
+                let (sub, map) = g.induced_subgraph(part);
+                let mut sorted: Vec<NodeId> = part.clone();
+                sorted.sort_unstable();
+                let mut best = (usize::MAX, usize::MAX);
+                for (local, &global) in sorted.iter().enumerate() {
+                    let ecc = traversal::bfs(&sub, local).eccentricity();
+                    if (ecc, global) < best {
+                        best = (ecc, global);
+                    }
+                    debug_assert_eq!(map[global], Some(local));
+                }
+                best.1
+            })
+            .collect()
+    }
+
+    /// Connected fragments left after merging along a random subset of the
+    /// edges; with `drop_permille > 0` some fragments are left out, so not
+    /// every node has a part.
+    fn random_fragments(
+        g: &Graph,
+        keep_permille: u64,
+        drop_permille: u64,
+        rng: &mut StdRng,
+    ) -> Partition {
+        use rand::RngExt;
+        let mut uf = minex_graphs::UnionFind::new(g.n());
+        for (_, u, v) in g.edges() {
+            if rng.random_range(0..1000) < keep_permille {
+                uf.union(u, v);
+            }
+        }
+        let (labels, count) = uf.labels();
+        let mut fragments: Vec<Vec<NodeId>> = vec![Vec::new(); count];
+        for (v, &l) in labels.iter().enumerate() {
+            fragments[l].push(v);
+        }
+        fragments.retain(|_| rng.random_range(0..1000) >= drop_permille);
+        Partition::new(g, fragments).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The in-place BFS centers against the induced-subgraph reference
+        /// on random connected graphs, with singleton, Voronoi and
+        /// random-fragment partitions (some leaving nodes uncovered), from
+        /// a random source.
+        #[test]
+        fn part_centers_match_induced_subgraph_reference(
+            n in 1usize..70,
+            extra in 0usize..90,
+            which in 0usize..3,
+            keep_permille in 0u64..1000,
+            drop_permille in 0u64..400,
+            seed in 0u64..10_000,
+        ) {
+            use rand::RngExt;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::random_connected(n, extra, &mut rng);
+            let parts = match which {
+                0 => Partition::new(&g, (0..n).map(|v| vec![v]).collect()).unwrap(),
+                1 => workloads::voronoi_parts(&g, 1 + keep_permille as usize % 12, &mut rng),
+                _ => random_fragments(&g, keep_permille, drop_permille, &mut rng),
+            };
+            let source = rng.random_range(0..n);
+            proptest::prop_assert_eq!(
+                part_centers(&g, &parts, source),
+                part_centers_induced(&g, &parts, source)
+            );
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use rand::SeedableRng;
 use minex_algo::baselines::{compare_mst, NoShortcutBuilder};
 use minex_algo::solver::{PartsStrategy, Solver, SsspDetail, Tier};
 use minex_algo::sssp::compare_sssp;
+use minex_algo::wire::JsonValue;
 use minex_algo::workloads;
 use minex_congest::CongestConfig;
 use minex_core::cells::{assign_cells, CellPartition};
@@ -81,6 +82,26 @@ impl Table {
         out
     }
 
+    /// Renders as a JSON array with one object per row, keyed by the
+    /// column headers lowercased with each run of other characters than
+    /// ASCII letters and digits turned into one `_` (`krounds/s` becomes
+    /// `krounds_s`). A cell that [`JsonValue::parse`] reads as a number is
+    /// written as that number; any other cell is written as a string.
+    pub fn to_json(&self) -> JsonValue {
+        let keys: Vec<String> = self.headers.iter().map(|h| json_key(h)).collect();
+        let row = |cells: &Vec<String>| {
+            let fields = keys.iter().zip(cells).map(|(key, cell)| {
+                let value = match JsonValue::parse(cell) {
+                    Ok(v @ (JsonValue::UInt(_) | JsonValue::Int(_) | JsonValue::Float(_))) => v,
+                    _ => JsonValue::Str(cell.clone()),
+                };
+                (key.clone(), value)
+            });
+            JsonValue::Object(fields.collect())
+        };
+        JsonValue::Array(self.rows.iter().map(row).collect())
+    }
+
     /// Renders as a Markdown table with a heading.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -100,6 +121,19 @@ impl Table {
         }
         out
     }
+}
+
+/// The JSON key of a column header (see [`Table::to_json`]).
+fn json_key(header: &str) -> String {
+    let mut key = String::with_capacity(header.len());
+    for c in header.chars() {
+        if c.is_ascii_alphanumeric() {
+            key.push(c.to_ascii_lowercase());
+        } else if !key.ends_with('_') {
+            key.push('_');
+        }
+    }
+    key
 }
 
 /// Leveled stderr logging for the experiment binaries, env-controlled via
@@ -1175,8 +1209,8 @@ pub fn e13_engine_scaling(full: bool) -> Table {
 /// change results.
 ///
 /// The timing columns are machine-dependent, so E14 (like E13) is
-/// **excluded from the golden-CSV regression gate**; its rows also feed the
-/// `plan_reuse` section of `BENCH_pr.json`.
+/// **excluded from the golden-CSV regression gate**; its rows also go to
+/// the `E14` key of the `--perf-json` summary.
 // The baseline half of the measurement builds a fresh one-shot session per
 // query — the re-planning cost the session API amortizes away (what the
 // removed legacy free functions did on every call).
@@ -1321,19 +1355,6 @@ impl minex_congest::NodeProgram for BoundedStorm {
     }
 }
 
-/// Resident set size in megabytes (`VmRSS`), or `None` off Linux.
-fn rss_mb() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status_kb(&status, "VmRSS:").map(|kb| kb / 1024.0)
-}
-
-/// The kB figure of the `/proc/<pid>/status` line that starts with `key`
-/// (`"VmRSS:     1234 kB"`).
-fn status_kb(status: &str, key: &str) -> Option<f64> {
-    let line = status.lines().find(|l| l.starts_with(key))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
 /// How many back-to-back sweeps to run inside one timed block so the
 /// measurement is not sub-millisecond noise: aim for ~4M adjacency entries
 /// per block.
@@ -1436,19 +1457,14 @@ fn sweep_checksum_reference(r: &minex_graphs::reference::AdjListGraph) -> u64 {
 /// `n` growing toward `10⁶` (`--full` includes the million-node rows).
 ///
 /// Per row: generator build time (streamed into CSR), exact heap
-/// bytes per edge of both representations, a full neighbor-iteration sweep
-/// on each (the microbench behind the "≥ 2× faster" acceptance bar), the
-/// engine's measured rounds/sec driving a bounded broadcast storm over the
-/// CSR graph, and the row's RSS growth: `VmRSS` after the engine run minus
-/// `VmRSS` before the build. The growth covers the CSR graph, the storm's
-/// programs and the engine's buffers; the nested-Vec baseline is dropped
-/// before the engine run, so it shows only where the allocator kept its
-/// pages. (`VmHWM` cannot describe one row: the process-wide high-water
-/// mark only rises across the sweep.)
+/// bytes per edge of both representations (the row's memory, stated
+/// exactly), a full neighbor-iteration sweep on each (the microbench
+/// behind the "≥ 2× faster" acceptance bar), and the engine's measured
+/// rounds/sec driving a bounded broadcast storm over the CSR graph.
 ///
 /// Wall-clock columns are machine-dependent, so E15 is **excluded from the
-/// golden-CSV gate** (like E13/E14); its rows also feed the `scale`
-/// section of `BENCH_pr.json`.
+/// golden-CSV gate** (like E13/E14); its rows also go to the `E15` key of
+/// the `--perf-json` summary.
 pub fn e15_scale(full: bool) -> Table {
     let storm_rounds = 12usize;
     let reps = 3usize;
@@ -1469,8 +1485,7 @@ pub fn e15_scale(full: bool) -> Table {
     };
     // Each case is built, measured, and dropped before the next starts —
     // the sweep's real peak memory is one graph plus its transient
-    // baseline, matching the streaming-constructor story, and the per-row
-    // RSS growth describes that row.
+    // baseline, matching the streaming-constructor story.
     type CaseBuilder = Box<dyn Fn() -> Graph>;
     let mut cases: Vec<(String, CaseBuilder)> = Vec::new();
     for &side in sides {
@@ -1489,7 +1504,6 @@ pub fn e15_scale(full: bool) -> Table {
         ));
     }
     for (family, build) in cases {
-        let rss_before = rss_mb();
         let start = Instant::now();
         let g = build();
         let build_secs = start.elapsed().as_secs_f64();
@@ -1497,7 +1511,7 @@ pub fn e15_scale(full: bool) -> Table {
         let csr_bytes = g.heap_bytes() as f64 / m as f64;
         let csr_secs = sweep_csr(&g, reps);
         // Materialize the pre-CSR representation, measure, and drop it
-        // before the engine run so the RSS column reflects the CSR graph.
+        // before the engine run.
         let (adj_bytes, adj_secs) = {
             let r = minex_graphs::reference::AdjListGraph::from(&g);
             assert_eq!(
@@ -1517,9 +1531,6 @@ pub fn e15_scale(full: bool) -> Table {
         let stats = minex_congest::run(&g, &mut programs, config(n)).expect("storm quiesces");
         let engine_secs = start.elapsed().as_secs_f64().max(1e-9);
         assert_eq!(stats.rounds, storm_rounds, "{family}: storm rounds");
-        let rss_growth = rss_before
-            .zip(rss_mb())
-            .map(|(before, after)| after - before);
         rows.push(vec![
             family,
             n.to_string(),
@@ -1532,7 +1543,6 @@ pub fn e15_scale(full: bool) -> Table {
             format!("{:.2}", adj_secs * 1e3),
             format!("{:.2}", adj_secs / csr_secs),
             krounds_per_sec(stats.rounds, engine_secs),
-            rss_growth.map_or("-".into(), |mb| format!("{mb:.0}")),
         ]);
     }
     Table {
@@ -1550,7 +1560,6 @@ pub fn e15_scale(full: bool) -> Table {
             "sweep adj ms",
             "iter x",
             "krounds/s",
-            "rss growth MB",
         ]
         .map(String::from)
         .to_vec(),
@@ -2013,7 +2022,7 @@ pub fn trace_session_jsonl() -> String {
 /// Returns `(run_ms, direct_ms)`. The `<2%` overhead *assertion* lives in
 /// `minex-congest`'s `sink_overhead` test (with the usual timing-assert
 /// escape hatches); this sampler only records the figures, for the
-/// `telemetry` section of `BENCH_pr.json`.
+/// `sink_overhead` key of the `--perf-json` summary.
 pub fn sink_overhead_ms(reps: usize) -> (f64, f64) {
     let g = generators::triangulated_grid(48, 48);
     let cfg = config(g.n());
@@ -2089,8 +2098,43 @@ mod tests {
 
     #[test]
     fn quick_experiments_smoke() {
-        assert!(!e1_planar_quality(false).rows.is_empty());
-        assert!(!e10_folding_ablation(false).rows.is_empty());
+        // Every registered table in quick mode has rows, and its JSON (the
+        // `--perf-json` form) re-parses with one key per column.
+        for (id, runner) in experiments() {
+            let t = runner(false);
+            assert_eq!(t.id, id);
+            assert!(!t.rows.is_empty(), "{id} has no rows");
+            let json = JsonValue::parse(&t.to_json().to_string()).expect(id);
+            let rows = json.as_array().expect(id);
+            assert_eq!(rows.len(), t.rows.len(), "{id}");
+            for row in rows {
+                let JsonValue::Object(fields) = row else {
+                    panic!("{id}: a row is not an object");
+                };
+                let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                assert_eq!(keys.len(), t.headers.len(), "{id}: {:?}", t.headers);
+            }
+        }
+    }
+
+    #[test]
+    fn json_rendering_keys_headers_and_types_cells() {
+        let t = Table {
+            id: "E0",
+            title: "demo".into(),
+            headers: vec!["family".into(), "csr B/e".into(), "krounds/s".into()],
+            rows: vec![
+                vec!["tri-grid 8x8".into(), "25.4".into(), "12".into()],
+                vec!["yes".into(), "-3".into(), "true".into()],
+            ],
+        };
+        assert_eq!(
+            t.to_json().to_string(),
+            "[{\"family\":\"tri-grid 8x8\",\"csr_b_e\":25.4,\"krounds_s\":12},\
+             {\"family\":\"yes\",\"csr_b_e\":-3,\"krounds_s\":\"true\"}]"
+        );
     }
 
     #[test]
@@ -2164,15 +2208,6 @@ mod tests {
             attempt() || attempt() || attempt(),
             "8 concurrent clients never reached 2x the 1-client qps in three runs"
         );
-    }
-
-    #[test]
-    fn status_lines_parse_to_kb() {
-        let status = "Name:\texperiments\nVmHWM:\t  412000 kB\nVmRSS:\t   20480 kB\nThreads:\t1\n";
-        assert_eq!(status_kb(status, "VmRSS:"), Some(20480.0));
-        assert_eq!(status_kb(status, "VmHWM:"), Some(412000.0));
-        assert_eq!(status_kb(status, "VmSwap:"), None);
-        assert_eq!(status_kb("VmRSS:\n", "VmRSS:"), None);
     }
 
     #[test]

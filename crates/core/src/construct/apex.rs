@@ -21,7 +21,7 @@
 use minex_graphs::{EdgeId, Graph, NodeId};
 
 use crate::cells::{assign_cells, CellPartition};
-use crate::construct::ShortcutBuilder;
+use crate::construct::{split_connected, ShortcutBuilder};
 use crate::parts::Partition;
 use crate::shortcut::Shortcut;
 use crate::spanning::RootedTree;
@@ -182,33 +182,6 @@ impl<B: ShortcutBuilder> ShortcutBuilder for ApexBuilder<B> {
         }
         Shortcut::new(per_part)
     }
-}
-
-/// Splits `nodes` into connected components within `g`.
-fn split_connected(g: &Graph, nodes: &[usize]) -> Vec<Vec<usize>> {
-    let member: std::collections::HashSet<usize> = nodes.iter().copied().collect();
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for &start in nodes {
-        if seen.contains(&start) {
-            continue;
-        }
-        let mut piece = Vec::new();
-        let mut stack = vec![start];
-        seen.insert(start);
-        while let Some(v) = stack.pop() {
-            piece.push(v);
-            for (w, _) in g.neighbors(v) {
-                if member.contains(&w) && !seen.contains(&w) {
-                    seen.insert(w);
-                    stack.push(w);
-                }
-            }
-        }
-        piece.sort_unstable();
-        out.push(piece);
-    }
-    out
 }
 
 #[cfg(test)]

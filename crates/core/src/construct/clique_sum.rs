@@ -20,7 +20,7 @@
 use minex_decomp::{CliqueSumTree, Lca};
 use minex_graphs::{EdgeId, Graph, GraphBuilder, NodeId};
 
-use crate::construct::ShortcutBuilder;
+use crate::construct::{split_connected, ShortcutBuilder};
 use crate::parts::Partition;
 use crate::shortcut::Shortcut;
 use crate::spanning::RootedTree;
@@ -522,36 +522,6 @@ fn run_component<B: ShortcutBuilder>(
             per_part[*owner].push(ge);
         }
     }
-}
-
-/// Splits `nodes` into connected components within `g`.
-fn split_connected(g: &Graph, nodes: &[usize]) -> Vec<Vec<usize>> {
-    let mut member = std::collections::HashSet::new();
-    for &v in nodes {
-        member.insert(v);
-    }
-    let mut reached = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for &start in nodes {
-        if reached.contains(&start) {
-            continue;
-        }
-        let mut piece = Vec::new();
-        let mut stack = vec![start];
-        reached.insert(start);
-        while let Some(v) = stack.pop() {
-            piece.push(v);
-            for (w, _) in g.neighbors(v) {
-                if member.contains(&w) && !reached.contains(&w) {
-                    reached.insert(w);
-                    stack.push(w);
-                }
-            }
-        }
-        piece.sort_unstable();
-        out.push(piece);
-    }
-    out
 }
 
 /// Intersection of two sorted slices.

@@ -146,3 +146,31 @@ impl<B: ShortcutBuilder + ?Sized> ShortcutBuilder for Box<B> {
         (**self).rebuild_parts(g, tree, parts, prev, dirty)
     }
 }
+
+/// Splits `nodes` into connected components within `g`: one sorted piece
+/// per component, in the order of each piece's first node in `nodes`.
+pub(crate) fn split_connected(g: &Graph, nodes: &[usize]) -> Vec<Vec<usize>> {
+    let member: std::collections::HashSet<usize> = nodes.iter().copied().collect();
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::new();
+    for &start in nodes {
+        if seen.contains(&start) {
+            continue;
+        }
+        let mut piece = Vec::new();
+        let mut stack = vec![start];
+        seen.insert(start);
+        while let Some(v) = stack.pop() {
+            piece.push(v);
+            for (w, _) in g.neighbors(v) {
+                if member.contains(&w) && !seen.contains(&w) {
+                    seen.insert(w);
+                    stack.push(w);
+                }
+            }
+        }
+        piece.sort_unstable();
+        out.push(piece);
+    }
+    out
+}

@@ -13,9 +13,9 @@
 //!   tombstone bitmap over base edge ids plus a sorted buffer of inserted
 //!   pairs, checked mutation by mutation and merged into a fresh CSR
 //!   [`Graph`] by [`DeltaGraph::snapshot`];
-//! * [`mod@reference`] — the pre-CSR nested-`Vec` adjacency list and the
-//!   pre-bucket `BinaryHeap` Dijkstra, kept as differential-testing and
-//!   benchmarking baselines;
+//! * [`mod@reference`] — the pre-CSR nested-`Vec` adjacency list, kept as a
+//!   differential-testing and benchmarking baseline, and the binary-heap
+//!   Dijkstra behind [`traversal::dijkstra`];
 //! * [`mod@dist`] — the workspace-wide `u64` distance sentinel contract
 //!   ([`dist::UNREACHED`] is the only "no path" value; finite math
 //!   saturates at [`dist::DIST_MAX`]);

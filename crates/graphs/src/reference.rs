@@ -1,5 +1,5 @@
 //! The nested-`Vec` adjacency-list graph the CSR core replaced, kept as an
-//! executable specification.
+//! executable specification, and the binary-heap Dijkstra.
 //!
 //! [`AdjListGraph`] is (a minimal cut of) the representation `minex`
 //! shipped before the CSR rewrite: one heap-allocated `Vec<(node, edge)>`
@@ -16,12 +16,12 @@
 //! obviously correct and representative of the pre-CSR cost model, not
 //! being fast.
 //!
-//! [`dijkstra_heap`] plays the same role for the bucket-queue Dijkstra in
-//! [`traversal`](crate::traversal): the pre-bucket `BinaryHeap`
-//! implementation, kept verbatim as the differential oracle and as the
-//! fallback for weight ranges the bucket ring cannot host. This module is
-//! the *only* place in the result-affecting crates where `BinaryHeap` is
-//! allowed (minex-lint rule D007 enforces that).
+//! [`dijkstra_heap`] is the workspace's one sequential Dijkstra, on a
+//! `BinaryHeap`; [`traversal::dijkstra`](crate::traversal::dijkstra) calls
+//! it. It is the weighted-distance reference every distributed SSSP tier is
+//! checked against, and it lives here because this module is the *only*
+//! place in the result-affecting crates where `BinaryHeap` is allowed
+//! (minex-lint rule D007 enforces that).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -30,16 +30,13 @@ use crate::dist::{dist_add, UNREACHED};
 use crate::graph::{EdgeId, Graph, GraphError, NodeId, WeightedGraph};
 use crate::traversal::DijkstraResult;
 
-/// Sequential Dijkstra on a binary heap — the implementation
-/// [`traversal::dijkstra`](crate::traversal::dijkstra) shipped before the
-/// bucket-queue rewrite, preserved bit for bit (modulo the shared
-/// [`dist`](crate::dist) sentinel arithmetic).
+/// Sequential Dijkstra on a binary heap, with the shared
+/// [`dist`](crate::dist) sentinel arithmetic; call it as
+/// [`traversal::dijkstra`](crate::traversal::dijkstra).
 ///
-/// Two jobs: the differential oracle the bucket queue is property-tested
-/// against (`crates/graphs/tests/proptest_dijkstra.rs`), and the fallback
-/// `traversal::dijkstra` takes when a zero weight or a weight above the
-/// ring cap makes buckets degenerate. Ties are broken by node id: the heap
-/// pops the smallest `(distance, node)` pair.
+/// `crates/graphs/tests/proptest_dijkstra.rs` checks it against a naive
+/// Bellman–Ford on zero, small and overflow-adjacent weights. Ties are
+/// broken by node id: the heap pops the smallest `(distance, node)` pair.
 ///
 /// # Panics
 ///

@@ -2,13 +2,12 @@
 //!
 //! The unweighted traversals walk the raw CSR rows of a [`Graph`].
 //! [`dijkstra`] runs on [`WeightedGraph`] (weights are indexed by dense CSR
-//! edge ids) over a monotone bucket queue whenever the weight range permits,
-//! falling back to the preserved heap reference
-//! ([`reference::dijkstra_heap`](crate::reference::dijkstra_heap)) otherwise.
+//! edge ids) through the binary heap of
+//! [`reference::dijkstra_heap`](crate::reference::dijkstra_heap).
 
 use std::collections::VecDeque;
 
-use crate::dist::{dist_add, UNREACHED};
+use crate::dist::UNREACHED;
 use crate::graph::{Graph, NodeId, WeightedGraph};
 
 /// The result of a (multi-source) BFS: distances and BFS-tree parents.
@@ -241,28 +240,15 @@ impl DijkstraResult {
     }
 }
 
-/// Largest edge weight the bucket queue accepts: the Dial ring needs
-/// `w_max + 1` slots, so anything past this cap would blow the ring up for
-/// no gain and falls back to the heap reference instead.
-const BUCKET_WEIGHT_CAP: u64 = 1 << 16;
-
 /// Sequential Dijkstra from `src` — the centralized correctness reference
 /// for the distributed SSSP algorithms.
 ///
-/// Runs on a monotone (Dial-style) bucket queue when every weight is in
-/// `1..=2^16`: tentative distances land in a ring of `w_max + 1` linked
-/// buckets, and because weights are positive the current bucket is frozen
-/// once its level is reached, so draining it in ascending node-id order
-/// reproduces the classic heap's `(distance, node)` pop order *exactly* —
-/// `dist` and `parent` are byte-identical to
-/// [`reference::dijkstra_heap`](crate::reference::dijkstra_heap), without
-/// the stale-entry heap blowup on heavy-hub families. Zero weights (which
-/// unfreeze the current bucket) or weights above the cap fall back to the
-/// heap reference.
-///
-/// Weights may be zero; ties are broken deterministically by node id (the
-/// frontier is processed in ascending `(distance, node)` order on both
-/// paths).
+/// Runs the binary-heap implementation
+/// [`reference::dijkstra_heap`](crate::reference::dijkstra_heap), which
+/// lives in that module because lint rule D007 admits a binary heap in no
+/// other file of the result-affecting crates. Weights may be zero; ties are
+/// broken deterministically by node id (the heap pops the smallest
+/// `(distance, node)` pair).
 ///
 /// # Panics
 ///
@@ -280,141 +266,7 @@ const BUCKET_WEIGHT_CAP: u64 = 1 << 16;
 /// assert_eq!(d.parent[2], Some(1));
 /// ```
 pub fn dijkstra(wg: &WeightedGraph, src: NodeId) -> DijkstraResult {
-    let g = wg.graph();
-    assert!(src < g.n(), "source {src} out of range");
-    if g.m() == 0 {
-        let mut dist = vec![UNREACHED; g.n()];
-        dist[src] = 0;
-        return DijkstraResult {
-            dist,
-            parent: vec![None; g.n()],
-        };
-    }
-    let mut w_min = u64::MAX;
-    let mut w_max = 0u64;
-    for &w in wg.weights() {
-        w_min = w_min.min(w);
-        w_max = w_max.max(w);
-    }
-    if w_min == 0 || w_max > BUCKET_WEIGHT_CAP {
-        return crate::reference::dijkstra_heap(wg, src);
-    }
-    dijkstra_buckets(wg, src, w_max)
-}
-
-/// The bucket-queue fast path. Requires `1 <= w <= w_max` for every weight.
-///
-/// Entries live in a flat pool chained through `next` (a node is re-pushed
-/// on every improvement; stale entries are skipped by the `dist` check on
-/// drain). Ring occupancy is tracked in a two-level bitmap so advancing to
-/// the next non-empty level is a word scan, not a slot walk — total queue
-/// overhead is `O(m + n·ring/64)` instead of the heap's `O(m log n)`.
-fn dijkstra_buckets(wg: &WeightedGraph, src: NodeId, w_max: u64) -> DijkstraResult {
-    const NIL: u32 = u32::MAX;
-    let g = wg.graph();
-    let n = g.n();
-    let ring = w_max as usize + 1;
-    let mut dist = vec![UNREACHED; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut head: Vec<u32> = vec![NIL; ring];
-    let mut pool_node: Vec<u32> = Vec::with_capacity(n);
-    let mut pool_next: Vec<u32> = Vec::with_capacity(n);
-    let mut occupied = vec![0u64; ring.div_ceil(64)];
-    let mut summary = vec![0u64; occupied.len().div_ceil(64)];
-    let mut batch: Vec<u32> = Vec::new();
-
-    dist[src] = 0;
-    pool_node.push(src as u32);
-    pool_next.push(NIL);
-    head[0] = 0;
-    occupied[0] |= 1;
-    summary[0] |= 1;
-    let mut live: usize = 1;
-    let mut level: u64 = 0;
-    let mut slot: usize = 0;
-
-    while live > 0 {
-        // Advance to the next occupied slot, wrapping the ring at most once
-        // (all in-flight levels sit within `level ..= level + w_max`).
-        let found = next_occupied(&occupied, &summary, slot)
-            .or_else(|| next_occupied(&occupied, &summary, 0))
-            .expect("live entries imply an occupied slot");
-        level += if found >= slot {
-            (found - slot) as u64
-        } else {
-            (ring - slot + found) as u64
-        };
-        slot = found;
-
-        // Drain the slot: collect live entries, clear occupancy, then
-        // process in ascending node id. Weights are >= 1, so no relaxation
-        // can land back in this level — the batch is frozen.
-        batch.clear();
-        let mut e = head[slot];
-        head[slot] = NIL;
-        occupied[slot / 64] &= !(1u64 << (slot % 64));
-        if occupied[slot / 64] == 0 {
-            summary[slot / 4096] &= !(1u64 << ((slot / 64) % 64));
-        }
-        while e != NIL {
-            let v = pool_node[e as usize];
-            live -= 1;
-            if dist[v as usize] == level {
-                batch.push(v);
-            }
-            e = pool_next[e as usize];
-        }
-        batch.sort_unstable();
-        batch.dedup();
-        for &settled in &batch {
-            let v = settled as NodeId;
-            for (&w, &eid) in g.neighbor_targets(v).iter().zip(g.neighbor_edge_ids(v)) {
-                let w = w as NodeId;
-                let cand = dist_add(level, wg.weight(eid as usize));
-                if cand < dist[w] {
-                    dist[w] = cand;
-                    parent[w] = Some(v);
-                    let s = (cand % ring as u64) as usize;
-                    pool_node.push(w as u32);
-                    pool_next.push(head[s]);
-                    head[s] = (pool_node.len() - 1) as u32;
-                    occupied[s / 64] |= 1u64 << (s % 64);
-                    summary[s / 4096] |= 1u64 << ((s / 64) % 64);
-                    live += 1;
-                }
-            }
-        }
-    }
-    DijkstraResult { dist, parent }
-}
-
-/// First occupied ring slot at index `start` or later (no wrap), via the
-/// two-level occupancy bitmap.
-fn next_occupied(occupied: &[u64], summary: &[u64], start: usize) -> Option<usize> {
-    let wi = start / 64;
-    if wi >= occupied.len() {
-        return None;
-    }
-    let first = occupied[wi] & (!0u64 << (start % 64));
-    if first != 0 {
-        return Some(wi * 64 + first.trailing_zeros() as usize);
-    }
-    let from = wi + 1;
-    if from >= occupied.len() {
-        return None;
-    }
-    let mut si = from / 64;
-    let mut mask = !0u64 << (from % 64);
-    while si < summary.len() {
-        let s = summary[si] & mask;
-        if s != 0 {
-            let w = si * 64 + s.trailing_zeros() as usize;
-            return Some(w * 64 + occupied[w].trailing_zeros() as usize);
-        }
-        mask = !0;
-        si += 1;
-    }
-    None
+    crate::reference::dijkstra_heap(wg, src)
 }
 
 /// Single-source shortest path distances restricted to a subgraph given by an
@@ -550,32 +402,6 @@ mod tests {
             let p = r.parent[v].expect("connected");
             let e = g.edge_between(p, v).expect("tree edge exists");
             assert_eq!(r.dist[p] + wg.weight(e), r.dist[v]);
-        }
-    }
-
-    #[test]
-    fn dijkstra_bucket_matches_heap_on_mixed_weights() {
-        let g = generators::triangulated_grid(6, 7);
-        let weights: Vec<u64> = (0..g.m() as u64).map(|e| 1 + (e * 31) % 97).collect();
-        let wg = WeightedGraph::new(g, weights);
-        for src in [0, 3, 20] {
-            let b = dijkstra(&wg, src);
-            let h = crate::reference::dijkstra_heap(&wg, src);
-            assert_eq!(b.dist, h.dist, "src {src}");
-            assert_eq!(b.parent, h.parent, "src {src}");
-        }
-    }
-
-    #[test]
-    fn dijkstra_at_ring_cap_boundary() {
-        // All weights exactly at the cap: bucket path with the largest
-        // admissible ring. One notch above: heap fallback. Same answers.
-        let g = generators::path(4);
-        for w in [BUCKET_WEIGHT_CAP, BUCKET_WEIGHT_CAP + 1] {
-            let wg = WeightedGraph::new(g.clone(), vec![w; 3]);
-            let r = dijkstra(&wg, 0);
-            assert_eq!(r.dist, vec![0, w, 2 * w, 3 * w]);
-            assert_eq!(r.parent[3], Some(2));
         }
     }
 

@@ -1,22 +1,17 @@
-//! Differential property battery: the bucket-queue [`traversal::dijkstra`]
-//! against the preserved `BinaryHeap` oracle
-//! ([`reference::dijkstra_heap`]) and against a naive Bellman–Ford
-//! relaxation, on random graphs across three weight regimes:
+//! Property battery for [`traversal::dijkstra`]: on random graphs across
+//! three weight regimes it must match a naive Bellman–Ford relaxation:
 //!
-//! * small positive weights — the bucket fast path, with dense distance
-//!   ties so the id-order tie-break is exercised hard;
-//! * zero-weight edges — the documented heap fallback;
-//! * overflow-adjacent weights near `u64::MAX` — the other fallback, plus
-//!   the sentinel contract (saturated real paths clamp to `DIST_MAX` and
-//!   never collide with `UNREACHED`).
-//!
-//! `dist` *and* `parent` must agree byte for byte between bucket and heap —
-//! that is the contract that let the rewrite land behind an unchanged API.
+//! * small positive weights, with dense distance ties so the id-order
+//!   tie-break is exercised hard, and parent pointers that realize every
+//!   distance;
+//! * zero-weight edges, whose relaxations cost nothing;
+//! * overflow-adjacent weights near `u64::MAX`, plus the sentinel contract
+//!   (saturated real paths clamp to `DIST_MAX` and never collide with
+//!   `UNREACHED`).
 
 use proptest::prelude::*;
 
 use minex_graphs::dist::{dist_add, DIST_MAX, UNREACHED};
-use minex_graphs::reference::dijkstra_heap;
 use minex_graphs::{traversal, Graph, NodeId, WeightedGraph};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -39,7 +34,7 @@ fn random_graph(n: usize, raw: usize, seed: u64) -> Graph {
 }
 
 /// Naive O(n·m) Bellman–Ford on the sentinel arithmetic: the
-/// implementation-free distance oracle both Dijkstra variants must match.
+/// implementation-free distance oracle Dijkstra must match.
 fn naive_sssp(wg: &WeightedGraph, src: NodeId) -> Vec<u64> {
     let g = wg.graph();
     let mut dist = vec![UNREACHED; g.n()];
@@ -79,23 +74,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn bucket_matches_heap_on_small_weights(
+    fn small_weights_agree_with_naive(
         n in 2usize..60,
         raw in 1usize..220,
         seed in 0u64..10_000,
     ) {
         let g = random_graph(n, raw, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x17);
-        // Weights in 1..=16: bucket path, dense ties.
+        // Weights in 1..=16: dense ties.
         let weights: Vec<u64> = (0..g.m()).map(|_| rng.random_range(1..=16)).collect();
         let wg = WeightedGraph::new(g, weights);
         let src = rng.random_range(0..n);
-        let b = traversal::dijkstra(&wg, src);
-        let h = dijkstra_heap(&wg, src);
-        prop_assert_eq!(&b.dist, &h.dist);
-        prop_assert_eq!(&b.parent, &h.parent);
-        prop_assert_eq!(&b.dist, &naive_sssp(&wg, src));
-        assert_tree_consistent(&wg, src, &b);
+        let d = traversal::dijkstra(&wg, src);
+        prop_assert_eq!(&d.dist, &naive_sssp(&wg, src));
+        assert_tree_consistent(&wg, src, &d);
     }
 
     #[test]
@@ -106,18 +98,14 @@ proptest! {
     ) {
         let g = random_graph(n, raw, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x2A);
-        // ~25% zero weights: exercises the heap fallback and its 0-cost
-        // relaxations.
+        // ~25% zero weights: 0-cost relaxations.
         let weights: Vec<u64> = (0..g.m())
             .map(|_| if rng.random_bool(0.25) { 0 } else { rng.random_range(1..=8) })
             .collect();
         let wg = WeightedGraph::new(g, weights);
         let src = rng.random_range(0..n);
-        let b = traversal::dijkstra(&wg, src);
-        let h = dijkstra_heap(&wg, src);
-        prop_assert_eq!(&b.dist, &h.dist);
-        prop_assert_eq!(&b.parent, &h.parent);
-        prop_assert_eq!(&b.dist, &naive_sssp(&wg, src));
+        let d = traversal::dijkstra(&wg, src);
+        prop_assert_eq!(&d.dist, &naive_sssp(&wg, src));
     }
 
     #[test]
@@ -140,18 +128,15 @@ proptest! {
             .collect();
         let wg = WeightedGraph::new(g, weights);
         let src = rng.random_range(0..n);
-        let b = traversal::dijkstra(&wg, src);
-        let h = dijkstra_heap(&wg, src);
-        prop_assert_eq!(&b.dist, &h.dist);
-        prop_assert_eq!(&b.parent, &h.parent);
-        prop_assert_eq!(&b.dist, &naive_sssp(&wg, src));
+        let d = traversal::dijkstra(&wg, src);
+        prop_assert_eq!(&d.dist, &naive_sssp(&wg, src));
         // Sentinel contract: every node BFS can reach has a finite (≤
         // DIST_MAX) distance — saturation never manufactures "unreached".
         let bfs = traversal::bfs(wg.graph(), src);
         for v in 0..n {
-            prop_assert_eq!(bfs.reached(v), b.reached(v), "node {}", v);
-            if b.reached(v) {
-                prop_assert!(b.dist[v] <= DIST_MAX);
+            prop_assert_eq!(bfs.reached(v), d.reached(v), "node {}", v);
+            if d.reached(v) {
+                prop_assert!(d.dist[v] <= DIST_MAX);
             }
         }
     }

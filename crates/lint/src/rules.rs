@@ -56,8 +56,7 @@ pub struct Scope {
     pub d006: bool,
     /// D007: no `BinaryHeap` in result-affecting crates outside
     /// `crates/graphs/src/reference.rs` — the one sanctioned heap is the
-    /// reference Dijkstra the bucket-queue fast path is differentially
-    /// tested against.
+    /// sequential reference Dijkstra there.
     pub d007: bool,
 }
 
@@ -96,7 +95,7 @@ pub const RULES: [(&str, &str); 9] = [
     ),
     (
         "D007",
-        "no BinaryHeap in result-affecting crates outside graphs::reference (bucket queue is the hot path)",
+        "no BinaryHeap in result-affecting crates outside graphs::reference (the one reference Dijkstra)",
     ),
     (
         "W001",
@@ -737,14 +736,13 @@ fn d006_sorts(cx: &FileCx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// D007: `BinaryHeap` in result-affecting code. The SSSP hot path is a
-/// monotone bucket queue; the one sanctioned heap is the reference
-/// Dijkstra in `crates/graphs/src/reference.rs`, kept as the differential
-/// oracle. A heap anywhere else reintroduces the pop-order coupling the
-/// bucket queue was proven byte-identical against, and sidesteps the
-/// shared distance-sentinel arithmetic (`minex_graphs::dist`). Imports are
-/// skipped (D002-style): the construction or type-position site is what
-/// gets flagged.
+/// D007: `BinaryHeap` in result-affecting code. The one sanctioned heap
+/// is the sequential Dijkstra in `crates/graphs/src/reference.rs`, the
+/// reference every distributed SSSP tier is checked against. A heap
+/// anywhere else makes a result depend on a second pop order (ties between
+/// equal keys) and sidesteps the shared distance-sentinel arithmetic
+/// (`minex_graphs::dist`). Imports are skipped (D002-style): the
+/// construction or type-position site is what gets flagged.
 fn d007_binary_heap(cx: &FileCx<'_>, out: &mut Vec<Finding>) {
     for (i, t) in cx.tokens.iter().enumerate() {
         if cx.in_use[i] {
@@ -755,9 +753,9 @@ fn d007_binary_heap(cx: &FileCx<'_>, out: &mut Vec<Finding>) {
                 cx.finding(
                     "D007",
                     i,
-                    "`BinaryHeap` in a result-affecting crate: the sanctioned heap lives in \
-                 `graphs::reference` as the differential oracle; use the bucket-queue fast \
-                 path (or `dist`-aware arithmetic) or waive with a justification"
+                    "`BinaryHeap` in a result-affecting crate: the sanctioned heap is the \
+                 reference Dijkstra in `graphs::reference`; call `traversal::dijkstra` \
+                 (or use `dist`-aware arithmetic) or waive with a justification"
                         .to_string(),
                 ),
             );

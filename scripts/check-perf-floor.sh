@@ -3,10 +3,12 @@
 # summary (out/BENCH_scale.json in the nightly scale job) against the
 # committed floors in expected/perf-floor.json.
 #
-# The floors lock the raw-speed pass (bucket-queue SSSP, SoA message
-# plane, active-set round loop): E13's engine rounds/sec per family and
-# E15's million-node CSR iteration speedup must not silently regress. Neither experiment runs a `Solver`
-# session. Ratio
+# The floors lock the raw-speed pass (CSR layout, SoA message plane,
+# active-set round loop, warm engine): E13's engine rounds/sec per family
+# and E15's million-node CSR iteration speedup must not silently regress.
+# Neither experiment runs a `Solver` session. The summary holds each
+# table's rows under its id, keyed by column header (`krounds/s` is
+# `krounds_s`, `iter x` is `iter_x`; see `Table::to_json`). Ratio
 # floors (`min_iter_speedup`) are the real acceptance bars and are
 # machine-independent; absolute-throughput floors (`min_krounds_per_sec`)
 # are set far below the recorded measurement (see the `measured` block in
@@ -45,33 +47,36 @@ if [ "$(jq -r '.debug' "$json")" = "true" ]; then
 fi
 
 # One jq pass emits a line per violation; a floor row with no matching
-# bench row is itself a failure (a renamed family must not silently
-# retire its floor).
+# bench row, or whose figure is not a number, is itself a failure (a
+# renamed family or column must not silently retire its floor).
 failures="$(jq -rn --slurpfile floor "$floor" --slurpfile bench "$json" '
   (
     $floor[0].engine_scaling[] as $f
-    | [ $bench[0].engine_scaling[]? | select(.family == $f.family) ] as $rows
+    | [ $bench[0]["E13"][]? | select(.family == $f.family) ] as $rows
     | if ($rows | length) == 0 then
-        "missing engine_scaling row: \($f.family)"
-      elif $rows[0].krounds_per_sec < $f.min_krounds_per_sec then
-        "engine_scaling \($f.family): " +
-        "\($rows[0].krounds_per_sec) krounds/s under floor \($f.min_krounds_per_sec)"
+        "missing E13 row: \($f.family)"
+      elif ($rows[0].krounds_s | type) != "number"
+           or $rows[0].krounds_s < $f.min_krounds_per_sec then
+        "E13 \($f.family): " +
+        "\($rows[0].krounds_s) krounds/s under floor \($f.min_krounds_per_sec)"
       else empty end
   ),
   (
     $floor[0].scale[] as $f
-    | [ $bench[0].scale[]? | select(.family == $f.family) ] as $rows
+    | [ $bench[0]["E15"][]? | select(.family == $f.family) ] as $rows
     | if ($rows | length) == 0 then
-        "missing scale row: \($f.family)"
+        "missing E15 row: \($f.family)"
       else
         ( if $f.min_iter_speedup != null
-             and $rows[0].iter_speedup < $f.min_iter_speedup then
-            "scale \($f.family): iter_speedup \($rows[0].iter_speedup) " +
+             and (($rows[0].iter_x | type) != "number"
+                  or $rows[0].iter_x < $f.min_iter_speedup) then
+            "E15 \($f.family): iter x \($rows[0].iter_x) " +
             "under floor \($f.min_iter_speedup)"
           else empty end ),
         ( if $f.min_krounds_per_sec != null
-             and $rows[0].krounds_per_sec < $f.min_krounds_per_sec then
-            "scale \($f.family): \($rows[0].krounds_per_sec) krounds/s " +
+             and (($rows[0].krounds_s | type) != "number"
+                  or $rows[0].krounds_s < $f.min_krounds_per_sec) then
+            "E15 \($f.family): \($rows[0].krounds_s) krounds/s " +
             "under floor \($f.min_krounds_per_sec)"
           else empty end )
       end
