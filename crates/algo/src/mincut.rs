@@ -19,7 +19,7 @@
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
-use minex_graphs::{traversal, NodeId, UnionFind, WeightedGraph};
+use minex_graphs::{traversal, NodeId, ParentTree, UnionFind, WeightedGraph};
 
 /// Exact global minimum cut by Nagamochi–Ono–Ibaraki contraction, in
 /// `O(n + m)` memory.
@@ -250,86 +250,38 @@ pub fn greedy_tree_packing(wg: &WeightedGraph, count: usize) -> Vec<PackedTree> 
 pub fn one_respecting_cuts(wg: &WeightedGraph, tree: &PackedTree) -> Vec<(NodeId, u64)> {
     let g = wg.graph();
     let n = g.n();
-    // Depth + order for LCA walking.
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut root = 0;
-    for v in 0..n {
-        match tree.parent[v] {
-            Some(p) => children[p].push(v),
-            None => root = v,
-        }
-    }
-    let mut depth = vec![0usize; n];
-    let mut order = vec![root];
-    let mut head = 0;
-    while head < order.len() {
-        let v = order[head];
-        head += 1;
-        for &c in &children[v] {
-            depth[c] = depth[v] + 1;
-            order.push(c);
-        }
-    }
-    let lca = |mut a: usize, mut b: usize| -> usize {
-        while depth[a] > depth[b] {
-            a = tree.parent[a].expect("deeper has parent");
-        }
-        while depth[b] > depth[a] {
-            b = tree.parent[b].expect("deeper has parent");
-        }
-        while a != b {
-            a = tree.parent[a].expect("non-root");
-            b = tree.parent[b].expect("non-root");
-        }
-        a
-    };
-    let mut a_val = vec![0u128; n];
-    let mut b_val = vec![0u128; n];
+    let layout = layout(tree, n);
+    let mut a_sub = vec![0u128; n];
+    let mut b_sub = vec![0u128; n];
     for (e, u, v) in g.edges() {
         let wt = u128::from(wg.weight(e));
-        a_val[u] += wt;
-        a_val[v] += wt;
-        b_val[lca(u, v)] += 2 * wt;
+        a_sub[u] += wt;
+        a_sub[v] += wt;
+        b_sub[layout.lca(u, v)] += 2 * wt;
     }
     // Subtree sums bottom-up.
-    let mut a_sub = a_val;
-    let mut b_sub = b_val;
-    for &v in order.iter().rev() {
-        if let Some(p) = tree.parent[v] {
+    for &v in layout.preorder().iter().rev() {
+        if let Some(p) = layout.parent(v) {
             a_sub[p] += a_sub[v];
             b_sub[p] += b_sub[v];
         }
     }
     (0..n)
-        .filter(|&v| tree.parent[v].is_some())
+        .filter(|&v| layout.parent(v).is_some())
         .map(|v| (v, u64::try_from(a_sub[v] - b_sub[v]).unwrap_or(u64::MAX)))
         .collect()
 }
 
-/// `tree`'s nodes in DFS pre-order from its root, so that every subtree is
-/// the contiguous range that starts at its root.
+/// `tree`'s layout: its pre-order holds every subtree as the contiguous
+/// range that starts at its root.
 ///
 /// # Panics
 ///
-/// Panics unless `tree` is one tree over all its nodes.
-fn preorder(tree: &PackedTree) -> Vec<NodeId> {
-    let n = tree.parent.len();
-    let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    let mut stack = Vec::new();
-    for (v, p) in tree.parent.iter().enumerate() {
-        match *p {
-            Some(p) => children[p].push(v),
-            None => stack.push(v),
-        }
-    }
-    assert_eq!(stack.len(), 1, "a spanning tree has exactly one root");
-    let mut order = Vec::with_capacity(n);
-    while let Some(v) = stack.pop() {
-        order.push(v);
-        stack.extend(children[v].iter().rev());
-    }
-    assert_eq!(order.len(), n, "every node hangs below the root");
-    order
+/// Panics unless `tree` is one tree over all `n` nodes.
+fn layout(tree: &PackedTree, n: usize) -> ParentTree {
+    assert_eq!(tree.parent.len(), n, "the tree must span the graph");
+    ParentTree::new(tree.parent.clone())
+        .unwrap_or_else(|e| panic!("a packed tree must span the graph: {e}"))
 }
 
 /// Minimum 2-respecting cut of a spanning tree: over every pair of
@@ -354,14 +306,8 @@ fn preorder(tree: &PackedTree) -> Vec<NodeId> {
 pub fn min_two_respecting_cut(wg: &WeightedGraph, tree: &PackedTree) -> u64 {
     let g = wg.graph();
     let n = g.n();
-    assert_eq!(tree.parent.len(), n, "the tree must span the graph");
-    let order = preorder(tree);
-    let mut size = vec![1usize; n];
-    for &v in order.iter().rev() {
-        if let Some(p) = tree.parent[v] {
-            size[p] += size[v];
-        }
-    }
+    let layout = layout(tree, n);
+    let order = layout.preorder();
     // Filled in reverse pre-order, so a row only reads nodes already done:
     // `cut[v]` = C(v), `inner[v]` = twice the weight inside sub(v).
     let mut cut = vec![0u128; n];
@@ -371,7 +317,7 @@ pub fn min_two_respecting_cut(wg: &WeightedGraph, tree: &PackedTree) -> u64 {
     // order[0] is the root, which cuts nothing.
     for i in (1..n).rev() {
         let a = order[i];
-        let end = i + size[a];
+        let end = i + layout.subtree_size(a);
         row.fill(0);
         let mut degrees = 0u128;
         for &y in &order[i..end] {
@@ -384,7 +330,7 @@ pub fn min_two_respecting_cut(wg: &WeightedGraph, tree: &PackedTree) -> u64 {
         // row[v] becomes the weight from sub(a) into sub(v) for every v
         // from a on in pre-order.
         for &v in order[i + 1..].iter().rev() {
-            let p = tree.parent[v].expect("only the root lacks a parent");
+            let p = layout.parent(v).expect("only the root lacks a parent");
             row[p] += row[v];
         }
         inner[a] = row[a];

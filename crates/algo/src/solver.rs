@@ -266,7 +266,7 @@ pub struct SessionCounters {
     /// Shortcut plans constructed: the session plan, plus the
     /// source-rooted shortcut every fresh shortcut-tier SSSP builds.
     pub plans_built: usize,
-    /// Cached plans carried through [`ShortcutPlan::repair`] by `apply`.
+    /// Cached plans carried through [`ShortcutPlan::repair_parts`] by `apply`.
     pub plan_repairs: usize,
     /// Parts whose shortcut edges were recomputed during repairs.
     pub parts_rebuilt: usize,
@@ -302,7 +302,7 @@ pub struct QuerySpan {
 /// [`CongestionProfile`] recording every simulator run the session actually
 /// executed (memo-served queries add a span but no wire traffic).
 ///
-/// Enable with [`SolverBuilder::trace`] or [`Solver::enable_trace`]; read
+/// Enable with [`SolverBuilder::trace`]; read
 /// with [`Solver::trace`] or drain with [`Solver::take_trace`]. The whole
 /// record is deterministic: a function of the session's graph, options and
 /// query sequence alone.
@@ -749,30 +749,10 @@ impl Report<Answer> {
     }
 }
 
-enum WeightSource<'a> {
-    Weighted(&'a WeightedGraph),
-    Unit(&'a Graph),
-    /// A shared, already-owned network: the session clones the `Arc`, not
-    /// the graph — the serving path where many sessions (or a fleet and its
-    /// request handlers) reference one upload.
-    Shared(Arc<WeightedGraph>),
-}
-
-impl fmt::Debug for WeightSource<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WeightSource::Weighted(_) => write!(f, "Weighted"),
-            WeightSource::Unit(_) => write!(f, "Unit"),
-            WeightSource::Shared(_) => write!(f, "Shared"),
-        }
-    }
-}
-
 /// Configures and constructs a [`Solver`] session.
 #[derive(Debug)]
-pub struct SolverBuilder<'a> {
-    weights: WeightSource<'a>,
-    weights_override: Option<Vec<u64>>,
+pub struct SolverBuilder {
+    wg: Arc<WeightedGraph>,
     parts: PartsStrategy,
     builder: Box<dyn ShortcutBuilder + Send + 'static>,
     config: Option<CongestConfig>,
@@ -780,24 +760,16 @@ pub struct SolverBuilder<'a> {
     trace: bool,
 }
 
-impl<'a> SolverBuilder<'a> {
-    fn new(weights: WeightSource<'a>) -> Self {
+impl SolverBuilder {
+    fn new(wg: Arc<WeightedGraph>) -> Self {
         SolverBuilder {
-            weights,
-            weights_override: None,
+            wg,
             parts: PartsStrategy::Singletons,
             builder: Box::new(minex_core::construct::AutoCappedBuilder),
             config: None,
             root: 0,
             trace: false,
         }
-    }
-
-    /// Replaces the edge weights (one per edge; overrides the source the
-    /// builder was created from).
-    pub fn weights(mut self, weights: Vec<u64>) -> Self {
-        self.weights_override = Some(weights);
-        self
     }
 
     /// Sets the session partition strategy (default:
@@ -853,11 +825,12 @@ impl<'a> SolverBuilder<'a> {
 
     /// Validates the configuration and constructs the session.
     ///
-    /// The session **owns** its network: borrowed sources are cloned into
-    /// the session's `Arc<WeightedGraph>` ([`Solver::from_arc`] shares an
-    /// existing allocation instead), so the built `Solver` is `'static` and
-    /// `Send` — it can outlive the graph binding it was configured from and
-    /// move across threads.
+    /// The session **owns** its network: [`Solver::builder`] and
+    /// [`Solver::for_graph`] clone the borrowed graph into the session's
+    /// `Arc<WeightedGraph>` ([`Solver::from_arc`] shares an existing
+    /// allocation instead), so the built `Solver` is `'static` and `Send`
+    /// — it can outlive the graph binding it was configured from and move
+    /// across threads.
     ///
     /// The heavy plan pieces (BFS tree, shortcut, quality) are computed
     /// lazily on the first query that needs them, then cached — so a
@@ -865,37 +838,13 @@ impl<'a> SolverBuilder<'a> {
     ///
     /// # Errors
     ///
-    /// [`AlgoError::BadQuery`] on malformed configuration (weights length
-    /// mismatch, out-of-range root, a partition strategy that does not fit
-    /// the graph). Empty or disconnected graphs are *not* build errors —
-    /// queries that need connectivity report it per query, and
-    /// [`Solver::components`] works regardless.
+    /// [`AlgoError::BadQuery`] on malformed configuration (out-of-range
+    /// root, a partition strategy that does not fit the graph). Empty or
+    /// disconnected graphs are *not* build errors — queries that need
+    /// connectivity report it per query, and [`Solver::components`] works
+    /// regardless.
     pub fn build(self) -> Result<Solver, AlgoError> {
-        if let Some(w) = &self.weights_override {
-            let m = match &self.weights {
-                WeightSource::Weighted(wg) => wg.graph().m(),
-                WeightSource::Unit(g) => g.m(),
-                WeightSource::Shared(wg) => wg.graph().m(),
-            };
-            if w.len() != m {
-                return Err(AlgoError::BadQuery(format!(
-                    "{} weights for {m} edges",
-                    w.len()
-                )));
-            }
-        }
-        let wg: Arc<WeightedGraph> = match (self.weights, self.weights_override) {
-            (WeightSource::Weighted(wg), None) => Arc::new(wg.clone()),
-            (WeightSource::Weighted(wg), Some(w)) => {
-                Arc::new(WeightedGraph::new(wg.graph().clone(), w))
-            }
-            (WeightSource::Unit(g), None) => Arc::new(WeightedGraph::unit(g.clone())),
-            (WeightSource::Unit(g), Some(w)) => Arc::new(WeightedGraph::new(g.clone(), w)),
-            (WeightSource::Shared(wg), None) => wg,
-            (WeightSource::Shared(wg), Some(w)) => {
-                Arc::new(WeightedGraph::new(wg.graph().clone(), w))
-            }
-        };
+        let wg = self.wg;
         let n = wg.graph().n();
         if n > 0 && self.root >= n {
             return Err(AlgoError::BadQuery(format!(
@@ -998,16 +947,17 @@ pub struct RepairStats {
     pub connected: bool,
     /// The session partition changed under the batch.
     pub partition_changed: bool,
-    /// A plan was already cached, the graph stayed connected and the
-    /// partition held, so the plan was carried through
-    /// [`ShortcutPlan::repair`]. Otherwise a `noop` batch keeps the plan
-    /// as it was, and any other batch leaves the session without one,
-    /// to be built on the next query that needs it: a moved partition
-    /// drops the cached plan instead of rebuilding it.
+    /// A plan was already cached, the graph stayed connected, the
+    /// partition held and the builder rebuilt the dirty parts, so the plan
+    /// was carried through [`ShortcutPlan::repair_parts`]. Otherwise a
+    /// `noop` batch keeps the plan as it was, and any other batch leaves
+    /// the session without one, to be built on the next query that needs
+    /// it: a moved partition, or a builder that declines part-wise
+    /// rebuilds, drops the cached plan instead of rebuilding it.
     pub plan_repaired: bool,
     /// Plan-level repair statistics (all zero unless `plan_repaired`).
-    /// Its `partition_changed` is always `false`: a changed partition
-    /// drops the plan instead of repairing it.
+    /// Its `partition_changed` and `full_rebuild` are always `false`: a
+    /// repair that would rebuild every part drops the plan instead.
     pub plan: PlanRepairStats,
     /// Memoized reports dropped.
     pub memos_dropped: usize,
@@ -1078,16 +1028,17 @@ fn check_encodable(wg: &WeightedGraph) -> Result<(), AlgoError> {
 
 impl Solver {
     /// Starts configuring a session over a weighted network. The graph is
-    /// **cloned** into the session at [`SolverBuilder::build`]; use
-    /// [`Solver::from_arc`] to share one allocation across sessions.
-    pub fn builder(wg: &WeightedGraph) -> SolverBuilder<'_> {
-        SolverBuilder::new(WeightSource::Weighted(wg))
+    /// **cloned** into the session; use [`Solver::from_arc`] to share one
+    /// allocation across sessions.
+    pub fn builder(wg: &WeightedGraph) -> SolverBuilder {
+        SolverBuilder::new(Arc::new(wg.clone()))
     }
 
     /// Starts configuring a session over an unweighted network (unit
-    /// weights; use [`SolverBuilder::weights`] to set real ones).
-    pub fn for_graph(g: &Graph) -> SolverBuilder<'_> {
-        SolverBuilder::new(WeightSource::Unit(g))
+    /// weights; build a [`WeightedGraph`] and use [`Solver::builder`] for
+    /// real ones). The graph is **cloned** into the session.
+    pub fn for_graph(g: &Graph) -> SolverBuilder {
+        SolverBuilder::new(Arc::new(WeightedGraph::unit(g.clone())))
     }
 
     /// Starts configuring a session that **shares** an already-owned
@@ -1106,8 +1057,8 @@ impl Solver {
     /// assert_eq!(mst.value.edges.len(), wg.graph().n() - 1);
     /// # Ok::<(), minex_algo::solver::AlgoError>(())
     /// ```
-    pub fn from_arc(wg: Arc<WeightedGraph>) -> SolverBuilder<'static> {
-        SolverBuilder::new(WeightSource::Shared(wg))
+    pub fn from_arc(wg: Arc<WeightedGraph>) -> SolverBuilder {
+        SolverBuilder::new(wg)
     }
 
     /// The session's network.
@@ -1145,14 +1096,6 @@ impl Solver {
     /// Whether the session graph is connected.
     pub fn is_connected(&self) -> bool {
         self.connected
-    }
-
-    /// Turns session tracing on (no-op if already tracing). Events recorded
-    /// from here on accumulate into the [`SessionTrace`].
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(SessionTrace::default());
-        }
     }
 
     /// The session trace, when tracing is enabled.
@@ -1286,11 +1229,12 @@ impl Solver {
     /// success the session commits atomically: graph and weights swap,
     /// connectivity and partition are refreshed (the configured
     /// [`PartsStrategy`] is re-resolved against the mutated graph), and the
-    /// memo is dropped. A cached plan is repaired through
-    /// [`ShortcutPlan::repair`] only while the partition holds. When the
-    /// partition changed (Voronoi cells moved), repairing means a full
-    /// build, so the plan and its tree are dropped instead, and the first
-    /// query that reads the plan ([`Solver::partwise_min`],
+    /// memo is dropped. A cached plan is kept only where
+    /// [`ShortcutPlan::repair_parts`] repairs it part by part. When the
+    /// partition changed (Voronoi cells moved) or the builder declines
+    /// part-wise rebuilds (the default `AutoCappedBuilder`), repairing
+    /// means a full build, so the plan and its tree are dropped instead,
+    /// and the first query that reads the plan ([`Solver::partwise_min`],
     /// [`Solver::plan`], [`Solver::plan_charge`]) builds them again. The
     /// answer then says `plan_repaired: false` with an all-zero `plan`.
     /// A mutated session answers every query byte-identically to a fresh
@@ -1417,26 +1361,30 @@ impl Solver {
         stats.connected = connected;
         touched.sort_unstable();
         touched.dedup();
-        // Repair the cached plan only if one exists and its partition held.
-        // A moved partition makes `repair` a full build, and only plan
-        // readers need one, so the plan is dropped and `ensure_plan`
-        // builds it on first use, as in a planless session. The result is
-        // deterministically identical either way.
-        let (tree, plan) = match (&self.plan, connected) {
-            (Some(prev), true) if !stats.partition_changed => {
-                let (plan, pstats) = prev.repair(
-                    &new_g,
-                    self.root,
-                    parts.clone(),
-                    &self.builder,
-                    &remap,
-                    &touched,
-                );
+        // Keep the cached plan only if it repairs part by part: the graph
+        // stayed connected, the partition held and the builder rebuilt the
+        // dirty parts. Any other repair would be a full build, and only
+        // plan readers need one, so the plan and its tree are dropped and
+        // `ensure_plan` builds them on first use, as in a planless session.
+        // The result is deterministically identical either way.
+        let repaired = match (&self.plan, connected) {
+            (Some(prev), true) if !stats.partition_changed => prev.repair_parts(
+                &new_g,
+                self.root,
+                parts.clone(),
+                &self.builder,
+                &remap,
+                &touched,
+            ),
+            _ => None,
+        };
+        let (tree, plan) = match repaired {
+            Some((plan, pstats)) => {
                 stats.plan_repaired = true;
                 stats.plan = pstats;
                 (Some(plan.tree().clone()), Some(plan))
             }
-            _ => (None, None),
+            None => (None, None),
         };
         // Commit.
         stats.memos_dropped = std::mem::take(&mut self.memo).len();
@@ -1452,9 +1400,10 @@ impl Solver {
     /// Re-resolves the session's [`PartsStrategy`] on the mutated graph.
     ///
     /// `Singletons` and `Explicit` partitions depend on the edge set only
-    /// through each part's induced connectivity, so they skip the full
-    /// `O(parts · n)` re-resolution: singletons are reused verbatim, and
-    /// explicit parts are revalidated only where a **deletion** landed with
+    /// through each part's induced connectivity, so they skip resolving
+    /// from scratch (one `O(n + m)` [`Partition::new`] pass over every
+    /// part): singletons are reused verbatim, and explicit parts are
+    /// revalidated only where a **deletion** landed with
     /// both endpoints inside one part (insertions cannot disconnect a
     /// part, and an edge between two parts belongs to neither's induced
     /// subgraph). `Whole` and `Voronoi` re-resolve from scratch, exactly
@@ -2330,15 +2279,8 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, AlgoError::BadQuery(_)));
-        let err = Solver::for_graph(&g)
-            .weights(vec![1, 2])
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, AlgoError::BadQuery(_)));
-        let solver = Solver::for_graph(&g)
-            .weights(vec![5, 6, 7])
-            .build()
-            .unwrap();
+        let wg = WeightedGraph::new(g, vec![5, 6, 7]);
+        let solver = Solver::builder(&wg).build().unwrap();
         assert_eq!(solver.weighted_graph().weights(), &[5, 6, 7]);
     }
 
@@ -2462,7 +2404,8 @@ mod tests {
             (generators::path(3), vec![0, 1]),
             (generators::cycle(4), vec![0, 0, 5, 5]),
         ] {
-            let mut solver = Solver::for_graph(&g).weights(weights).build().unwrap();
+            let wg = WeightedGraph::new(g, weights);
+            let mut solver = Solver::builder(&wg).build().unwrap();
             assert!(matches!(
                 solver.min_cut(1),
                 Err(AlgoError::BadQuery(m)) if m.contains("positive weights")
@@ -2776,6 +2719,32 @@ mod tests {
     }
 
     #[test]
+    fn a_builder_that_declines_part_wise_rebuilds_drops_the_plan_on_apply() {
+        // The default session: singletons under `AutoCappedBuilder`, whose
+        // cap sweep couples the parts. Its repair would rebuild all 144
+        // parts inside the write, so `apply` drops the plan instead.
+        let g = generators::grid(12, 12);
+        let mut solver = Solver::for_graph(&g).trace(true).build().unwrap();
+        solver.plan().unwrap();
+        let stats = solver
+            .apply(&[EdgeMutation::Insert {
+                u: 0,
+                v: 13,
+                weight: 1,
+            }])
+            .unwrap();
+        assert!(stats.connected && !stats.partition_changed);
+        assert!(!stats.plan_repaired);
+        assert_eq!(stats.plan, PlanRepairStats::default());
+        assert!(solver.plan.is_none() && solver.tree.is_none());
+        let c = solver.trace().unwrap().counters;
+        assert_eq!((c.plans_built, c.plan_repairs), (1, 0));
+        assert_matches_fresh(&mut solver, PartsStrategy::Singletons, AutoCappedBuilder);
+        let c = solver.trace().unwrap().counters;
+        assert_eq!(c.plans_built, 2, "the first plan read builds it again");
+    }
+
+    #[test]
     fn apply_invalid_mutation_leaves_session_untouched() {
         let wg = weighted(14);
         let mut solver = Solver::builder(&wg)
@@ -2917,7 +2886,10 @@ mod tests {
             }])
             .unwrap();
         solver.mst().unwrap(); // recompute on the mutated graph
-        solver.take_trace().expect("session is traced")
+        let trace = solver.take_trace().expect("session is traced");
+        // Draining leaves tracing enabled with a fresh record.
+        assert_eq!(solver.trace().expect("still traced").counters.queries, 0);
+        trace
     }
 
     #[test]
@@ -3032,29 +3004,6 @@ mod tests {
         assert_eq!(tr.counters.memo_misses, runs);
         assert_eq!(tr.profile.total_messages(), reported);
         assert_eq!(tr.counters.plans_built, runs);
-    }
-
-    #[test]
-    fn enable_trace_mid_session_records_from_then_on() {
-        let wg = weighted(23);
-        let mut solver = Solver::builder(&wg)
-            .shortcut_builder(SteinerBuilder)
-            .config(cfg(wg.graph().n()))
-            .build()
-            .unwrap();
-        solver.mst().unwrap();
-        assert!(solver.trace().is_none());
-        solver.enable_trace();
-        solver.mst().unwrap(); // memo hit: a span, but no wire traffic
-        let tr = solver.trace().unwrap();
-        assert_eq!(tr.counters.queries, 1);
-        assert_eq!(tr.counters.memo_hits, 1);
-        assert_eq!(tr.profile.total_messages(), 0);
-        assert!(tr.queries[0].simulated_rounds > 0);
-        // Draining leaves tracing enabled with a fresh record.
-        let drained = solver.take_trace().unwrap();
-        assert_eq!(drained.counters.queries, 1);
-        assert_eq!(solver.trace().unwrap().counters.queries, 0);
     }
 
     #[test]

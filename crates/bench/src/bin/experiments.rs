@@ -9,9 +9,9 @@
 //! under `experiments`, every table that ran under its id (one object per
 //! row, see [`minex_bench::Table::to_json`]; `scripts/check-perf-floor.sh`
 //! reads `E13` and `E15`), and the noop-sink dispatch-overhead sample
-//! under `sink_overhead`; `--trace <file>` (or `MINEX_TRACE=<file>`)
-//! writes the deterministic traced-session JSONL export the CI telemetry
-//! gate validates and byte-compares with `expected/trace.jsonl`.
+//! under `sink_overhead`; `--trace <file>` writes the deterministic
+//! traced-session JSONL export the CI telemetry gate validates and
+//! byte-compares with `expected/trace.jsonl`.
 //!
 //! Tables go to stdout; progress chatter goes to stderr through the
 //! `MINEX_LOG`-leveled logger, so `experiments > tables.md` captures
@@ -43,9 +43,8 @@ fn main() {
     let perf_path: Option<PathBuf> =
         perf_pos.map(|i| PathBuf::from(flag_value(&args, i, "--perf-json")));
     let trace_pos = args.iter().position(|a| a == "--trace");
-    let trace_path: Option<PathBuf> = trace_pos
-        .map(|i| PathBuf::from(flag_value(&args, i, "--trace")))
-        .or_else(|| std::env::var_os("MINEX_TRACE").map(PathBuf::from));
+    let trace_path: Option<PathBuf> =
+        trace_pos.map(|i| PathBuf::from(flag_value(&args, i, "--trace")));
     let value_positions: Vec<usize> = [csv_pos, perf_pos, trace_pos]
         .iter()
         .flatten()

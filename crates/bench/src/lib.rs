@@ -1577,8 +1577,8 @@ pub fn e15_scale(full: bool) -> Table {
 /// touches). The **repair** leg drives the mutation through
 /// [`Solver::apply`]; the **rebuild** leg pays what a static deployment
 /// pays — a fresh session on the mutated weighted graph plus its plan,
-/// including the explicit partition's `O(parts · n)` revalidation and a
-/// full shortcut build. A cross-leg oracle asserts the repaired plan's
+/// including the explicit partition's `O(n + m)` revalidation and a full
+/// shortcut build. A cross-leg oracle asserts the repaired plan's
 /// quality equals the rebuilt one's on the mutated graph.
 pub fn e16_dynamic_repair(full: bool) -> Table {
     let reps = 3usize;
@@ -1986,10 +1986,10 @@ pub fn e18_serve(full: bool) -> Table {
     }
 }
 
-/// The deterministic traced session behind `experiments --trace` (and the
-/// `MINEX_TRACE` env var): a fixed 8×8 tri-grid workload serving an MST
-/// (twice — the repeat is a memo hit), a part-wise MIN, and an exact SSSP,
-/// exported as JSON Lines via `SessionTrace::to_jsonl`.
+/// The deterministic traced session behind `experiments --trace`: a fixed
+/// 8×8 tri-grid workload serving an MST (twice — the repeat is a memo
+/// hit), a part-wise MIN, and an exact SSSP, exported as JSON Lines via
+/// `SessionTrace::to_jsonl`.
 ///
 /// The output is deterministic: the CI telemetry step `cmp`s it with the
 /// committed golden `expected/trace.jsonl`.
@@ -2278,8 +2278,8 @@ mod tests {
         // The dynamic-graph acceptance bar: incremental repair must beat a
         // from-scratch session rebuild under single-edge churn *where the
         // rebuild is actually expensive* — the maze family, whose Voronoi
-        // cells carry deep Steiner trees and whose explicit partition costs
-        // `O(parts·n)` to revalidate from scratch. On low-diameter k-trees
+        // cells carry deep Steiner trees (revalidating its explicit
+        // partition is one `O(n + m)` pass). On low-diameter k-trees
         // a full build is already near-linear, so both legs degenerate to
         // the same `O(n + m)` traversal passes and the honest expectation
         // is parity, not a win — those rows get a catastrophe floor, not a

@@ -18,7 +18,7 @@
 //! exposed so experiment E10 can ablate the folding.
 
 use minex_decomp::{CliqueSumTree, Lca};
-use minex_graphs::{EdgeId, Graph, GraphBuilder, NodeId};
+use minex_graphs::{EdgeId, Graph, GraphBuilder, NodeId, ParentTree};
 
 use crate::construct::{split_connected, ShortcutBuilder};
 use crate::parts::Partition;
@@ -65,9 +65,7 @@ struct GroupedView {
     /// `groups[f]` — original bag indices merged into grouped node `f`.
     groups: Vec<Vec<usize>>,
     group_of: Vec<usize>,
-    parent: Vec<Option<usize>>,
-    children: Vec<Vec<usize>>,
-    depth: Vec<usize>,
+    tree: ParentTree,
     /// Links (indices into the record) crossing `f → parent(f)`.
     links_to_parent: Vec<Vec<usize>>,
 }
@@ -75,18 +73,11 @@ struct GroupedView {
 impl GroupedView {
     fn identity(tree: &CliqueSumTree) -> Self {
         let b = tree.len();
-        let mut children = vec![Vec::new(); b];
-        for i in 0..b {
-            if let Some(p) = tree.parent(i) {
-                children[p].push(i);
-            }
-        }
         GroupedView {
             groups: (0..b).map(|i| vec![i]).collect(),
             group_of: (0..b).collect(),
-            parent: (0..b).map(|i| tree.parent(i)).collect(),
-            children,
-            depth: (0..b).map(|i| tree.depth(i)).collect(),
+            tree: ParentTree::new((0..b).map(|i| tree.parent(i)).collect())
+                .expect("a clique-sum tree is one tree"),
             links_to_parent: (0..b)
                 .map(|i| tree.parent_link_index(i).into_iter().collect())
                 .collect(),
@@ -98,9 +89,7 @@ impl GroupedView {
         GroupedView {
             groups: f.groups,
             group_of: f.group_of,
-            parent: f.parent,
-            children: f.children,
-            depth: f.depth,
+            tree: ParentTree::new(f.parent).expect("a folded tree is one tree"),
             links_to_parent: f.links_to_parent,
         }
     }
@@ -108,10 +97,10 @@ impl GroupedView {
     /// The child of `ancestor` on the path toward `descendant`.
     fn child_toward(&self, ancestor: usize, descendant: usize) -> usize {
         let mut cur = descendant;
-        while self.depth[cur] > self.depth[ancestor] + 1 {
-            cur = self.parent[cur].expect("above the root");
+        while self.tree.depth(cur) > self.tree.depth(ancestor) + 1 {
+            cur = self.tree.parent(cur).expect("above the root");
         }
-        debug_assert_eq!(self.parent[cur], Some(ancestor));
+        debug_assert_eq!(self.tree.parent(cur), Some(ancestor));
         cur
     }
 }
@@ -157,7 +146,7 @@ fn global_shortcuts(
     bags_of_node: &[Vec<usize>],
     per_part: &mut [Vec<EdgeId>],
 ) {
-    let lca = Lca::new(&view.parent);
+    let lca = Lca::new(view.tree.parents());
     // Per part: LCA group h_P and qualifying children.
     // qual[(child)] buckets parts by (parent = h_P, child on path).
     let mut qual: std::collections::HashMap<(usize, usize), Vec<usize>> = Default::default();
@@ -206,7 +195,7 @@ fn global_shortcuts(
         let mut visited: std::collections::HashSet<(usize, usize)> = Default::default();
         for &f in &groups_e {
             let mut cur = f;
-            while let Some(a) = view.parent[cur] {
+            while let Some(a) = view.tree.parent(cur) {
                 if !visited.insert((a, cur)) {
                     break;
                 }
@@ -261,7 +250,7 @@ fn local_shortcuts<B: ShortcutBuilder>(
         }
         // ---- Incident links: to parent, to grouped children, internal.
         let mut incident_links: Vec<usize> = view.links_to_parent[a].clone();
-        for &c in &view.children[a] {
+        for &c in view.tree.children(a) {
             incident_links.extend_from_slice(&view.links_to_parent[c]);
         }
         for (li, (p, c, _)) in links.iter().enumerate() {
@@ -420,8 +409,8 @@ fn side_links_of<'a>(
     // Climb: if a is an ancestor of fx, the side is the child toward fx;
     // otherwise the component hangs on the parent side.
     let mut cur = fx;
-    while view.depth[cur] > view.depth[a] {
-        let p = view.parent[cur].expect("above root");
+    while view.tree.depth(cur) > view.tree.depth(a) {
+        let p = view.tree.parent(cur).expect("above root");
         if p == a {
             return &view.links_to_parent[cur];
         }

@@ -16,9 +16,10 @@
 //! per session, built on the first query that reads it (`partwise_min`).
 //! Queries that need shortcuts over other partitions (the Borůvka
 //! fragments of MST and `components`, the source-rooted clusters of
-//! shortcut SSSP) build their own per query. An edge batch that keeps the
-//! session partition goes through [`ShortcutPlan::repair`]; one that
-//! moves it drops the cached plan for a lazy rebuild.
+//! shortcut SSSP) build their own per query. An edge batch goes through
+//! [`ShortcutPlan::repair_parts`] while the session partition holds and
+//! the builder rebuilds part by part; any other batch drops the cached
+//! plan for a lazy rebuild.
 
 use minex_graphs::{EdgeId, Graph, NodeId};
 
@@ -114,7 +115,7 @@ impl ShortcutPlan {
     }
 
     /// Repairs this plan after edge churn, recomputing only the dirty
-    /// region. The result is **byte-identical** to
+    /// region when it can. The result is **byte-identical** to
     /// `ShortcutPlan::build(g, root, parts, builder)` on the mutated graph
     /// — repair is an optimization, never a semantic fork.
     ///
@@ -126,18 +127,11 @@ impl ShortcutPlan {
     ///   ranks).
     /// * `touched` lists the endpoints of every mutated edge.
     ///
-    /// The spanning tree is always re-derived (BFS is one `O(n + m)` pass;
-    /// byte-identity demands it). A part is **dirty** when a mutation can
-    /// reach its shortcut: one of its nodes was a mutation endpoint or
-    /// changed tree parent, one of its previous shortcut edges vanished or
-    /// left the tree, or such an edge's endpoint changed parent / was
-    /// touched. Clean parts keep their previous edges, remapped to the new
-    /// ids; dirty parts go through
-    /// [`ShortcutBuilder::rebuild_parts`], and builders that decline (the
-    /// default — required for builders with cross-part coupling) fall back
-    /// to a full [`ShortcutBuilder::build_measured`]. Quality always
-    /// describes the mutated graph: measured after a partial rebuild,
-    /// handed back by the builder after a full one.
+    /// This is [`ShortcutPlan::repair_parts`], falling back to a full
+    /// [`ShortcutBuilder::build_measured`] on the new tree where that
+    /// answers `None`. Quality always describes the mutated graph:
+    /// measured after a partial rebuild, handed back by the builder after
+    /// a full one.
     ///
     /// # Panics
     ///
@@ -152,6 +146,49 @@ impl ShortcutPlan {
         edge_remap: &[Option<EdgeId>],
         touched: &[NodeId],
     ) -> (ShortcutPlan, PlanRepairStats) {
+        self.repair_or_build(g, root, parts, builder, edge_remap, touched, true)
+            .expect("a full build always answers")
+    }
+
+    /// The part-local half of [`ShortcutPlan::repair`]: the same inputs,
+    /// panics and, when it answers, the same result. `None` when the
+    /// partition changed or `builder` declines
+    /// [`ShortcutBuilder::rebuild_parts`] (the default, required for
+    /// builders with cross-part coupling): a repair would then be a full
+    /// build, which a caller can defer until the plan is read.
+    ///
+    /// The spanning tree is always re-derived (BFS is one `O(n + m)` pass;
+    /// byte-identity demands it). A part is **dirty** when a mutation can
+    /// reach its shortcut: one of its nodes was a mutation endpoint or
+    /// changed tree parent, one of its previous shortcut edges vanished or
+    /// left the tree, or such an edge's endpoint changed parent / was
+    /// touched. Clean parts keep their previous edges, remapped to the new
+    /// ids; dirty parts go through [`ShortcutBuilder::rebuild_parts`].
+    pub fn repair_parts(
+        &self,
+        g: &Graph,
+        root: NodeId,
+        parts: Partition,
+        builder: &dyn ShortcutBuilder,
+        edge_remap: &[Option<EdgeId>],
+        touched: &[NodeId],
+    ) -> Option<(ShortcutPlan, PlanRepairStats)> {
+        self.repair_or_build(g, root, parts, builder, edge_remap, touched, false)
+    }
+
+    /// [`ShortcutPlan::repair_parts`], falling back to a full build when
+    /// `build` is set and [`ShortcutPlan::repair`] wants one.
+    #[allow(clippy::too_many_arguments)]
+    fn repair_or_build(
+        &self,
+        g: &Graph,
+        root: NodeId,
+        parts: Partition,
+        builder: &dyn ShortcutBuilder,
+        edge_remap: &[Option<EdgeId>],
+        touched: &[NodeId],
+        build: bool,
+    ) -> Option<(ShortcutPlan, PlanRepairStats)> {
         assert_eq!(
             g.n(),
             self.tree.n(),
@@ -226,14 +263,15 @@ impl ShortcutPlan {
                 let quality = measure_quality(g, &tree, &parts, &shortcut);
                 (shortcut, quality)
             }
-            None => {
+            None if build => {
                 stats.full_rebuild = true;
                 stats.parts_rebuilt = parts.len();
                 stats.parts_reused = 0;
                 builder.build_measured(g, &tree, &parts)
             }
+            None => return None,
         };
-        (
+        Some((
             ShortcutPlan {
                 tree,
                 parts,
@@ -241,7 +279,7 @@ impl ShortcutPlan {
                 quality,
             },
             stats,
-        )
+        ))
     }
 }
 
@@ -305,6 +343,17 @@ mod tests {
         let prev = ShortcutPlan::build(old, root, parts.clone(), builder);
         let (repaired, stats) =
             prev.repair(new, root, parts.clone(), builder, &remap(old, new), touched);
+        // The part-local half answers exactly when no full build ran, and
+        // then with the same plan and statistics.
+        match prev.repair_parts(new, root, parts.clone(), builder, &remap(old, new), touched) {
+            Some((plan, part_stats)) => {
+                assert!(!stats.full_rebuild);
+                assert_eq!(part_stats, stats);
+                assert_eq!(plan.shortcut(), repaired.shortcut());
+                assert_eq!(plan.quality(), repaired.quality());
+            }
+            None => assert!(stats.full_rebuild),
+        }
         let fresh = ShortcutPlan::build(new, root, parts.clone(), builder);
         assert_eq!(repaired.shortcut(), fresh.shortcut());
         assert_eq!(repaired.quality(), fresh.quality());
@@ -392,6 +441,9 @@ mod tests {
             prev.repair(&g, 0, parts_b.clone(), &SteinerBuilder, &identity, &[]);
         assert!(stats.partition_changed);
         assert!(stats.full_rebuild);
+        assert!(prev
+            .repair_parts(&g, 0, parts_b.clone(), &SteinerBuilder, &identity, &[])
+            .is_none());
         let fresh = ShortcutPlan::build(&g, 0, parts_b, &SteinerBuilder);
         assert_eq!(repaired.shortcut(), fresh.shortcut());
         assert_eq!(repaired.quality(), fresh.quality());

@@ -3,20 +3,16 @@
 //! Theorem 1 instantiates `T` as a BFS tree of the network (so its diameter
 //! is at most `2D`); the constructions work for any spanning tree.
 
-use minex_graphs::{traversal, EdgeId, Graph, NodeId};
+use minex_graphs::{traversal, EdgeId, Graph, NodeId, ParentTree};
 
 /// A rooted spanning tree of a connected graph, with the bookkeeping the
-/// shortcut constructions need: parent pointers, preorder, subtree sizes,
+/// shortcut constructions need: the [`ParentTree`] layout (parents,
+/// children, depths, pre-order, LCA), each node's parent edge, the
 /// tree-edge mask, and the tree's own diameter `d_T`.
 #[derive(Debug, Clone)]
 pub struct RootedTree {
-    root: NodeId,
-    parent: Vec<Option<NodeId>>,
+    layout: ParentTree,
     parent_edge: Vec<Option<EdgeId>>,
-    children: Vec<Vec<NodeId>>,
-    depth: Vec<usize>,
-    /// Preorder: parents before children.
-    order: Vec<NodeId>,
     tree_edge: Vec<bool>,
     diameter: usize,
 }
@@ -31,81 +27,54 @@ impl RootedTree {
         assert!(root < g.n(), "root out of range");
         let bfs = traversal::bfs(g, root);
         assert_eq!(bfs.order.len(), g.n(), "graph must be connected");
-        Self::from_parents(g, root, bfs.parent, bfs.parent_edge, bfs.order)
+        let layout = ParentTree::new(bfs.parent).expect("a BFS of a connected graph is one tree");
+        Self::with_layout(g, layout, bfs.parent_edge)
     }
 
-    /// Wraps explicit parent pointers (`parent[root] = None`); `parent_edge`
-    /// must name the corresponding graph edges.
+    /// Wraps explicit parent pointers (`parent[root] = None`); each parent
+    /// must be a graph neighbor of its child.
     ///
     /// # Panics
     ///
     /// Panics if the pointers do not encode a spanning tree of `g`.
     pub fn from_parent_pointers(g: &Graph, root: NodeId, parent: Vec<Option<NodeId>>) -> Self {
         assert_eq!(parent.len(), g.n(), "one parent entry per node");
-        let mut parent_edge: Vec<Option<EdgeId>> = vec![None; g.n()];
-        for v in 0..g.n() {
-            if let Some(p) = parent[v] {
-                let e = g
-                    .edge_between(v, p)
-                    .expect("tree parent must be a graph neighbor");
-                parent_edge[v] = Some(e);
-            } else {
-                assert_eq!(v, root, "only the root may lack a parent");
-            }
-        }
-        // Preorder via repeated relaxation (children after parents).
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); g.n()];
-        for (v, pv) in parent.iter().enumerate() {
-            if let Some(p) = *pv {
-                children[p].push(v);
-            }
-        }
-        let mut order = Vec::with_capacity(g.n());
-        let mut stack = vec![root];
-        while let Some(v) = stack.pop() {
-            order.push(v);
-            for &c in &children[v] {
-                stack.push(c);
-            }
-        }
-        assert_eq!(order.len(), g.n(), "parent pointers must span the graph");
-        Self::from_parents(g, root, parent, parent_edge, order)
+        let layout = ParentTree::new(parent)
+            .unwrap_or_else(|e| panic!("parent pointers must span the graph: {e}"));
+        assert_eq!(layout.root(), root, "only the root may lack a parent");
+        let parent_edge = layout
+            .parents()
+            .iter()
+            .enumerate()
+            .map(|(v, p)| {
+                p.map(|p| {
+                    g.edge_between(v, p)
+                        .expect("tree parent must be a graph neighbor")
+                })
+            })
+            .collect();
+        Self::with_layout(g, layout, parent_edge)
     }
 
-    fn from_parents(
-        g: &Graph,
-        root: NodeId,
-        parent: Vec<Option<NodeId>>,
-        parent_edge: Vec<Option<EdgeId>>,
-        order: Vec<NodeId>,
-    ) -> Self {
-        let n = g.n();
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    fn with_layout(g: &Graph, layout: ParentTree, parent_edge: Vec<Option<EdgeId>>) -> Self {
         let mut tree_edge = vec![false; g.m()];
-        let mut depth = vec![0usize; n];
-        for &v in &order {
-            if let Some(p) = parent[v] {
-                children[p].push(v);
-                depth[v] = depth[p] + 1;
-                tree_edge[parent_edge[v].expect("parent implies edge")] = true;
+        for &e in parent_edge.iter().flatten() {
+            tree_edge[e] = true;
+        }
+        // The longest path hangs below its highest node: in reverse
+        // pre-order, `down[v]` is final when `v` is reached, and joins the
+        // longest branch its parent has seen so far.
+        let mut down = vec![0usize; layout.n()];
+        let mut diameter = 0;
+        for &v in layout.preorder().iter().rev() {
+            if let Some(p) = layout.parent(v) {
+                diameter = diameter.max(down[p] + down[v] + 1);
+                down[p] = down[p].max(down[v] + 1);
             }
         }
-        // Tree diameter via double sweep on tree edges (exact on trees).
-        let diameter = if n == 0 {
-            0
-        } else {
-            let d1 = traversal::bfs_masked(g, root, &tree_edge);
-            let far = (0..n).max_by_key(|&v| d1[v]).expect("non-empty");
-            let d2 = traversal::bfs_masked(g, far, &tree_edge);
-            d2.into_iter().max().expect("non-empty")
-        };
         RootedTree {
-            root,
-            parent,
+            layout,
             parent_edge,
-            children,
-            depth,
-            order,
             tree_edge,
             diameter,
         }
@@ -113,17 +82,17 @@ impl RootedTree {
 
     /// The root node.
     pub fn root(&self) -> NodeId {
-        self.root
+        self.layout.root()
     }
 
     /// Number of nodes.
     pub fn n(&self) -> usize {
-        self.parent.len()
+        self.layout.n()
     }
 
     /// Parent of `v` (`None` for the root).
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.parent[v]
+        self.layout.parent(v)
     }
 
     /// The edge to `v`'s parent.
@@ -131,19 +100,20 @@ impl RootedTree {
         self.parent_edge[v]
     }
 
-    /// Children of `v`.
+    /// Children of `v`, in ascending id.
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v]
+        self.layout.children(v)
     }
 
     /// Depth of `v` below the root.
     pub fn depth(&self, v: NodeId) -> usize {
-        self.depth[v]
+        self.layout.depth(v)
     }
 
-    /// Nodes in preorder (each parent before its children).
+    /// Nodes in DFS pre-order: each parent before its children, and every
+    /// subtree a contiguous range ([`ParentTree::preorder`]).
     pub fn preorder(&self) -> &[NodeId] {
-        &self.order
+        self.layout.preorder()
     }
 
     /// Whether graph edge `e` belongs to the tree.
@@ -163,7 +133,7 @@ impl RootedTree {
 
     /// Height: maximum depth.
     pub fn height(&self) -> usize {
-        self.depth.iter().copied().max().unwrap_or(0)
+        self.layout.height()
     }
 
     /// Walks from `v` to `ancestor`, yielding the parent edges used.
@@ -187,18 +157,8 @@ impl RootedTree {
     }
 
     /// Lowest common ancestor of `a` and `b` by depth walking.
-    pub fn lca(&self, mut a: NodeId, mut b: NodeId) -> NodeId {
-        while self.depth[a] > self.depth[b] {
-            a = self.parent[a].expect("deeper node has a parent");
-        }
-        while self.depth[b] > self.depth[a] {
-            b = self.parent[b].expect("deeper node has a parent");
-        }
-        while a != b {
-            a = self.parent[a].expect("non-root");
-            b = self.parent[b].expect("non-root");
-        }
-        a
+    pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
+        self.layout.lca(a, b)
     }
 }
 

@@ -9,7 +9,7 @@
 //! implements exactly that transformation and machine-checks its guarantees.
 
 use minex_graphs::generators::CliqueSumRecord;
-use minex_graphs::{Graph, NodeId};
+use minex_graphs::{Graph, NodeId, ParentTree};
 
 use crate::error::DecompError;
 use crate::heavy_light::HeavyLight;
@@ -18,9 +18,7 @@ use crate::heavy_light::HeavyLight;
 #[derive(Debug, Clone)]
 pub struct CliqueSumTree {
     record: CliqueSumRecord,
-    parent: Vec<Option<usize>>,
-    children: Vec<Vec<usize>>,
-    depth: Vec<usize>,
+    tree: ParentTree,
     /// For bag `b != root`: index into `record.links` of its parent link.
     parent_link: Vec<Option<usize>>,
 }
@@ -40,7 +38,6 @@ impl CliqueSumTree {
         if record.links.len() != b - 1 {
             return Err(DecompError::BagGraphNotATree);
         }
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); b];
         let mut parent: Vec<Option<usize>> = vec![None; b];
         let mut parent_link: Vec<Option<usize>> = vec![None; b];
         for (li, &(p, c, _)) in record.links.iter().enumerate() {
@@ -55,28 +52,13 @@ impl CliqueSumTree {
             }
             parent[c] = Some(p);
             parent_link[c] = Some(li);
-            children[p].push(c);
         }
-        // Depth by BFS from the root; also detects unreachable bags.
-        let mut depth = vec![usize::MAX; b];
-        depth[0] = 0;
-        let mut queue = std::collections::VecDeque::from([0usize]);
-        let mut seen = 1;
-        while let Some(x) = queue.pop_front() {
-            for &y in &children[x] {
-                depth[y] = depth[x] + 1;
-                seen += 1;
-                queue.push_back(y);
-            }
-        }
-        if seen != b {
-            return Err(DecompError::BagGraphNotATree);
-        }
+        // Bag 0 is now the only bag without a parent, so the layout rejects
+        // exactly the links that close a cycle.
+        let tree = ParentTree::new(parent).map_err(|_| DecompError::BagGraphNotATree)?;
         Ok(CliqueSumTree {
             record,
-            parent,
-            children,
-            depth,
+            tree,
             parent_link,
         })
     }
@@ -103,22 +85,22 @@ impl CliqueSumTree {
 
     /// Parent of bag `i` (`None` for the root, bag 0).
     pub fn parent(&self, i: usize) -> Option<usize> {
-        self.parent[i]
+        self.tree.parent(i)
     }
 
-    /// Children of bag `i`.
+    /// Children of bag `i`, in ascending index.
     pub fn children(&self, i: usize) -> &[usize] {
-        &self.children[i]
+        self.tree.children(i)
     }
 
     /// Depth of bag `i` (root = 0).
     pub fn depth(&self, i: usize) -> usize {
-        self.depth[i]
+        self.tree.depth(i)
     }
 
     /// Maximum bag depth — the `d_DT` of Lemma 1.
     pub fn max_depth(&self) -> usize {
-        self.depth.iter().copied().max().unwrap_or(0)
+        self.tree.height()
     }
 
     /// The separator (partial clique `C_f`) between bag `i` and its parent.
@@ -186,7 +168,7 @@ impl CliqueSumTree {
             let in_set = |b: usize| bags.binary_search(&b).is_ok();
             let with_parent_in_set = bags
                 .iter()
-                .filter(|&&b| self.parent[b].is_some_and(in_set))
+                .filter(|&&b| self.parent(b).is_some_and(in_set))
                 .count();
             if with_parent_in_set != bags.len() - 1 {
                 return Err(DecompError::NodeBagsDisconnected(v));
@@ -207,7 +189,7 @@ impl CliqueSumTree {
     /// Folds the tree to depth `O(log² n)` following Theorem 7: heavy-light
     /// decomposition, then balanced folding of each chain.
     pub fn fold(&self) -> FoldedCliqueSumTree {
-        let hl = HeavyLight::new(&self.parent);
+        let hl = HeavyLight::new(self.tree.parents());
         let b = self.len();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut group_of: Vec<usize> = vec![usize::MAX; b];
@@ -230,38 +212,22 @@ impl CliqueSumTree {
         }
         for (ci, chain) in hl.chains().iter().enumerate() {
             let top = chain[0];
-            if let Some(p) = self.parent[top] {
+            if let Some(p) = self.parent(top) {
                 let f = chain_folded_root[ci];
                 fparent[f] = Some(group_of[p]);
                 links_to_parent[f] = vec![self.parent_link[top].expect("non-root bag has a link")];
             }
         }
+        let folded = ParentTree::new(fparent).expect("the folded chains hang below one root");
         let fn_count = groups.len();
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); fn_count];
-        let mut root = None;
-        for (f, fp) in fparent.iter().enumerate() {
-            match *fp {
-                Some(p) => children[p].push(f),
-                None => root = Some(f),
-            }
-        }
-        let root = root.expect("folded tree has a root");
-        let mut depth = vec![0usize; fn_count];
-        let mut queue = std::collections::VecDeque::from([root]);
-        while let Some(x) = queue.pop_front() {
-            for &y in &children[x] {
-                depth[y] = depth[x] + 1;
-                queue.push_back(y);
-            }
-        }
         FoldedCliqueSumTree {
             groups,
             group_of,
-            parent: fparent,
-            children,
-            depth,
+            parent: folded.parents().to_vec(),
+            children: (0..fn_count).map(|f| folded.children(f).to_vec()).collect(),
+            depth: (0..fn_count).map(|f| folded.depth(f)).collect(),
             links_to_parent,
-            root,
+            root: folded.root(),
         }
     }
 }

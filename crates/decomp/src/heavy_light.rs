@@ -3,6 +3,8 @@
 //! *heavy chains* such that any root-to-leaf path meets `O(log n)` chains;
 //! each chain is then folded independently.
 
+use minex_graphs::ParentTree;
+
 /// Heavy-light decomposition of a rooted tree given by parent pointers.
 #[derive(Debug, Clone)]
 pub struct HeavyLight {
@@ -11,8 +13,7 @@ pub struct HeavyLight {
     /// `chains[c]` — nodes of chain `c`, from its top (closest to the root)
     /// downward.
     chains: Vec<Vec<usize>>,
-    /// Parent pointers (copied from the input).
-    parent: Vec<Option<usize>>,
+    tree: ParentTree,
 }
 
 impl HeavyLight {
@@ -22,42 +23,24 @@ impl HeavyLight {
     ///
     /// Panics if `parent` does not encode a tree with exactly one root.
     pub fn new(parent: &[Option<usize>]) -> Self {
-        let n = parent.len();
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut root = None;
-        for (v, pv) in parent.iter().enumerate() {
-            match *pv {
-                Some(p) => {
-                    assert!(p < n, "parent out of range");
-                    children[p].push(v);
-                }
-                None => {
-                    assert!(root.is_none(), "exactly one root required");
-                    root = Some(v);
-                }
-            }
-        }
-        let root = root.expect("exactly one root required");
-        // Subtree sizes, computed bottom-up over a DFS order.
-        let order = dfs_order(root, &children);
-        assert_eq!(order.len(), n, "parent pointers must form one tree");
-        let mut size = vec![1usize; n];
-        for &v in order.iter().rev() {
-            if let Some(p) = parent[v] {
-                size[p] += size[v];
-            }
-        }
-        // Heavy child of each node: the child with the largest subtree.
-        let mut heavy: Vec<Option<usize>> = vec![None; n];
-        for v in 0..n {
-            heavy[v] = children[v].iter().copied().max_by_key(|&c| size[c]);
-        }
-        // Build chains: each chain starts at a node whose parent's heavy
-        // child is not itself (or the root).
+        let tree = ParentTree::new(parent.to_vec()).unwrap_or_else(|e| panic!("{e}"));
+        let n = tree.n();
+        // Heavy child of each node: the child with the largest subtree (the
+        // last such in ascending id).
+        let heavy: Vec<Option<usize>> = (0..n)
+            .map(|v| {
+                tree.children(v)
+                    .iter()
+                    .copied()
+                    .max_by_key(|&c| tree.subtree_size(c))
+            })
+            .collect();
+        // Build chains in pre-order: each chain starts at a node whose
+        // parent's heavy child is not itself (or the root).
         let mut chain_of = vec![usize::MAX; n];
         let mut chains = Vec::new();
-        for &v in &order {
-            let is_chain_top = match parent[v] {
+        for &v in tree.preorder() {
+            let is_chain_top = match tree.parent(v) {
                 None => true,
                 Some(p) => heavy[p] != Some(v),
             };
@@ -76,7 +59,7 @@ impl HeavyLight {
         HeavyLight {
             chain_of,
             chains,
-            parent: parent.to_vec(),
+            tree,
         }
     }
 
@@ -97,7 +80,7 @@ impl HeavyLight {
         let mut cur = v;
         loop {
             let top = self.chains[self.chain_of[cur]][0];
-            match self.parent[top] {
+            match self.tree.parent(top) {
                 Some(p) => {
                     count += 1;
                     cur = p;
@@ -106,18 +89,6 @@ impl HeavyLight {
             }
         }
     }
-}
-
-fn dfs_order(root: usize, children: &[Vec<usize>]) -> Vec<usize> {
-    let mut order = Vec::with_capacity(children.len());
-    let mut stack = vec![root];
-    while let Some(v) = stack.pop() {
-        order.push(v);
-        for &c in &children[v] {
-            stack.push(c);
-        }
-    }
-    order
 }
 
 #[cfg(test)]

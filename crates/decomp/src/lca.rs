@@ -4,13 +4,14 @@
 //! ancestor `h_P` of the bags that part touches (Lemma 1), and the tree
 //! machinery here serves both the decomposition tree and spanning trees.
 
+use minex_graphs::ParentTree;
+
 /// Binary-lifting LCA structure over a rooted tree.
 #[derive(Debug, Clone)]
 pub struct Lca {
-    depth: Vec<usize>,
+    tree: ParentTree,
     /// `up[j][v]` — the `2^j`-th ancestor of `v` (root maps to itself).
     up: Vec<Vec<usize>>,
-    root: usize,
 }
 
 impl Lca {
@@ -20,54 +21,29 @@ impl Lca {
     ///
     /// Panics if `parent` does not encode exactly one tree.
     pub fn new(parent: &[Option<usize>]) -> Self {
-        let n = parent.len();
-        assert!(n > 0, "tree must be non-empty");
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut root = None;
-        for (v, pv) in parent.iter().enumerate() {
-            match *pv {
-                Some(p) => children[p].push(v),
-                None => {
-                    assert!(root.is_none(), "exactly one root required");
-                    root = Some(v);
-                }
-            }
-        }
-        let root = root.expect("exactly one root required");
-        let mut depth = vec![0usize; n];
-        let mut order = vec![root];
-        let mut head = 0;
-        while head < order.len() {
-            let v = order[head];
-            head += 1;
-            for &c in &children[v] {
-                depth[c] = depth[v] + 1;
-                order.push(c);
-            }
-        }
-        assert_eq!(order.len(), n, "parent pointers must form one tree");
+        let tree = ParentTree::new(parent.to_vec()).unwrap_or_else(|e| panic!("{e}"));
+        let n = tree.n();
+        let root = tree.root();
         let levels = usize::BITS as usize - n.leading_zeros() as usize;
         let levels = levels.max(1);
-        let mut up = vec![vec![root; n]; levels];
-        for v in 0..n {
-            up[0][v] = parent[v].unwrap_or(root);
-        }
+        let mut up: Vec<Vec<usize>> = Vec::with_capacity(levels);
+        up.push(tree.parents().iter().map(|p| p.unwrap_or(root)).collect());
         for j in 1..levels {
-            for v in 0..n {
-                up[j][v] = up[j - 1][up[j - 1][v]];
-            }
+            let half = &up[j - 1];
+            let next = half.iter().map(|&a| half[a]).collect();
+            up.push(next);
         }
-        Lca { depth, up, root }
+        Lca { tree, up }
     }
 
     /// Depth of `v` (root has depth 0).
     pub fn depth(&self, v: usize) -> usize {
-        self.depth[v]
+        self.tree.depth(v)
     }
 
     /// The root node.
     pub fn root(&self) -> usize {
-        self.root
+        self.tree.root()
     }
 
     /// The ancestor of `v` at distance `k` (saturating at the root).
@@ -85,10 +61,10 @@ impl Lca {
 
     /// Lowest common ancestor of `a` and `b`.
     pub fn lca(&self, mut a: usize, mut b: usize) -> usize {
-        if self.depth[a] < self.depth[b] {
+        if self.depth(a) < self.depth(b) {
             std::mem::swap(&mut a, &mut b);
         }
-        a = self.ancestor(a, self.depth[a] - self.depth[b]);
+        a = self.ancestor(a, self.depth(a) - self.depth(b));
         if a == b {
             return a;
         }

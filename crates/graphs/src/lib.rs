@@ -26,6 +26,9 @@
 //!   with face tracing and Euler-genus computation;
 //! * [`geometry`] — exact integer polygon primitives for the Lemma 7
 //!   combinatorial-gate construction;
+//! * [`ParentTree`] — one layout of a rooted tree given by parent pointers
+//!   (children, depths, a DFS pre-order with contiguous subtrees, subtree
+//!   sizes, LCA), shared by spanning, decomposition and packed trees;
 //! * [`traversal`], [`UnionFind`], [`minor`], [`weights`] — supporting
 //!   algorithms.
 //!
@@ -93,6 +96,7 @@ mod graph;
 pub mod minor;
 pub mod reference;
 pub mod traversal;
+mod tree;
 mod union_find;
 pub mod weights;
 
@@ -100,5 +104,6 @@ pub use delta::{DeltaGraph, EdgeMutation};
 pub use graph::{
     EdgeId, Graph, GraphBuilder, GraphError, NodeId, WeightedGraph, MAX_EDGES, MAX_NODES,
 };
+pub use tree::{ParentTree, TreeError};
 pub use union_find::UnionFind;
 pub use weights::WeightModel;

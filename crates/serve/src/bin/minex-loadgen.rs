@@ -16,8 +16,8 @@
 //!
 //! Output is a single JSON line on stdout, e.g.
 //! `{"scenario":"throughput","clients":8,"ok":800,"overloaded":0,
-//! "errors":0,"elapsed_s":0.41,"qps":1951.2}` — consumed by
-//! `scripts/check-serve.sh` and experiment E18.
+//! "errors":0,"elapsed_s":0.41,"qps":1951.2}` — CI's serve job checks it
+//! with `jq`.
 
 use std::process::exit;
 use std::sync::Arc;

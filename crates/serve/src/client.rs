@@ -2,7 +2,7 @@
 //! tests, and the doctests drive the daemon with.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read};
+use std::io::{self, BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use minex_algo::solver::{
@@ -11,7 +11,7 @@ use minex_algo::solver::{
 use minex_algo::wire::{obj, FromWire, JsonValue, ToWire, WireError};
 use minex_graphs::{EdgeMutation, NodeId, WeightedGraph};
 
-use crate::http::write_request;
+use crate::http::{read_body, write_request};
 
 /// A client-side failure: transport, malformed payload, or a structured
 /// server error.
@@ -240,8 +240,7 @@ impl Client {
                 }
             }
         }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
+        let body = read_body(&mut self.reader, content_length)?;
         let text = String::from_utf8(body).map_err(|_| WireError::new("body is not UTF-8"))?;
         Ok((status, text))
     }
@@ -418,5 +417,40 @@ fn server_error(status: u16, text: &str) -> ServeError {
         status,
         code: text_of("code", "UNKNOWN"),
         message: text_of("message", ""),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    use crate::http::read_request;
+
+    #[test]
+    fn a_declared_length_the_peer_never_sends_is_a_transport_error() {
+        // The peer declares a 1 TiB body, sends two bytes and closes: the
+        // client must report the short body instead of allocating the
+        // declared length.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut first = String::new();
+            reader.read_line(&mut first).unwrap();
+            read_request(&mut reader, &first).unwrap();
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n{}")
+                .unwrap();
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.request_raw("GET", "/v1/health", None).unwrap_err();
+        peer.join().unwrap();
+        match err {
+            ServeError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected a transport error, got {other:?}"),
+        }
     }
 }

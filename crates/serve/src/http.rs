@@ -84,8 +84,18 @@ pub fn read_request(reader: &mut impl BufRead, first_line: &str) -> io::Result<R
             }
         }
     }
-    // Grow the body as bytes arrive: a declared length alone must not
-    // make the daemon allocate it.
+    Ok(Request {
+        method: method.to_string(),
+        path: path.to_string(),
+        body: read_body(reader, content_length)?,
+        keep_alive,
+    })
+}
+
+/// Reads a body of `content_length` bytes, growing the buffer as they
+/// arrive: a declared length alone must not make either side allocate it.
+/// A peer that closes early is an `UnexpectedEof`.
+pub(crate) fn read_body(reader: &mut impl Read, content_length: usize) -> io::Result<Vec<u8>> {
     let mut body = Vec::with_capacity(content_length.min(BODY_RESERVE_BYTES));
     reader.take(content_length as u64).read_to_end(&mut body)?;
     if body.len() < content_length {
@@ -94,12 +104,7 @@ pub fn read_request(reader: &mut impl BufRead, first_line: &str) -> io::Result<R
             "body shorter than Content-Length",
         ));
     }
-    Ok(Request {
-        method: method.to_string(),
-        path: path.to_string(),
-        body,
-        keep_alive,
-    })
+    Ok(body)
 }
 
 /// The reason phrase for the status codes the v1 API emits.

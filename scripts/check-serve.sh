@@ -19,8 +19,10 @@
 #   5. apply: on a Voronoi session with a warmed plan, a batch that moves
 #      the cells drops the plan (partition_changed, no plan_repaired, no
 #      full_rebuild), and the next partwise_min answers the minima of the
-#      new cells; on a default session (singletons, auto-capped) an apply
-#      still repairs the warmed plan;
+#      new cells; on a default session (singletons, auto-capped, whose
+#      builder declines part-wise rebuilds) an apply drops the warmed plan
+#      too (no plan_repaired, an all-zero plan) and the next partwise_min
+#      still answers; on a Steiner singleton session it repairs the plan;
 #   6. transport latency: the median of 20 keep-alive health requests on
 #      one connection stays under 20 ms. A response split over small
 #      writes without TCP_NODELAY stalls ~40 ms on the client's delayed
@@ -162,9 +164,23 @@ req 200 POST /v1/sessions "{\"graph\":$path}"
 singletons="$(jq -r .session "$tmp/body")"
 req 200 POST "/v1/sessions/$singletons/query" "$minima"
 req 200 POST "/v1/sessions/$singletons/query" "$chord"
-jq -e '.partition_changed == false and .plan_repaired == true' \
-    "$tmp/body" >/dev/null || fail "an apply on singletons must repair the plan"
+jq -e '.partition_changed == false and .plan_repaired == false
+       and (.plan | to_entries | all(.value == 0 or .value == false))' \
+    "$tmp/body" >/dev/null \
+    || fail "an apply on a default session must drop the plan, not rebuild it"
+req 200 POST "/v1/sessions/$singletons/query" "$minima"
+jq -e '.value.minima == [80,70,60,50,40,30,20,10]' "$tmp/body" >/dev/null \
+    || fail "partwise_min after the apply must rebuild the dropped plan"
 req 200 DELETE "/v1/sessions/$singletons"
+
+req 200 POST /v1/sessions "{\"graph\":$path,\"builder\":\"steiner\"}"
+steiner="$(jq -r .session "$tmp/body")"
+req 200 POST "/v1/sessions/$steiner/query" "$minima"
+req 200 POST "/v1/sessions/$steiner/query" "$chord"
+jq -e '.partition_changed == false and .plan_repaired == true
+       and .plan.full_rebuild == false' \
+    "$tmp/body" >/dev/null || fail "an apply on Steiner singletons must repair the plan"
+req 200 DELETE "/v1/sessions/$steiner"
 
 # 6. Transport latency: one curl invocation, so every request after the
 # first rides the same keep-alive connection.

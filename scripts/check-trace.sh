@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Telemetry trace gate: validates a JSONL session trace emitted by
-# `experiments --trace <file>` (or `MINEX_TRACE=<file>`) against the
-# documented schema (README "Observability", `SessionTrace::to_jsonl`).
+# `experiments --trace <file>` against the documented schema (README
+# "Observability", `SessionTrace::to_jsonl`).
 #
 # Checks, in order:
 #   1. every line parses as a JSON object with a known "type";

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Pretty-prints a JSONL session trace (`experiments --trace <file>` or
-# `MINEX_TRACE=<file>`): session counters, the per-query table, per-phase
-# attribution, and the hottest links — the human view of the schema that
-# scripts/check-trace.sh validates.
+# Pretty-prints a JSONL session trace (`experiments --trace <file>`):
+# session counters, the per-query table, per-phase attribution, and the
+# hottest links — the human view of the schema that scripts/check-trace.sh
+# validates.
 #
 # Usage: scripts/trace-summary.sh <trace.jsonl>
 set -euo pipefail
