@@ -13,8 +13,9 @@
 //! * [`partwise`] — the part-wise MIN aggregation primitive (Theorem 1's
 //!   engine), simulated faithfully with per-edge queueing so that measured
 //!   rounds reflect `O(b·d_T + c)`;
-//! * [`mst`] — Borůvka MST driven by shortcut aggregations (Corollary 1),
-//!   with Kruskal as the correctness reference;
+//! * [`mst`] — Kruskal, the correctness reference for the Borůvka MST
+//!   driven by shortcut aggregations (Corollary 1) that
+//!   [`Solver::mst`](solver::Solver::mst) runs;
 //! * [`baselines`] — the shortcut-free Borůvka and a
 //!   Garay–Kutten–Peleg-style `Õ(D + √n)` algorithm for the E6/E7
 //!   comparisons;

@@ -5,8 +5,11 @@
 //! build on \[Karger, Thorup\]:
 //!
 //! 1. greedily pack spanning trees — tree `t` is an MST under edge keys
-//!    `(load so far, weight)`, computed distributively by the Borůvka driver
-//!    (so the round cost is `Õ(q(D))` per tree);
+//!    `(load so far, weight)`. [`greedy_tree_packing`] computes them
+//!    centrally by Kruskal, and
+//!    [`Solver::min_cut`](crate::solver::Solver::min_cut) charges each tree
+//!    the rounds of the session's Borůvka MST (`Õ(q(D))` per tree), which
+//!    it simulates once;
 //! 2. for each packed tree, evaluate every *1-respecting* cut (one tree
 //!    edge removed) via subtree aggregation — `O(depth)` rounds per tree —
 //!    and, optionally, every *2-respecting* cut centrally (the distributed
@@ -186,17 +189,22 @@ pub fn stoer_wagner(wg: &WeightedGraph) -> u64 {
     best
 }
 
-/// A packed spanning tree: parent pointers plus the edges used.
+/// A packed spanning tree: its layout plus the edges used.
 #[derive(Debug, Clone)]
 pub struct PackedTree {
-    /// `parent[v]` on the tree (root = node 0).
-    pub parent: Vec<Option<NodeId>>,
+    /// The tree rooted at node 0; its pre-order holds every subtree as
+    /// the contiguous range that starts at its root.
+    pub tree: ParentTree,
     /// The tree's edges.
     pub edges: Vec<usize>,
 }
 
 /// Greedy tree packing: `count` spanning trees, each an MST under
 /// `(load, weight)` keys, incrementing loads of used edges.
+///
+/// # Panics
+///
+/// Panics if the graph is empty or disconnected.
 pub fn greedy_tree_packing(wg: &WeightedGraph, count: usize) -> Vec<PackedTree> {
     let g = wg.graph();
     let mut load = vec![0u64; g.m()];
@@ -234,7 +242,9 @@ pub fn greedy_tree_packing(wg: &WeightedGraph, count: usize) -> Vec<PackedTree> 
                 }
             }
         }
-        out.push(PackedTree { parent, edges });
+        let tree = ParentTree::new(parent)
+            .unwrap_or_else(|e| panic!("a packed tree must span the graph: {e}"));
+        out.push(PackedTree { tree, edges });
     }
     out
 }
@@ -247,10 +257,15 @@ pub fn greedy_tree_packing(wg: &WeightedGraph, count: usize) -> Vec<PackedTree> 
 /// whose tree-LCA lies in the subtree. The sums are exact in `u128`, so
 /// every value is exact whenever it fits in `u64` (a heavier cut reads
 /// `u64::MAX`).
+///
+/// # Panics
+///
+/// Panics unless `tree` has one node per node of `wg`'s graph.
 pub fn one_respecting_cuts(wg: &WeightedGraph, tree: &PackedTree) -> Vec<(NodeId, u64)> {
     let g = wg.graph();
     let n = g.n();
-    let layout = layout(tree, n);
+    assert_eq!(tree.tree.n(), n, "a packed tree must span the graph");
+    let layout = &tree.tree;
     let mut a_sub = vec![0u128; n];
     let mut b_sub = vec![0u128; n];
     for (e, u, v) in g.edges() {
@@ -272,18 +287,6 @@ pub fn one_respecting_cuts(wg: &WeightedGraph, tree: &PackedTree) -> Vec<(NodeId
         .collect()
 }
 
-/// `tree`'s layout: its pre-order holds every subtree as the contiguous
-/// range that starts at its root.
-///
-/// # Panics
-///
-/// Panics unless `tree` is one tree over all `n` nodes.
-fn layout(tree: &PackedTree, n: usize) -> ParentTree {
-    assert_eq!(tree.parent.len(), n, "the tree must span the graph");
-    ParentTree::new(tree.parent.clone())
-        .unwrap_or_else(|e| panic!("a packed tree must span the graph: {e}"))
-}
-
 /// Minimum 2-respecting cut of a spanning tree: over every pair of
 /// non-root nodes `a ≠ b`, the cut that crosses exactly the tree edges
 /// above `a` and `b`, whose side is `sub(a) ∪ sub(b)` (disjoint subtrees)
@@ -301,12 +304,12 @@ fn layout(tree: &PackedTree, n: usize) -> ParentTree {
 ///
 /// # Panics
 ///
-/// Panics unless `tree` spans `wg`'s graph: one root, and every node below
-/// it.
+/// Panics unless `tree` has one node per node of `wg`'s graph.
 pub fn min_two_respecting_cut(wg: &WeightedGraph, tree: &PackedTree) -> u64 {
     let g = wg.graph();
     let n = g.n();
-    let layout = layout(tree, n);
+    assert_eq!(tree.tree.n(), n, "a packed tree must span the graph");
+    let layout = &tree.tree;
     let order = layout.preorder();
     // Filled in reverse pre-order, so a row only reads nodes already done:
     // `cut[v]` = C(v), `inner[v]` = twice the weight inside sub(v).
@@ -409,7 +412,7 @@ mod tests {
         assert_eq!(packing.len(), 4);
         for tree in &packing {
             assert_eq!(tree.edges.len(), g.n() - 1);
-            assert_eq!(tree.parent.iter().filter(|p| p.is_none()).count(), 1);
+            assert_eq!(tree.tree.n(), g.n());
         }
         // Greedy packing spreads load: the union of the trees is larger
         // than one tree.
@@ -440,7 +443,7 @@ mod tests {
         let n = g.n();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
         for v in 0..n {
-            if let Some(p) = tree.parent[v] {
+            if let Some(p) = tree.tree.parent(v) {
                 children[p].push(v);
             }
         }
@@ -502,7 +505,7 @@ mod tests {
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut root = 0;
         for v in 0..n {
-            match tree.parent[v] {
+            match tree.tree.parent(v) {
                 Some(p) => children[p].push(v),
                 None => root = v,
             }
@@ -525,7 +528,7 @@ mod tests {
             }
         }
         let in_sub = |v: usize, x: usize| tin[x] >= tin[v] && tout[x] <= tout[v];
-        let cut_nodes: Vec<usize> = (0..n).filter(|&v| tree.parent[v].is_some()).collect();
+        let cut_nodes: Vec<usize> = (0..n).filter(|&v| tree.tree.parent(v).is_some()).collect();
         let mut best = u64::MAX;
         for (i, &a) in cut_nodes.iter().enumerate() {
             for &b in cut_nodes.iter().skip(i + 1) {
@@ -587,7 +590,8 @@ mod tests {
         let edges = (0..g.n())
             .filter_map(|v| parent[v].map(|p| g.edge_between(p, v).expect("tree edge")))
             .collect();
-        PackedTree { parent, edges }
+        let tree = ParentTree::new(parent).expect("one tree");
+        PackedTree { tree, edges }
     }
 
     /// Checks the kernel against the reference on three kinds of tree:
@@ -647,16 +651,5 @@ mod tests {
         ) {
             check_against_brute_force(n, extra, seed, 1 << 40);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one root")]
-    fn two_respecting_rejects_a_forest() {
-        let wg = WeightedGraph::unit(generators::path(4));
-        let tree = PackedTree {
-            parent: vec![None, Some(0), None, Some(2)],
-            edges: vec![0, 2],
-        };
-        min_two_respecting_cut(&wg, &tree);
     }
 }

@@ -1,16 +1,18 @@
-//! Minimum spanning tree via Borůvka driven by part-wise aggregation — the
-//! Theorem 1 / Corollary 1 algorithm.
+//! The centralized minimum-spanning-tree reference: Kruskal's algorithm.
 //!
-//! Each Borůvka phase treats the current fragments as parts, builds a
-//! tree-restricted shortcut for them, and runs two part-wise aggregations:
-//! one to find each fragment's minimum outgoing edge, one to flood the
-//! merged fragments' new labels. `O(log n)` phases suffice, so the total
-//! round count is `Õ(q(D))` with `q` the shortcut quality the builder
-//! achieves — `Õ(D²)` on excluded-minor families by Theorem 6.
-//!
-//! The shortcut *construction* cost is charged analytically (Theorem 1
-//! cites \[HIZ16a\]: `Õ(q)` rounds) and reported in a separate field, exactly
-//! like the paper treats it.
+//! The distributed MST — Borůvka driven by part-wise aggregation, the
+//! Theorem 1 / Corollary 1 algorithm — is the session's
+//! [`Solver::mst`](crate::solver::Solver::mst) (the private
+//! `Solver::boruvka_mst` runs it). Each Borůvka phase treats the current
+//! fragments as parts, builds a tree-restricted shortcut for them, and
+//! runs two part-wise aggregations: one to find each fragment's minimum
+//! outgoing edge, one to flood the merged fragments' new labels.
+//! `O(log n)` phases suffice, so the total round count is `Õ(q(D))` with
+//! `q` the shortcut quality the builder achieves — `Õ(D²)` on
+//! excluded-minor families by Theorem 6. The shortcut *construction* cost
+//! is charged analytically (Theorem 1 cites \[HIZ16a\]: `Õ(q)` rounds) and
+//! reported in a separate field, exactly like the paper treats it. The
+//! tests below check the session's MST against [`kruskal`].
 
 use minex_graphs::{EdgeId, UnionFind, WeightedGraph};
 

@@ -948,12 +948,13 @@ pub struct RepairStats {
     /// The session partition changed under the batch.
     pub partition_changed: bool,
     /// A plan was already cached, the graph stayed connected, the
-    /// partition held and the builder rebuilt the dirty parts, so the plan
-    /// was carried through [`ShortcutPlan::repair_parts`]. Otherwise a
-    /// `noop` batch keeps the plan as it was, and any other batch leaves
-    /// the session without one, to be built on the next query that needs
-    /// it: a moved partition, or a builder that declines part-wise
-    /// rebuilds, drops the cached plan instead of rebuilding it.
+    /// partition held and the builder is part-local, so the plan was
+    /// carried through [`ShortcutPlan::repair_parts`]. Otherwise a `noop`
+    /// batch keeps the plan as it was, and any other batch leaves the
+    /// session without one, to be built on the next query that needs it:
+    /// a moved partition, or a builder that is not
+    /// [part-local](ShortcutBuilder::part_local), drops the cached plan
+    /// instead of rebuilding it.
     pub plan_repaired: bool,
     /// Plan-level repair statistics (all zero unless `plan_repaired`).
     /// Its `partition_changed` and `full_rebuild` are always `false`: a
@@ -1231,9 +1232,10 @@ impl Solver {
     /// [`PartsStrategy`] is re-resolved against the mutated graph), and the
     /// memo is dropped. A cached plan is kept only where
     /// [`ShortcutPlan::repair_parts`] repairs it part by part. When the
-    /// partition changed (Voronoi cells moved) or the builder declines
-    /// part-wise rebuilds (the default `AutoCappedBuilder`), repairing
-    /// means a full build, so the plan and its tree are dropped instead,
+    /// partition changed (Voronoi cells moved) or the builder is not
+    /// [part-local](ShortcutBuilder::part_local) (the default
+    /// `AutoCappedBuilder`), repairing means a full build, so the plan and
+    /// its tree are dropped instead,
     /// and the first query that reads the plan ([`Solver::partwise_min`],
     /// [`Solver::plan`], [`Solver::plan_charge`]) builds them again. The
     /// answer then says `plan_repaired: false` with an all-zero `plan`.
@@ -1362,8 +1364,8 @@ impl Solver {
         touched.sort_unstable();
         touched.dedup();
         // Keep the cached plan only if it repairs part by part: the graph
-        // stayed connected, the partition held and the builder rebuilt the
-        // dirty parts. Any other repair would be a full build, and only
+        // stayed connected, the partition held and the builder is
+        // part-local. Any other repair would be a full build, and only
         // plan readers need one, so the plan and its tree are dropped and
         // `ensure_plan` builds them on first use, as in a planless session.
         // The result is deterministically identical either way.
@@ -1776,7 +1778,7 @@ impl Solver {
             ledger.run(
                 PhaseLabel::new("mincut", "convergecast").with_attempt(t),
                 2,
-                || primitives::convergecast_sum(g, &tree.parent, &vec![1u64; g.n()], config),
+                || primitives::convergecast_sum(g, tree.tree.parents(), &vec![1u64; g.n()], config),
                 |r| r.1,
             )?;
         }

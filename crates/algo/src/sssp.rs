@@ -29,7 +29,9 @@
 //!    this trade.
 //!
 //! The shortcut construction itself is charged analytically at
-//! `quality · ⌈log₂ n⌉` rounds per \[HIZ16a\], mirroring [`crate::mst`].
+//! `quality · ⌈log₂ n⌉` rounds per \[HIZ16a\], the charge the session's
+//! Borůvka MST ([`Solver::mst`](crate::solver::Solver::mst)) pays per
+//! phase.
 
 use std::collections::VecDeque;
 

@@ -21,7 +21,7 @@
 use minex_graphs::{EdgeId, Graph, NodeId};
 
 use crate::cells::{assign_cells, CellPartition};
-use crate::construct::{split_connected, ShortcutBuilder};
+use crate::construct::{build_on_pieces, owned_pieces, ShortcutBuilder};
 use crate::parts::Partition;
 use crate::shortcut::Shortcut;
 use crate::spanning::RootedTree;
@@ -140,45 +140,22 @@ impl<B: ShortcutBuilder> ShortcutBuilder for ApexBuilder<B> {
                 map[root_global].expect("root in cell"),
                 parent_local,
             );
-            // Part fragments within the cell, split into connected pieces.
-            let mut pieces: Vec<Vec<usize>> = Vec::new();
-            let mut owners: Vec<usize> = Vec::new();
-            let mut frag: std::collections::HashMap<usize, Vec<usize>> = Default::default();
-            for &v in cell {
-                if let Some(p) = parts.part_of(v) {
-                    if !handled[p] {
-                        frag.entry(p).or_default().push(map[v].expect("in cell"));
-                    }
-                }
-            }
-            let mut frag_sorted: Vec<(usize, Vec<usize>)> = frag.into_iter().collect();
-            frag_sorted.sort_by_key(|(p, _)| *p);
-            for (p, nodes) in frag_sorted {
-                for piece in split_connected(&sub, &nodes) {
-                    owners.push(p);
-                    pieces.push(piece);
-                }
-            }
-            if pieces.is_empty() {
-                continue;
-            }
-            let local_parts = Partition::new(&sub, pieces).expect("pieces connected");
-            let local = self.inner.build(&sub, &local_tree, &local_parts);
-            // Map back (all local tree edges are real tree edges of T).
-            let mut local_to_global_edge = vec![usize::MAX; sub.m()];
-            for (le, lu, lv) in sub.edges() {
-                let gu = cell[lu];
-                let gv = cell[lv];
-                local_to_global_edge[le] = g.edge_between(gu, gv).expect("induced edge exists");
-            }
-            for (piece, &owner) in owners.iter().enumerate() {
-                for &le in local.edges(piece) {
-                    let ge = local_to_global_edge[le];
-                    if tree.is_tree_edge(ge) {
-                        per_part[owner].push(ge);
-                    }
-                }
-            }
+            // Part fragments within the cell, split into connected pieces;
+            // every local tree edge is a real tree edge of T.
+            build_on_pieces(
+                &self.inner,
+                &sub,
+                &local_tree,
+                owned_pieces(&sub, |lv| parts.part_of(cell[lv]).filter(|&p| !handled[p])),
+                |le| {
+                    let (lu, lv) = sub.endpoints(le);
+                    let ge = g
+                        .edge_between(cell[lu], cell[lv])
+                        .expect("induced edge exists");
+                    tree.is_tree_edge(ge).then_some(ge)
+                },
+                &mut per_part,
+            );
         }
         Shortcut::new(per_part)
     }
@@ -259,19 +236,8 @@ mod tests {
             })
             .collect();
         // Labels may induce disconnected "parts" (apices removed): split.
-        let mut groups: std::collections::HashMap<usize, Vec<usize>> = Default::default();
-        for (v, &l) in labels.iter().enumerate() {
-            if let Some(l) = l {
-                groups.entry(l).or_default().push(v);
-            }
-        }
-        let mut grouped: Vec<(usize, Vec<usize>)> = groups.into_iter().collect();
-        grouped.sort_unstable_by_key(|(l, _)| *l);
-        let mut pieces = Vec::new();
-        for (_, nodes) in grouped {
-            pieces.extend(split_connected(&g, &nodes));
-        }
-        let parts = Partition::new(&g, pieces).unwrap();
+        let pieces = owned_pieces(&g, |v| labels[v]);
+        let parts = Partition::new(&g, pieces.into_iter().map(|(_, p)| p).collect()).unwrap();
         let b = ApexBuilder::new(apices, SteinerBuilder);
         let s = b.build(&g, &t, &parts);
         validate_tree_restricted(&s, &t).unwrap();

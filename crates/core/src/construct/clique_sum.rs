@@ -20,7 +20,7 @@
 use minex_decomp::{CliqueSumTree, Lca};
 use minex_graphs::{EdgeId, Graph, GraphBuilder, NodeId, ParentTree};
 
-use crate::construct::{split_connected, ShortcutBuilder};
+use crate::construct::{build_on_pieces, owned_pieces, ShortcutBuilder};
 use crate::parts::Partition;
 use crate::shortcut::Shortcut;
 use crate::spanning::RootedTree;
@@ -459,58 +459,32 @@ fn run_component<B: ShortcutBuilder>(
         return;
     }
     let comp_tree = RootedTree::from_parent_pointers(&comp_graph, to_comp(root_local), parent_comp);
-    // Restrict parts: pieces = connected components of P ∩ comp within the
-    // component graph.
-    let mut owner_of_piece: Vec<usize> = Vec::new();
-    let mut pieces: Vec<Vec<usize>> = Vec::new();
-    {
-        // Group component nodes by part.
-        let mut nodes_of_part: std::collections::HashMap<usize, Vec<usize>> = Default::default();
-        for &li in nodes {
-            if let Some(p) = parts.part_of(vg[li]) {
-                nodes_of_part.entry(p).or_default().push(to_comp(li));
-            }
-        }
-        let mut sorted: Vec<(usize, Vec<usize>)> = nodes_of_part.into_iter().collect();
-        sorted.sort_by_key(|(p, _)| *p);
-        for (p, comp_ids) in sorted {
-            for piece in split_connected(&comp_graph, &comp_ids) {
-                owner_of_piece.push(p);
-                pieces.push(piece);
-            }
-        }
-    }
-    if pieces.is_empty() {
-        return;
-    }
-    let local_parts =
-        Partition::new(&comp_graph, pieces).expect("pieces are connected by construction");
-    let local_shortcut = inner.build(&comp_graph, &comp_tree, &local_parts);
-    // Map back, keeping only real global tree edges outside parent cliques.
-    // comp node -> global node.
     let mut comp_to_global = vec![0usize; comp_graph.n()];
     for &li in nodes {
         comp_to_global[to_comp(li)] = vg[li];
     }
-    for (piece_idx, owner) in owner_of_piece.iter().enumerate() {
-        for &le in local_shortcut.edges(piece_idx) {
+    // Pieces: the connected components of P ∩ comp within the component
+    // graph. Only real global tree edges outside parent cliques survive.
+    build_on_pieces(
+        inner,
+        &comp_graph,
+        &comp_tree,
+        owned_pieces(&comp_graph, |c| parts.part_of(comp_to_global[c])),
+        |le| {
             let (lu, lv) = comp_graph.endpoints(le);
             let (gu, gv) = (comp_to_global[lu], comp_to_global[lv]);
-            let Some(ge) = g.edge_between(gu, gv) else {
-                continue; // filled clique or star edge
-            };
-            if !tree.is_tree_edge(ge) {
-                continue;
-            }
-            if parent_seps
-                .iter()
-                .any(|sep| sep.contains(&gu) && sep.contains(&gv))
-            {
-                continue; // handled at the parent group
-            }
-            per_part[*owner].push(ge);
-        }
-    }
+            // Filled clique and star edges are not edges of `g`.
+            let ge = g.edge_between(gu, gv)?;
+            // An edge inside a parent separator is handled at the parent
+            // group.
+            (tree.is_tree_edge(ge)
+                && !parent_seps
+                    .iter()
+                    .any(|sep| sep.contains(&gu) && sep.contains(&gv)))
+            .then_some(ge)
+        },
+        per_part,
+    );
 }
 
 /// Intersection of two sorted slices.

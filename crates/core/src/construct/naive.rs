@@ -91,26 +91,10 @@ impl ShortcutBuilder for SteinerBuilder {
     }
 
     /// The Steiner subtree of a part depends only on the part's nodes and
-    /// the tree parents on the walk up to their iterated LCA — all of which
-    /// are endpoints of the part's own edges. Parts whose walked region is
-    /// untouched by a mutation therefore reuse their (remapped) edges
-    /// verbatim, and recomputing just the dirty parts reproduces a full
-    /// [`build`](ShortcutBuilder::build) byte for byte.
-    fn rebuild_parts(
-        &self,
-        _g: &Graph,
-        tree: &RootedTree,
-        parts: &Partition,
-        prev: &Shortcut,
-        dirty: &[usize],
-    ) -> Option<Shortcut> {
-        let mut per_part: Vec<Vec<EdgeId>> =
-            (0..parts.len()).map(|i| prev.edges(i).to_vec()).collect();
-        let mut stamp = vec![usize::MAX; tree.n()];
-        for &i in dirty {
-            per_part[i] = steiner_edges_stamped(tree, parts.part(i), &mut stamp, i);
-        }
-        Some(Shortcut::new(per_part))
+    /// the tree parents on the walk up to their iterated LCA, so `build`
+    /// on any sub-partition returns exactly those parts' edges.
+    fn part_local(&self) -> bool {
+        true
     }
 }
 

@@ -108,6 +108,21 @@ impl Partition {
         Ok(Partition { parts, part_of })
     }
 
+    /// Wraps parts that already pass [`new`](Self::new)'s checks and are
+    /// sorted, without checking them again: the sub-problems of
+    /// [`crate::construct`] are such parts by construction. Debug builds
+    /// still check.
+    pub(crate) fn new_unchecked(g: &Graph, parts: Vec<Vec<NodeId>>) -> Self {
+        debug_assert!(Partition::new(g, parts.clone()).is_ok_and(|p| p.parts == parts));
+        let mut part_of: Vec<Option<usize>> = vec![None; g.n()];
+        for (i, part) in parts.iter().enumerate() {
+            for &v in part {
+                part_of[v] = Some(i);
+            }
+        }
+        Partition { parts, part_of }
+    }
+
     /// Builds a partition from per-node labels (`None` = unassigned).
     /// Labels are compacted to dense part indices by first appearance.
     ///

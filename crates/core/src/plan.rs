@@ -18,12 +18,12 @@
 //! fragments of MST and `components`, the source-rooted clusters of
 //! shortcut SSSP) build their own per query. An edge batch goes through
 //! [`ShortcutPlan::repair_parts`] while the session partition holds and
-//! the builder rebuilds part by part; any other batch drops the cached
-//! plan for a lazy rebuild.
+//! the builder is [part-local](ShortcutBuilder::part_local); any other
+//! batch drops the cached plan for a lazy rebuild.
 
 use minex_graphs::{EdgeId, Graph, NodeId};
 
-use crate::construct::ShortcutBuilder;
+use crate::construct::{build_on_pieces, ShortcutBuilder};
 use crate::parts::Partition;
 use crate::shortcut::{measure_quality, QualityReport, Shortcut};
 use crate::spanning::RootedTree;
@@ -35,8 +35,8 @@ pub struct PlanRepairStats {
     /// The partition differed from the previous plan's, forcing a full
     /// rebuild regardless of dirty-region analysis.
     pub partition_changed: bool,
-    /// The builder declined incremental rebuilding (or the partition
-    /// changed) and `build` ran over every part.
+    /// The builder is not part-local (or the partition changed), so
+    /// `build` ran over every part.
     pub full_rebuild: bool,
     /// Total number of parts in the repaired plan.
     pub parts_total: usize,
@@ -121,7 +121,8 @@ impl ShortcutPlan {
     ///
     /// Inputs describe the mutation batch:
     ///
-    /// * `g` is the *mutated* (compacted) graph; `root` the plan anchor.
+    /// * `g` is the *mutated* (compacted) graph; `root` the plan anchor;
+    ///   `parts` a partition of `g`.
     /// * `edge_remap[old_id]` is the edge's id in `g`, or `None` if the
     ///   edge was deleted (mutations renumber ids — they are lexicographic
     ///   ranks).
@@ -150,20 +151,21 @@ impl ShortcutPlan {
             .expect("a full build always answers")
     }
 
-    /// The part-local half of [`ShortcutPlan::repair`]: the same inputs,
-    /// panics and, when it answers, the same result. `None` when the
-    /// partition changed or `builder` declines
-    /// [`ShortcutBuilder::rebuild_parts`] (the default, required for
-    /// builders with cross-part coupling): a repair would then be a full
-    /// build, which a caller can defer until the plan is read.
+    /// The part-local half of [`ShortcutPlan::repair`]: the same inputs
+    /// and, when it answers, the same panics and result. It answers
+    /// `None`, before it derives a tree, when the partition changed or
+    /// `builder` is not [part-local](ShortcutBuilder::part_local): a
+    /// repair would then be a full build, which a caller can defer until
+    /// the plan is read.
     ///
-    /// The spanning tree is always re-derived (BFS is one `O(n + m)` pass;
+    /// A repair re-derives the spanning tree (BFS is one `O(n + m)` pass;
     /// byte-identity demands it). A part is **dirty** when a mutation can
     /// reach its shortcut: one of its nodes was a mutation endpoint or
     /// changed tree parent, one of its previous shortcut edges vanished or
     /// left the tree, or such an edge's endpoint changed parent / was
     /// touched. Clean parts keep their previous edges, remapped to the new
-    /// ids; dirty parts go through [`ShortcutBuilder::rebuild_parts`].
+    /// ids; the builder's own [`build`](ShortcutBuilder::build) runs on the
+    /// dirty parts alone.
     pub fn repair_parts(
         &self,
         g: &Graph,
@@ -194,8 +196,14 @@ impl ShortcutPlan {
             self.tree.n(),
             "edge churn cannot change the node count"
         );
+        let partition_changed = parts.parts() != self.parts.parts();
+        let part_local = builder.part_local() && !partition_changed;
+        if !part_local && !build {
+            return None;
+        }
         let tree = RootedTree::bfs(g, root);
         let mut stats = PlanRepairStats {
+            partition_changed,
             parts_total: parts.len(),
             ..PlanRepairStats::default()
         };
@@ -203,12 +211,12 @@ impl ShortcutPlan {
         // additionally marks mutation endpoints. A part is dirty if it
         // *contains* an unstable node (a part-local construction may look at
         // the graph around its own nodes), but a remapped shortcut edge only
-        // goes stale if one of its endpoints *moved*: by the
-        // [`ShortcutBuilder::rebuild_parts`] contract a part's edges depend
-        // on nothing outside the part's nodes and the tree, and an old tree
-        // path whose nodes all kept their parent pointers is the same parent
-        // chain in the new tree. Churn at a hub (k-trees!) would otherwise
-        // dirty every part whose Steiner paths route through it.
+        // goes stale if one of its endpoints *moved*: a part-local builder's
+        // edges for a part depend on nothing outside the part's nodes and
+        // the tree, and an old tree path whose nodes all kept their parent
+        // pointers is the same parent chain in the new tree. Churn at a hub
+        // (k-trees!) would otherwise dirty every part whose Steiner paths
+        // route through it.
         let mut moved = vec![false; g.n()];
         for (v, m) in moved.iter_mut().enumerate() {
             if self.tree.parent(v) != tree.parent(v) {
@@ -216,60 +224,44 @@ impl ShortcutPlan {
                 stats.tree_changed_nodes += 1;
             }
         }
-        let mut unstable = moved.clone();
-        for &v in touched {
-            unstable[v] = true;
-        }
-        stats.partition_changed = parts.parts() != self.parts.parts();
-        let shortcut = if stats.partition_changed {
-            None
-        } else {
-            // Remap each part's previous edges; collect dirty part indices.
+        let (shortcut, quality) = if part_local {
+            let mut unstable = moved.clone();
+            for &v in touched {
+                unstable[v] = true;
+            }
+            // Remap each part's previous edges; collect the dirty parts.
             let mut per_part: Vec<Vec<EdgeId>> = Vec::with_capacity(parts.len());
-            let mut dirty: Vec<usize> = Vec::new();
+            let mut dirty = Vec::new();
             for (i, part) in parts.parts().iter().enumerate() {
-                let mut is_dirty = part.iter().any(|&v| unstable[v]);
-                let mut mapped = Vec::with_capacity(self.shortcut.edges(i).len());
-                if !is_dirty {
-                    for &e in self.shortcut.edges(i) {
-                        match edge_remap.get(e).copied().flatten() {
+                let old = self.shortcut.edges(i);
+                let mut mapped = Vec::with_capacity(old.len());
+                let clean = !part.iter().any(|&v| unstable[v])
+                    && old
+                        .iter()
+                        .all(|&e| match edge_remap.get(e).copied().flatten() {
                             Some(ne) if tree.is_tree_edge(ne) => {
                                 let (u, v) = g.endpoints(ne);
-                                if moved[u] || moved[v] {
-                                    is_dirty = true;
-                                    break;
-                                }
                                 mapped.push(ne);
+                                !moved[u] && !moved[v]
                             }
-                            _ => {
-                                is_dirty = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if is_dirty {
-                    dirty.push(i);
+                            _ => false,
+                        });
+                if !clean {
+                    dirty.push((i, part.clone()));
                     mapped.clear();
                 }
                 per_part.push(mapped);
             }
             stats.parts_rebuilt = dirty.len();
             stats.parts_reused = parts.len() - dirty.len();
-            builder.rebuild_parts(g, &tree, &parts, &Shortcut::new(per_part), &dirty)
-        };
-        let (shortcut, quality) = match shortcut {
-            Some(shortcut) => {
-                let quality = measure_quality(g, &tree, &parts, &shortcut);
-                (shortcut, quality)
-            }
-            None if build => {
-                stats.full_rebuild = true;
-                stats.parts_rebuilt = parts.len();
-                stats.parts_reused = 0;
-                builder.build_measured(g, &tree, &parts)
-            }
-            None => return None,
+            build_on_pieces(builder, g, &tree, dirty, Some, &mut per_part);
+            let shortcut = Shortcut::new(per_part);
+            let quality = measure_quality(g, &tree, &parts, &shortcut);
+            (shortcut, quality)
+        } else {
+            stats.full_rebuild = true;
+            stats.parts_rebuilt = parts.len();
+            builder.build_measured(g, &tree, &parts)
         };
         Some((
             ShortcutPlan {
@@ -417,8 +409,8 @@ mod tests {
     #[test]
     fn coupled_builders_fall_back_to_full_rebuild() {
         // AutoCappedBuilder's quality sweep couples parts globally, so it
-        // keeps the default rebuild_parts — repair must do a full build and
-        // still agree with fresh construction.
+        // is not part-local — repair must do a full build and still agree
+        // with fresh construction.
         let old = generators::wheel(17);
         let new = Graph::from_edges(old.n(), old.edges().map(|(_, u, v)| (u, v)).chain([(0, 8)]))
             .unwrap();
@@ -428,6 +420,37 @@ mod tests {
         assert!(stats.full_rebuild);
         assert_eq!(stats.parts_rebuilt, 2);
         assert_eq!(stats.parts_reused, 0);
+    }
+
+    #[test]
+    fn repair_parts_answers_none_before_deriving_a_tree() {
+        // Node 0 loses its edges, so a BFS of the batch's graph would
+        // panic: an answer shows that no tree was derived.
+        let g = generators::grid(4, 4);
+        let split = Graph::from_edges(
+            g.n(),
+            g.edges()
+                .filter(|&(_, u, _)| u != 0)
+                .map(|(_, u, v)| (u, v)),
+        )
+        .unwrap();
+        let touched = [0, 1, 4];
+        let parts = Partition::new(&g, vec![vec![14, 15]]).unwrap();
+        let capped = ShortcutPlan::build(&g, 15, parts.clone(), &AutoCappedBuilder);
+        let remap = remap(&g, &split);
+        assert!(capped
+            .repair_parts(&split, 15, parts, &AutoCappedBuilder, &remap, &touched)
+            .is_none());
+        let steiner = ShortcutPlan::build(
+            &g,
+            15,
+            Partition::new(&g, vec![vec![14]]).unwrap(),
+            &SteinerBuilder,
+        );
+        let moved = Partition::new(&split, vec![vec![15]]).unwrap();
+        assert!(steiner
+            .repair_parts(&split, 15, moved, &SteinerBuilder, &remap, &touched)
+            .is_none());
     }
 
     #[test]

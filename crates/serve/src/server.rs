@@ -537,15 +537,20 @@ fn create_session(shared: &Shared, body: &[u8]) -> Result<String, Failure> {
             .to_string();
     }
     let mut config = CongestConfig::for_nodes(n);
+    // Zero passes `as_usize` but leaves every simulated query failing: no
+    // round runs under `max_rounds` 0, and every message is over a
+    // bandwidth of 0 bits.
     if let Some(b) = v.get("bandwidth") {
         config = config.with_bandwidth(
             b.as_usize()
+                .filter(|&b| b > 0)
                 .ok_or_else(|| bad("bandwidth must be a positive integer"))?,
         );
     }
     if let Some(r) = v.get("max_rounds") {
         config = config.with_max_rounds(
             r.as_usize()
+                .filter(|&r| r > 0)
                 .ok_or_else(|| bad("max_rounds must be a positive integer"))?,
         );
     }

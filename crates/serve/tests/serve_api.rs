@@ -291,6 +291,46 @@ fn a_node_count_past_the_id_range_is_a_bad_request() {
 }
 
 #[test]
+fn a_zero_bandwidth_or_round_limit_is_a_bad_request() {
+    // Either zero would build a session whose every simulated query fails:
+    // no round runs under `max_rounds` 0, and no message fits 0 bits.
+    let wg = grid(3, 3, 2);
+    let server = default_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let zero_bandwidth = CreateSession {
+        bandwidth: Some(0),
+        ..CreateSession::from_weighted(&wg)
+    };
+    let zero_rounds = CreateSession {
+        max_rounds: Some(0),
+        ..CreateSession::from_weighted(&wg)
+    };
+    for (upload, field) in [(zero_bandwidth, "bandwidth"), (zero_rounds, "max_rounds")] {
+        match client.create_session(&upload) {
+            Err(ServeError::Server {
+                status,
+                code,
+                message,
+            }) => {
+                assert_eq!((status, code.as_str()), (400, "BAD_REQUEST"));
+                assert_eq!(message, format!("{field} must be a positive integer"));
+            }
+            other => panic!("{field} 0: expected BAD_REQUEST, got {other:?}"),
+        }
+    }
+    assert_eq!(server.sessions(), 0);
+    // The smallest positive values still build a session.
+    let ones = CreateSession {
+        bandwidth: Some(1),
+        max_rounds: Some(1),
+        ..CreateSession::from_weighted(&wg)
+    };
+    client.create_session(&ones).unwrap();
+    assert_eq!(server.sessions(), 1);
+    server.shutdown();
+}
+
+#[test]
 fn oversized_min_cut_trees_is_a_bad_query() {
     // The packing would allocate one spanning tree per requested tree, so
     // a count above n is refused up front; the session, the connection

@@ -13,16 +13,19 @@
 #      `two_respecting` still answers; a batch keeps per-query ok/error
 #      envelopes;
 #   4. error-code mapping: DISCONNECTED/422, BAD_QUERY/400,
-#      BAD_REQUEST/400, NOT_FOUND/404 — codes and HTTP statuses both —
-#      and the `null` sentinels: an exact SSSP on the disconnected session
+#      BAD_REQUEST/400 (a zero bandwidth or max_rounds upload among
+#      them), NOT_FOUND/404 — codes and HTTP statuses both — and the
+#      `null` sentinels: an exact SSSP on the disconnected session
 #      answers `null` for each unreached distance and parent;
 #   5. apply: on a Voronoi session with a warmed plan, a batch that moves
 #      the cells drops the plan (partition_changed, no plan_repaired, no
 #      full_rebuild), and the next partwise_min answers the minima of the
-#      new cells; on a default session (singletons, auto-capped, whose
-#      builder declines part-wise rebuilds) an apply drops the warmed plan
-#      too (no plan_repaired, an all-zero plan) and the next partwise_min
-#      still answers; on a Steiner singleton session it repairs the plan;
+#      new cells; on a default session (singletons, auto-capped) and on a
+#      whole-tree session, whose builders are not part-local, an apply
+#      drops the warmed plan too (no plan_repaired, an all-zero plan) and
+#      the next partwise_min still answers; on a Steiner singleton
+#      session it repairs the plan, rebuilding only the parts the batch
+#      reached;
 #   6. transport latency: the median of 20 keep-alive health requests on
 #      one connection stays under 20 ms. A response split over small
 #      writes without TCP_NODELAY stalls ~40 ms on the client's delayed
@@ -123,6 +126,15 @@ req 400 POST /v1/sessions 'this is not json'
 jq -e '.code == "BAD_REQUEST"' "$tmp/body" >/dev/null \
     || fail "malformed body must map to BAD_REQUEST"
 
+# A zero bandwidth or round limit would fail every simulated query.
+for field in bandwidth max_rounds; do
+    req 400 POST /v1/sessions \
+        "{\"graph\":{\"n\":3,\"edges\":[[0,1,5],[1,2,7]]},\"$field\":0}"
+    jq -e --arg m "$field must be a positive integer" \
+        '.code == "BAD_REQUEST" and .message == $m' "$tmp/body" >/dev/null \
+        || fail "$field 0 must map to BAD_REQUEST"
+done
+
 req 404 POST "/v1/sessions/0123456789abcdef/query" '{"query":"mst"}'
 jq -e '.code == "NOT_FOUND"' "$tmp/body" >/dev/null \
     || fail "unknown session must map to NOT_FOUND"
@@ -160,25 +172,32 @@ jq -e '.value.minima == [10,20]' "$tmp/body" >/dev/null \
     || fail "partwise_min after the apply must read the moved cells"
 req 200 DELETE "/v1/sessions/$cells"
 
-req 200 POST /v1/sessions "{\"graph\":$path}"
-singletons="$(jq -r .session "$tmp/body")"
-req 200 POST "/v1/sessions/$singletons/query" "$minima"
-req 200 POST "/v1/sessions/$singletons/query" "$chord"
-jq -e '.partition_changed == false and .plan_repaired == false
-       and (.plan | to_entries | all(.value == 0 or .value == false))' \
-    "$tmp/body" >/dev/null \
-    || fail "an apply on a default session must drop the plan, not rebuild it"
-req 200 POST "/v1/sessions/$singletons/query" "$minima"
-jq -e '.value.minima == [80,70,60,50,40,30,20,10]' "$tmp/body" >/dev/null \
-    || fail "partwise_min after the apply must rebuild the dropped plan"
-req 200 DELETE "/v1/sessions/$singletons"
+for builder in default whole-tree; do
+    upload="{\"graph\":$path,\"builder\":\"$builder\"}"
+    [ "$builder" = default ] && upload="{\"graph\":$path}"
+    req 200 POST /v1/sessions "$upload"
+    singletons="$(jq -r .session "$tmp/body")"
+    req 200 POST "/v1/sessions/$singletons/query" "$minima"
+    req 200 POST "/v1/sessions/$singletons/query" "$chord"
+    jq -e '.partition_changed == false and .plan_repaired == false
+           and (.plan | to_entries | all(.value == 0 or .value == false))' \
+        "$tmp/body" >/dev/null \
+        || fail "an apply on a $builder session must drop the plan, not rebuild it"
+    req 200 POST "/v1/sessions/$singletons/query" "$minima"
+    jq -e '.value.minima == [80,70,60,50,40,30,20,10]' "$tmp/body" >/dev/null \
+        || fail "partwise_min after the $builder apply must rebuild the dropped plan"
+    req 200 DELETE "/v1/sessions/$singletons"
+done
 
 req 200 POST /v1/sessions "{\"graph\":$path,\"builder\":\"steiner\"}"
 steiner="$(jq -r .session "$tmp/body")"
 req 200 POST "/v1/sessions/$steiner/query" "$minima"
 req 200 POST "/v1/sessions/$steiner/query" "$chord"
+# The chord moves the tree parents of 5, 6 and 7; with its endpoints 0
+# and 7, four of the eight singletons are dirty and four keep their edges.
 jq -e '.partition_changed == false and .plan_repaired == true
-       and .plan.full_rebuild == false' \
+       and .plan.full_rebuild == false
+       and .plan.parts_rebuilt == 4 and .plan.parts_reused == 4' \
     "$tmp/body" >/dev/null || fail "an apply on Steiner singletons must repair the plan"
 req 200 DELETE "/v1/sessions/$steiner"
 
